@@ -14,13 +14,11 @@ def main():
     ap.add_argument("--sweep", default="1:70:36", help="lo:hi:steps in gauss")
     ap.add_argument("--n", type=int, default=2)
     ap.add_argument("--top-k", type=int, default=10)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="manifold_sweep.csv")
     args = ap.parse_args()
     rc = cli_main([
         "manifold", "--field-sweep", args.sweep, "--n", str(args.n),
-        "--top-k", str(args.top_k), "--threads", str(args.threads),
-        "--out", args.out,
+        "--top-k", str(args.top_k), "--out", args.out,
     ])
     if rc == 0:
         print(f"wrote {args.out}", file=sys.stderr)

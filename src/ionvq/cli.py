@@ -227,7 +227,7 @@ def _cmd_manifold(args):
         except ValueError as exc:
             raise ConfigError(f"--field-sweep expects lo:hi:steps in gauss") from exc
         fields = np.maximum(fields, 1e-6)
-        points = _sweep_parallel(model, n, params, fields, k, args.threads or 1)
+        points = manifold.field_sweep(model, n, params, fields, k)
         rows = [
             [f"{pt.B_T*1e4:.6g}", f"{pt.median_cost:.8g}", f"{pt.min_cost:.8g}",
              f"{pt.max_cost:.8g}", f"{pt.median_gate_time:.8g}", f"{pt.min_gate_time:.8g}",
@@ -272,18 +272,6 @@ def _cmd_manifold(args):
         rows,
     )
     return [(text, "csv"), (json.dumps(report, indent=1, sort_keys=True) + "\n", "json")]
-
-
-def _sweep_parallel(model, n, params, fields, k, threads):
-    if threads <= 1:
-        return manifold.field_sweep(model, n, params, fields, k)
-    from concurrent.futures import ThreadPoolExecutor
-
-    def one(B):
-        return manifold.field_sweep(model, n, params, [B], k)[0]
-
-    with ThreadPoolExecutor(max_workers=min(threads, 16)) as ex:
-        return list(ex.map(one, fields))
 
 
 def _cmd_tables(args):
@@ -390,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output path (default: stdout)")
         sp.add_argument("--format", choices=["csv", "json"], default=None)
         sp.add_argument("--config", help="JSON config supplying unset flags")
-        sp.add_argument("--threads", type=int, default=None)
 
     sp = sub.add_parser("xeb", help="gates to reach a cross-entropy threshold")
     sp.add_argument("--qubits", type=int)

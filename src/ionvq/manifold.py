@@ -94,37 +94,20 @@ def precompute_level_data(model: LevelModel, params: CostParams) -> LevelData:
     # admission: driving T must not excite any other level transition beyond
     # the resolution bound ("all"); the "endpoint" scope restricts the veto
     # to transitions sharing one of T's endpoints
-    n_pairs = len(pairs)
-    resolved = np.ones(n_pairs, dtype=bool)
     dmin = TWO_PI * params.delta_min_Hz
-    if params.resolution_scope == "endpoint":
-        endpoint_pairs: dict[int, list[int]] = {}
-        for k, (i, j) in enumerate(pairs):
-            endpoint_pairs.setdefault(i, []).append(k)
-            endpoint_pairs.setdefault(j, []).append(k)
-        for k, (i, j) in enumerate(pairs):
-            others = set(endpoint_pairs[i]) | set(endpoint_pairs[j])
-            others.discard(k)
-            for o in others:
-                if m_abs[o] < 1e-12:
-                    continue
-                det = max(abs(omega[k] - omega[o]), dmin)
-                if (rabi[o] ** 2) / det**2 > params.resolution:
-                    resolved[k] = False
-                    break
-    elif params.resolution_scope == "all":
-        for k in range(n_pairs):
-            det = np.maximum(np.abs(omega[k] - omega), dmin)
-            ratio = rabi**2 / det**2
-            ratio[k] = 0.0
-            ratio[m_abs < 1e-12] = 0.0
-            if float(ratio.max()) > params.resolution:
-                resolved[k] = False
-    else:
-        raise ValueError("resolution_scope must be 'all' or 'endpoint'")
-
     delta = np.abs(omega[:, None] - omega[None, :])
     main = np.maximum(delta, dmin) ** 2
+    if params.resolution_scope == "all":
+        veto = np.ones(main.shape, dtype=bool)
+    elif params.resolution_scope == "endpoint":
+        ends = np.array(pairs)
+        veto = (ends[:, None, :, None] == ends[None, :, None, :]).any(axis=(2, 3))
+    else:
+        raise ValueError("resolution_scope must be 'all' or 'endpoint'")
+    veto &= m_abs >= 1e-12
+    np.fill_diagonal(veto, False)
+    resolved = ~(veto & (rabi**2 / main > params.resolution)).any(axis=1)
+
     side = np.maximum(np.abs(delta - TWO_PI * params.omega_M_Hz), dmin) ** 2
     m2 = m_abs[None, :] ** 2
     crosstalk = m2 / main + (params.eta**2) * m2 / side
@@ -141,22 +124,6 @@ def allowed_graph(state_set, data: LevelData):
             if data.drivable[k] and data.resolved[k]:
                 edges.append((s[a_idx], s[b_idx]))
     return edges
-
-
-def _connected(nodes, edges) -> bool:
-    nodes = list(nodes)
-    adj = {v: set() for v in nodes}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(nodes)
 
 
 @dataclass
@@ -178,57 +145,73 @@ class CostBreakdown:
         return self.eps_memory + self.eps_internal + kappa * self.eps_spectator
 
 
-def manifold_cost(state_set, data: LevelData, params: CostParams) -> CostBreakdown:
-    """Evaluate the heuristic cost of one connected candidate."""
-    s = tuple(sorted(state_set))
-    d = len(s)
-    edges = allowed_graph(s, data)
-    if not _connected(s, edges):
-        raise ValueError("candidate graph is not connected")
-    int_idx = np.array([data.pair_index[e] for e in edges], dtype=int)
-    in_set = np.zeros(len(data.states.labels), dtype=bool)
-    in_set[list(s)] = True
-    spect_idx = np.array(
-        [
-            k
-            for k, (i, j) in enumerate(data.pairs)
-            if (in_set[i] ^ in_set[j]) and data.drivable[k]
-        ],
-        dtype=int,
-    )
-    A = len(int_idx)
-    a_max = d * (d - 1) // 2
-    a_min = d - 1
-    x = (a_max - A) / (a_max - a_min) if a_max > a_min else 0.0
-    n_t = A
-    d2 = (TWO_PI * params.D_Hz) ** 2
+# candidate rows per scoring block: large enough to amortise the per-block
+# numpy calls, small enough that every temporary stays well under a few MB
+_BLOCK_ROWS = 1024
 
-    ct = data.crosstalk
-    raw_int = 0.0
-    if A > 1:
-        block = ct[np.ix_(int_idx, int_idx)].copy()
-        np.fill_diagonal(block, 0.0)
-        raw_int = float(block.sum()) / n_t
-    raw_spect = float(ct[np.ix_(int_idx, spect_idx)].sum()) / n_t if spect_idx.size else 0.0
+
+def _score(combos, data: LevelData, params: CostParams):
+    """Score a block of candidate state sets with array operations.
+
+    ``combos`` holds one sorted row of level indices per candidate.  Returns
+    the connected mask over the rows and a dict of arrays over the connected
+    rows only, in row order: states, edge_count, x, eps_memory, eps_internal,
+    eps_spectator, cost, t_rotation, t_gate and mean_element.
+    """
+    if params.rotation_time_mode not in ("inverse_mean", "mean_inverse"):
+        raise ValueError("rotation_time_mode must be 'inverse_mean' or 'mean_inverse'")
+    combos = np.asarray(combos, dtype=np.intp)
+    d = combos.shape[1]
+    ends = np.array(data.pairs)
+    pair_of = np.zeros((len(data.states.labels),) * 2, dtype=np.intp)
+    pair_of[ends[:, 0], ends[:, 1]] = np.arange(len(ends))
+    a, b = np.triu_indices(d, 1)
+    kp = pair_of[combos[:, a], combos[:, b]]
+    edge = (data.drivable & data.resolved)[kp]
+
+    # boolean reachability, squared until it spans paths of d - 1 hops; sets
+    # with fewer than d - 1 edges cannot be connected
+    connected = edge.sum(axis=1) >= d - 1
+    reach = np.zeros((int(connected.sum()), d, d), dtype=bool)
+    reach[:, a, b] = reach[:, b, a] = edge[connected]
+    reach[:, np.arange(d), np.arange(d)] = True
+    for _ in range(max(1, (d - 2).bit_length())):
+        reach = reach @ reach
+    connected[connected] = reach[:, 0].all(axis=1)
+    combos, kp, edge = combos[connected], kp[connected], edge[connected]
+    A = edge.sum(axis=1)
+    a_max, a_min = d * (d - 1) // 2, d - 1
+    x = (a_max - A) / (a_max - a_min) if a_max > a_min else np.zeros(len(A))
+
+    # one product over drivable transitions gives both crosstalk sums: g[r, k]
+    # sums ct[e, k] over the internal edges e of row r, with the self term
+    # ct[e, e] zeroed; internal partners are the other edges, spectators the
+    # drivable transitions with exactly one endpoint in the set
+    drv = np.flatnonzero(data.drivable)
+    ct = data.crosstalk[np.ix_(drv, drv)]
+    np.fill_diagonal(ct, 0.0)
+    rows, cols = np.nonzero(edge)
+    onehot = np.zeros((len(kp), len(drv)))
+    onehot[rows, (np.cumsum(data.drivable) - 1)[kp[rows, cols]]] = 1.0
+    g = onehot @ ct
+    in_set = np.zeros((len(kp), pair_of.shape[0]), dtype=bool)
+    in_set[np.arange(len(kp))[:, None], combos] = True
+    spect = in_set[:, ends[drv, 0]] ^ in_set[:, ends[drv, 1]]
     geom = d ** (2 - x)
-    eps_int = geom * d2 * raw_int
-    eps_spect = geom * d2 * raw_spect
+    d2 = (TWO_PI * params.D_Hz) ** 2
+    eps_int = geom * d2 * ((g * onehot).sum(axis=1) / A)
+    eps_spect = geom * d2 * ((g * spect).sum(axis=1) / A)
 
-    m_int = data.m_abs[int_idx]
+    m_int = np.where(edge, data.m_abs[kp], 0.0)
     omega_rabi = TWO_PI * params.D_Hz * m_int
     if params.rotation_time_mode == "inverse_mean":
-        t_r = math.pi / float(omega_rabi.mean())
-    elif params.rotation_time_mode == "mean_inverse":
-        t_r = float(np.mean(math.pi / omega_rabi))
+        t_r = math.pi / (omega_rabi.sum(axis=1) / A)
     else:
-        raise ValueError("rotation_time_mode must be 'inverse_mean' or 'mean_inverse'")
-    sens2 = float((data.sens[int_idx] ** 2).sum())
+        t_r = (math.pi / np.where(edge, omega_rabi, np.inf)).sum(axis=1) / A
+    sens2 = np.where(edge, data.sens[kp] ** 2, 0.0).sum(axis=1)
     eps_mem = (d ** (4 - 2 * x)) * t_r**2 * (params.dB_rms_T**2) * sens2 / (4 * d * (d + 2))
-
-    labels = tuple(data.states.labels[k] for k in s)
-    return CostBreakdown(
-        states=s,
-        labels=labels,
+    return connected, dict(
+        states=combos,
         edge_count=A,
         x=x,
         eps_memory=eps_mem,
@@ -236,37 +219,50 @@ def manifold_cost(state_set, data: LevelData, params: CostParams) -> CostBreakdo
         eps_spectator=eps_spect,
         cost=eps_mem + eps_int + params.kappa * eps_spect,
         t_rotation=t_r,
-        t_gate=(d ** (2 - x)) * t_r,
-        mean_element=float(m_int.mean()),
+        t_gate=geom * t_r,
+        mean_element=m_int.sum(axis=1) / A,
     )
+
+
+def _breakdown(scores: dict, row: int, data: LevelData) -> CostBreakdown:
+    s = tuple(int(k) for k in scores["states"][row])
+    values = {key: float(val[row]) for key, val in scores.items() if key != "states"}
+    values["edge_count"] = int(scores["edge_count"][row])
+    return CostBreakdown(states=s, labels=tuple(data.states.labels[k] for k in s), **values)
+
+
+def manifold_cost(state_set, data: LevelData, params: CostParams) -> CostBreakdown:
+    """Evaluate the heuristic cost of one connected candidate."""
+    connected, scores = _score([sorted(state_set)], data, params)
+    if not connected[0]:
+        raise ValueError("candidate graph is not connected")
+    return _breakdown(scores, 0, data)
 
 
 def search_top_k(
     model: LevelModel, n: int, params: CostParams, k: int = 10
 ) -> list[CostBreakdown]:
-    """Rank all connected 2^n-state subsets of the level by cost."""
+    """Rank all connected 2^n-state subsets of the level by cost.
+
+    Subsets are scored in lexicographic blocks; a stable sort on cost over
+    the running winners followed by each block keeps ties in subset order.
+    """
     if n not in (2, 3):
         raise ValueError("manifold search supports n in {2, 3}")
     data = precompute_level_data(model, params)
     d = 2**n
-    dim = len(data.states.labels)
-    ok_pair = data.drivable & data.resolved
-    adj = np.zeros((dim, dim), dtype=bool)
-    for kk, (i, j) in enumerate(data.pairs):
-        adj[i, j] = adj[j, i] = ok_pair[kk]
-    results = []
-    for combo in itertools.combinations(range(dim), d):
-        sub = adj[np.ix_(combo, combo)]
-        if sub.sum() < 2 * (d - 1):
-            continue
-        edges = [
-            (combo[a], combo[b]) for a in range(d) for b in range(a + 1, d) if sub[a, b]
-        ]
-        if not _connected(combo, edges):
-            continue
-        results.append(manifold_cost(combo, data, params))
-    results.sort(key=lambda r: (r.cost, r.states))
-    return results[:k]
+    combos = itertools.combinations(range(len(data.states.labels)), d)
+    best = _score(np.empty((0, d), dtype=np.intp), data, params)[1]
+    while True:
+        flat = itertools.chain.from_iterable(itertools.islice(combos, _BLOCK_ROWS))
+        block = np.fromiter(flat, dtype=np.intp).reshape(-1, d)
+        if not len(block):
+            break
+        _, scores = _score(block, data, params)
+        scores = {key: np.concatenate([best[key], val]) for key, val in scores.items()}
+        order = np.argsort(scores["cost"], kind="stable")[:k]
+        best = {key: val[order] for key, val in scores.items()}
+    return [_breakdown(best, r, data) for r in range(len(best["cost"]))]
 
 
 @dataclass

@@ -63,6 +63,12 @@ def test_config_error_exit_codes(tmp_path):
     assert main(["bv", "--config", str(bad), "--seed", "1", "--s", "10"]) == 2
 
 
+def test_manifold_config_rejects_threads(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"threads": 2}')
+    assert main(["manifold", "--config", str(cfg), "--field", "20"]) == 2
+
+
 def test_config_fills_missing_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"s": "1100", "seed": 9, "shots": 64}))

@@ -1,11 +1,16 @@
+import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from ionvq.atomic import load_level_model
 from ionvq.manifold import (
+    TWO_PI,
+    CostBreakdown,
     CostParams,
     allowed_graph,
     field_sweep,
@@ -18,6 +23,128 @@ from ionvq.manifold import (
 
 BA = load_level_model()
 PARAMS = CostParams()
+
+
+# ---------------------------------------------------------------------------
+# per-candidate loop references for the vectorised admission rule and scorer
+
+
+def _reference_resolved(data, params):
+    omega, m_abs = data.omega, data.m_abs
+    rabi = TWO_PI * params.D_Hz * m_abs
+    dmin = TWO_PI * params.delta_min_Hz
+    resolved = np.ones(len(data.pairs), dtype=bool)
+    if params.resolution_scope == "endpoint":
+        endpoint_pairs: dict[int, list[int]] = {}
+        for k, (i, j) in enumerate(data.pairs):
+            endpoint_pairs.setdefault(i, []).append(k)
+            endpoint_pairs.setdefault(j, []).append(k)
+        for k, (i, j) in enumerate(data.pairs):
+            others = set(endpoint_pairs[i]) | set(endpoint_pairs[j])
+            others.discard(k)
+            for o in others:
+                if m_abs[o] < 1e-12:
+                    continue
+                det = max(abs(omega[k] - omega[o]), dmin)
+                if (rabi[o] ** 2) / det**2 > params.resolution:
+                    resolved[k] = False
+                    break
+    else:
+        for k in range(len(data.pairs)):
+            det = np.maximum(np.abs(omega[k] - omega), dmin)
+            ratio = rabi**2 / det**2
+            ratio[k] = 0.0
+            ratio[m_abs < 1e-12] = 0.0
+            if float(ratio.max()) > params.resolution:
+                resolved[k] = False
+    return resolved
+
+
+def _connected(nodes, edges) -> bool:
+    nodes = list(nodes)
+    adj = {v: set() for v in nodes}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = {nodes[0]}
+    stack = [nodes[0]]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(nodes)
+
+
+def _reference_cost(state_set, data, params) -> CostBreakdown:
+    s = tuple(sorted(state_set))
+    d = len(s)
+    edges = allowed_graph(s, data)
+    if not _connected(s, edges):
+        raise ValueError("candidate graph is not connected")
+    int_idx = np.array([data.pair_index[e] for e in edges], dtype=int)
+    in_set = np.zeros(len(data.states.labels), dtype=bool)
+    in_set[list(s)] = True
+    spect_idx = np.array(
+        [k for k, (i, j) in enumerate(data.pairs) if (in_set[i] ^ in_set[j]) and data.drivable[k]],
+        dtype=int,
+    )
+    A = len(int_idx)
+    a_max = d * (d - 1) // 2
+    a_min = d - 1
+    x = (a_max - A) / (a_max - a_min) if a_max > a_min else 0.0
+    d2 = (TWO_PI * params.D_Hz) ** 2
+    ct = data.crosstalk
+    raw_int = 0.0
+    if A > 1:
+        block = ct[np.ix_(int_idx, int_idx)].copy()
+        np.fill_diagonal(block, 0.0)
+        raw_int = float(block.sum()) / A
+    raw_spect = float(ct[np.ix_(int_idx, spect_idx)].sum()) / A if spect_idx.size else 0.0
+    geom = d ** (2 - x)
+    eps_int = geom * d2 * raw_int
+    eps_spect = geom * d2 * raw_spect
+    m_int = data.m_abs[int_idx]
+    omega_rabi = TWO_PI * params.D_Hz * m_int
+    if params.rotation_time_mode == "inverse_mean":
+        t_r = math.pi / float(omega_rabi.mean())
+    else:
+        t_r = float(np.mean(math.pi / omega_rabi))
+    sens2 = float((data.sens[int_idx] ** 2).sum())
+    eps_mem = (d ** (4 - 2 * x)) * t_r**2 * (params.dB_rms_T**2) * sens2 / (4 * d * (d + 2))
+    return CostBreakdown(
+        states=s,
+        labels=tuple(data.states.labels[k] for k in s),
+        edge_count=A,
+        x=x,
+        eps_memory=eps_mem,
+        eps_internal=eps_int,
+        eps_spectator=eps_spect,
+        cost=eps_mem + eps_int + params.kappa * eps_spect,
+        t_rotation=t_r,
+        t_gate=geom * t_r,
+        mean_element=float(m_int.mean()),
+    )
+
+
+def _reference_top_k(data, params, d, k):
+    results = []
+    for combo in itertools.combinations(range(len(data.states.labels)), d):
+        try:
+            results.append(_reference_cost(combo, data, params))
+        except ValueError:
+            continue
+    results.sort(key=lambda r: (r.cost, r.states))
+    return results[:k]
+
+
+def _assert_same_breakdown(got, ref):
+    for f in fields(CostBreakdown):
+        g, r = getattr(got, f.name), getattr(ref, f.name)
+        if isinstance(r, float):
+            assert math.isclose(g, r, rel_tol=1e-12, abs_tol=0.0), (f.name, g, r)
+        else:
+            assert g == r, (f.name, g, r)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +165,49 @@ def test_allowed_graph_rejects_weak_and_unresolved(data20):
     tight = replace(PARAMS, resolution=1e-12)
     d3 = precompute_level_data(BA, tight)
     assert d3.resolved.sum() < data20.resolved.sum()
+
+
+@pytest.mark.parametrize("scope", ["all", "endpoint"])
+def test_admission_matches_loop_reference(scope):
+    for field_G in (1.0, 20.0, 70.0):
+        for resolution in (1e-3, 0.05, 1.0):
+            params = replace(PARAMS, B_T=field_G * 1e-4, resolution=resolution,
+                             resolution_scope=scope)
+            data = precompute_level_data(BA, params)
+            assert np.array_equal(data.resolved, _reference_resolved(data, params))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    field_G=st.floats(0.5, 70.0),
+    scope=st.sampled_from(["all", "endpoint"]),
+    mode=st.sampled_from(["inverse_mean", "mean_inverse"]),
+    kappa=st.floats(0.0, 1.0),
+    subsets=st.lists(st.sets(st.integers(0, 23), min_size=4, max_size=4),
+                     min_size=10, max_size=20),
+)
+def test_vectorised_cost_matches_reference(field_G, scope, mode, kappa, subsets):
+    params = replace(PARAMS, B_T=field_G * 1e-4, resolution_scope=scope,
+                     rotation_time_mode=mode, kappa=kappa)
+    data = precompute_level_data(BA, params)
+    for subset in subsets:
+        try:
+            ref = _reference_cost(subset, data, params)
+        except ValueError:
+            with pytest.raises(ValueError):
+                manifold_cost(subset, data, params)
+            continue
+        _assert_same_breakdown(manifold_cost(subset, data, params), ref)
+
+
+def test_search_matches_reference_loop():
+    for field_G in (1.0, 6.6, 20.0, 42.1, 70.0):
+        params = replace(PARAMS, B_T=field_G * 1e-4)
+        top = search_top_k(BA, 2, params, 10)
+        ref = _reference_top_k(precompute_level_data(BA, params), params, 4, 10)
+        assert [cb.states for cb in top] == [cb.states for cb in ref]
+        for got, want in zip(top, ref):
+            _assert_same_breakdown(got, want)
 
 
 def test_disconnected_candidate_rejected(data20):
