@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Logical vs physical error curves for the repetition-code memory experiment
 at matched ion counts: for each chain length L, the single-qubit encoding
-runs distance L-2 while the paired encoding runs distance 2(L-2)+1."""
+runs distance L-2 while the paired encoding runs distance 2(L-2)+1 (thin
+wrapper over `ionvq repcode --L`, one call per L and encoding, with the CSVs
+concatenated under one header)."""
 
 import argparse
-import csv
+import contextlib
+import io
 import sys
 
-import numpy as np
-
-from ionvq.qec import matched_distances, sample_logical_error
+from ionvq.cli import main as cli_main
 
 
 def main():
@@ -23,20 +24,28 @@ def main():
     ap.add_argument("--out", default="-")
     args = ap.parse_args()
 
-    out = sys.stdout if args.out == "-" else open(args.out, "w")
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["L", "n", "d", "rounds", "p", "p_L", "ci_low", "ci_high", "shots", "seed"])
-    grid = np.logspace(np.log10(args.p_lo), np.log10(args.p_hi), args.points)
-    for L in (int(v) for v in args.lengths.split(",")):
-        d1, d2 = matched_distances(L)
-        for n, d in ((1, d1), (2, d2)):
-            for k, p in enumerate(grid):
-                r = sample_logical_error(d, n, p / 14.0, d1, args.shots, args.seed + k)
-                w.writerow([L, n, d, d1, f"{p:.6g}", f"{r.p_logical:.6g}",
-                            f"{r.ci_low:.6g}", f"{r.ci_high:.6g}", args.shots, r.seed])
-    if out is not sys.stdout:
-        out.close()
+    header, rows = None, []
+    for L in args.lengths.split(","):
+        for n in ("1", "2"):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                rc = cli_main([
+                    "repcode", "--L", L.strip(), "--n", n,
+                    "--p-grid", f"{args.p_lo}:{args.p_hi}:{args.points}",
+                    "--shots", str(args.shots), "--seed", str(args.seed),
+                ])
+            if rc != 0:
+                return rc
+            header, *body = buf.getvalue().splitlines(keepends=True)
+            rows.extend(body)
+    text = header + "".join(rows)
+    if args.out == "-":
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

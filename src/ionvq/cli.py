@@ -176,12 +176,17 @@ def _cmd_repcode(args):
     if (args.L is None) == (args.d is None):
         raise ConfigError("give exactly one of --L (matched layout) or --d")
     if args.L is not None:
-        d1, d2 = qec.matched_distances(args.L)
+        try:
+            d1, d2 = qec.matched_distances(args.L)
+        except ValueError as exc:
+            raise ConfigError(f"--L {args.L}: {exc}") from exc
         d = d1 if args.n == 1 else d2
         rounds = args.rounds or d1
         L = args.L
     else:
         d = args.d
+        if d < 1 or d % 2 == 0:
+            raise ConfigError(f"--d {d}: code distance must be odd")
         rounds = args.rounds or d
         L = (d + 2) if args.n == 1 else (d + 1) // 2 + 1
     if args.p_grid:
@@ -194,6 +199,8 @@ def _cmd_repcode(args):
         ps = [args.p]
     else:
         raise ConfigError("give --p or --p-grid")
+    if len(ps) == 0 or not all(0.0 < p / 14.0 <= 0.1 for p in ps):
+        raise ConfigError("need at least one p, each in (0, 1.4] (eps1 = p/14 at most 0.1)")
     rows = []
     for k, p in enumerate(ps):
         r = qec.sample_logical_error(

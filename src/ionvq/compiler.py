@@ -429,18 +429,6 @@ class VariationalBudget:
     iters: int = 60
 
 
-def _sequence_product(gates, reg, mats_cache):
-    out = np.eye(reg.dim, dtype=np.complex128)
-    for g in gates:
-        key = g
-        m = mats_cache.get(key)
-        if m is None:
-            m = gate_matrix(g, reg)
-            mats_cache[key] = m
-        out = m @ out
-    return out
-
-
 def synthesize_variational(
     U_target: np.ndarray,
     template: Template,
@@ -467,8 +455,6 @@ def synthesize_variational(
         from .core import validate_gate
 
         validate_gate(g, reg)
-
-    cache: dict = {}
 
     def cost_for(layers):
         npar = template.n_params * layers

@@ -5,7 +5,9 @@ flip ZZ syndromes nor the Z-basis logical readout, so only the X part of each
 depolarizing outcome is tracked.  Syndrome extraction is modeled gate by gate
 (CNOT data->ancilla, channel sites between them, perfect ancilla measurement
 and reset), defects are differenced round to round, and each differenced
-round is decoded by exact minimum-weight matching on the 1D chain.
+round is decoded in closed form: of the two corrections consistent with its
+defects (the prefix XOR and its complement) the lighter one, which for odd d
+is the exact minimum-weight matching on the 1D chain.
 
 Channel rates follow the independent-error estimate with eps2 = 10 eps1:
 a data-ion/ancilla unit costs one intra plus one MS gate in the paired
@@ -16,9 +18,9 @@ rate is p = 14 eps1 in both cases.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -129,24 +131,24 @@ def _apply_channel(frames, anc, qubits, lam, rng, convention="uniform_nonidentit
     shots = frames.shape[0]
     k = len(qubits)
     if convention == "uniform_nonidentity":
-        hit = rng.random(shots) < lam
-        if not hit.any():
-            return
-        draw = rng.integers(1, 4**k, size=shots)
+        hit, lo = rng.random(shots) < lam, 1
     elif convention == "quarter_rate":
-        hit = rng.random(shots) < lam / 4.0
-        if not hit.any():
-            return
-        draw = rng.integers(0, 4**k, size=shots)
+        hit, lo = rng.random(shots) < lam / 4.0, 0
     else:
         raise ValueError(f"unknown pauli convention {convention!r}")
+    idx = np.flatnonzero(hit)
+    if idx.size == 0:
+        return
+    # the draw covers every shot so the generator stream does not depend on
+    # how many shots were hit; only the hit entries are used
+    draw = rng.integers(lo, 4**k, size=shots)[idx]
     for pos, q in enumerate(qubits):
         pauli = (draw >> (2 * pos)) & 3
-        flip = hit & ((pauli == 1) | (pauli == 2))  # X or Y component
+        flip = idx[(pauli == 1) | (pauli == 2)]  # X or Y component
         if q == "anc":
-            anc ^= flip
+            anc[flip] ^= True
         else:
-            frames[:, q] ^= flip
+            frames[flip, q] ^= True
 
 
 def simulate_defects(
@@ -178,8 +180,10 @@ def simulate_defects(
     rng = np.random.default_rng(seed)
     d = circ.d
     n_stab = d - 1
-    frames = np.zeros((shots, circ.num_frame_qubits), dtype=bool)
-    syndromes = np.zeros((shots, circ.rounds + 1, n_stab), dtype=bool)
+    # shot-last memory layout behind the [shots, ...] views, so per-qubit
+    # columns and the stabiliser-major array ``decode`` walks are contiguous
+    frames = np.zeros((circ.num_frame_qubits, shots), dtype=bool).T
+    syndromes = np.zeros((n_stab, circ.rounds + 1, shots), dtype=bool).transpose(2, 1, 0)
     rates = {"lam_cnot": model.lam_cnot, "lam_paired": model.lam_paired}
     for r in range(circ.rounds):
         anc = np.zeros(shots, dtype=bool)
@@ -199,7 +203,7 @@ def simulate_defects(
     # perfect readout of the data qubits closes the defect record
     final = frames[:, :d]
     syndromes[:, circ.rounds, :] = final[:, :-1] ^ final[:, 1:]
-    defects = syndromes.copy()
+    defects = syndromes.copy(order="K")
     defects[:, 1:, :] ^= syndromes[:, :-1, :]
     return defects, frames
 
@@ -295,34 +299,33 @@ def brute_force_match(defects: tuple[int, ...], d: int):
     return cost, tuple(corr)
 
 
-@lru_cache(maxsize=None)
-def _round_lookup(d: int):
-    """Defect-pattern -> correction bitmask table for one differenced round."""
-    n_stab = d - 1
-    table = np.zeros(2**n_stab, dtype=np.int64)
-    for pattern in range(2**n_stab):
-        defects = tuple(i for i in range(n_stab) if (pattern >> i) & 1)
-        _, corr = match_round(defects, d)
-        mask = 0
-        for q, bit in enumerate(corr):
-            mask |= bit << q
-        table[pattern] = mask
-    return table
-
-
 def decode(defects: np.ndarray, d: int) -> np.ndarray:
-    """Accumulate per-round matchings; returns correction bits [shots, d]."""
+    """Minimum-weight correction bits [shots, d] from defects
+    [shots, rounds, d-1] (or one shot's [rounds, d-1]).
+
+    Each differenced round is decoded on its own.  With perfect parities the
+    only corrections consistent with a round's defects are its prefix XOR e
+    (qubit 0 untouched) and the complement of e; for odd d exactly one of
+    them is lighter, which is the minimum-weight matching of ``match_round``.
+    The round corrections are XORed together.
+    """
+    if d < 1 or d % 2 == 0:
+        raise ValueError("code distance must be odd")
     if defects.ndim == 2:
         defects = defects[None]
-    shots = defects.shape[0]
-    table = _round_lookup(d)
-    weights = 1 << np.arange(defects.shape[2], dtype=np.int64)
-    masks = np.zeros(shots, dtype=np.int64)
-    for r in range(defects.shape[1]):
-        patterns = defects[:, r, :] @ weights
-        masks ^= table[patterns]
-    corr = ((masks[:, None] >> np.arange(d)) & 1).astype(bool)
-    return corr
+    # [d-1, rounds, shots], so every step below is an op on contiguous rows;
+    # no copy for the memory layout ``simulate_defects`` returns
+    per_stab = np.ascontiguousarray(defects.transpose(2, 1, 0))
+    parity = np.zeros(per_stab.shape[1:], dtype=bool)
+    weight = np.zeros(per_stab.shape[1:], dtype=np.min_scalar_type(d))
+    corr = np.zeros((d, per_stab.shape[2]), dtype=bool)
+    for q in range(d - 1):
+        parity ^= per_stab[q]
+        weight += parity
+        corr[q + 1] = np.logical_xor.reduce(parity, axis=0)
+    # a round takes the complement where the prefix XOR is the heavier one
+    corr ^= np.logical_xor.reduce(weight > d // 2, axis=0)
+    return corr.T
 
 
 @dataclass
@@ -434,8 +437,6 @@ def exhaustive_logical_error(d: int, encoding_n: int, eps1: float, rounds: int =
         defects[1:] ^= syn[:-1]
         corr = decode(defects[None], d)[0]
         return bool((final ^ corr)[0])
-
-    import itertools
 
     for combo in itertools.product(*options):
         w = math.prod(c[0] for c in combo)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from ionvq.cli import main
 
@@ -41,6 +42,37 @@ def test_repcode_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "L,n,d,rounds,p,p_L,ci_low,ci_high,shots,seed"
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--d", "4", "--p", "0.01"],  # even distance
+        ["--L", "4", "--p", "0.01"],  # L - 2 even
+        ["--d", "5", "--p", "2"],  # eps1 = p/14 above 0.1
+        ["--d", "5", "--p", "0"],
+        ["--d", "5", "--p-grid", "1e-3:1e-1:0"],  # no steps
+    ],
+)
+def test_repcode_config_errors_exit_2(tmp_path, flags):
+    out = tmp_path / "rep.csv"
+    assert main(["repcode", "--n", "1", "--seed", "1", *flags, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+REPCODE_GOLDEN = """\
+L,n,d,rounds,p,p_L,ci_low,ci_high,shots,seed
+4,2,5,5,0.01,0.00095,0.00060828595,0.0014833923,20000,11
+4,2,5,5,0.031622777,0.00775,0.0066256255,0.009063441,20000,12
+4,2,5,5,0.1,0.0695,0.066057591,0.073107758,20000,13
+"""
+
+
+def test_repcode_output_bytes_are_pinned(tmp_path):
+    out = tmp_path / "rep.csv"
+    assert main(["repcode", "--d", "5", "--n", "2", "--rounds", "5", "--p-grid", "1e-2:1e-1:3",
+                 "--shots", "20000", "--seed", "11", "--out", str(out)]) == 0
+    assert out.read_bytes() == REPCODE_GOLDEN.encode()
 
 
 def test_manifold_sweep_csv(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ionvq.qec import (
     ChannelModel,
+    _apply_channel,
     brute_force_match,
     build_repcode_circuit,
     decode,
@@ -89,6 +91,99 @@ def test_decoder_hypothesis(d, seed):
     c_dp, _ = match_round(defects, d)
     c_bf, _ = brute_force_match(defects, d)
     assert c_dp == c_bf
+
+
+def _match_round_bits(round_defects, d):
+    return np.array(match_round(tuple(np.flatnonzero(round_defects).tolist()), d)[1], dtype=bool)
+
+
+@pytest.mark.parametrize("d", range(1, 14, 2))
+def test_decode_equals_match_round_on_every_single_round_pattern(d):
+    n_stab = d - 1
+    patterns = np.arange(2**n_stab)
+    defects = ((patterns[:, None] >> np.arange(n_stab)) & 1).astype(bool)[:, None, :]
+    expected = np.array([_match_round_bits(row, d) for row in defects[:, 0]]).reshape(-1, d)
+    assert np.array_equal(decode(defects, d), expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 7).map(lambda k: 2 * k + 1),
+    st.integers(0, 5),
+    st.integers(1, 30),
+    st.floats(0.0, 1.0),
+    st.sampled_from(["2d", "3d", "3d_shot_last"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_decode_hypothesis_against_per_round_matching(d, rounds, shots, density, form, seed):
+    rng = np.random.default_rng(seed)
+    defects = rng.random((shots, rounds, d - 1)) < density
+    if form == "3d_shot_last":  # the memory layout simulate_defects returns
+        defects = np.ascontiguousarray(defects.transpose(2, 1, 0)).transpose(2, 1, 0)
+    expected = np.zeros((shots, d), dtype=bool)
+    for s in range(shots):
+        for r in range(rounds):
+            expected[s] ^= _match_round_bits(defects[s, r], d)
+    if form == "2d":
+        assert np.array_equal(decode(defects[0], d), expected[:1])
+    else:
+        assert np.array_equal(decode(defects, d), expected)
+
+
+def test_decode_refuses_even_distance():
+    with pytest.raises(ValueError, match="odd"):
+        decode(np.zeros((2, 1, 3), dtype=bool), 4)
+
+
+def test_large_distance_needs_no_table():
+    start = time.perf_counter()
+    r = sample_logical_error(41, 1, 1e-3, 3, 1000, seed=1)
+    assert time.perf_counter() - start < 1.0
+    assert r.d == 41 and 0.0 <= r.p_logical <= r.ci_high
+
+
+def _reference_apply_channel(frames, anc, qubits, lam, rng, convention):
+    """Dense form of the channel site: flips computed over every shot."""
+    shots = frames.shape[0]
+    k = len(qubits)
+    if convention == "uniform_nonidentity":
+        hit = rng.random(shots) < lam
+        if not hit.any():
+            return
+        draw = rng.integers(1, 4**k, size=shots)
+    else:
+        hit = rng.random(shots) < lam / 4.0
+        if not hit.any():
+            return
+        draw = rng.integers(0, 4**k, size=shots)
+    for pos, q in enumerate(qubits):
+        pauli = (draw >> (2 * pos)) & 3
+        flip = hit & ((pauli == 1) | (pauli == 2))
+        if q == "anc":
+            anc ^= flip
+        else:
+            frames[:, q] ^= flip
+
+
+@pytest.mark.parametrize("convention", ["uniform_nonidentity", "quarter_rate"])
+@pytest.mark.parametrize("qubits", [(0, 2), (1, "anc"), (0, 1, 3), (2, 3, "anc")])
+@pytest.mark.parametrize("lam", [0.0, 1e-3, 0.08, 1.0])
+def test_apply_channel_matches_dense_reference(convention, qubits, lam):
+    init = np.random.default_rng(5).random((3000, 5)) < 0.3
+
+    def run(apply, order):
+        frames, anc = np.array(init[:, :4], order=order), init[:, 4].copy()
+        rng = np.random.default_rng(99)
+        for _ in range(3):
+            apply(frames, anc, qubits, lam, rng, convention)
+        return frames, anc, rng.bit_generator.state
+
+    ref_frames, ref_anc, ref_state = run(_reference_apply_channel, "C")
+    for order in ("C", "F"):  # F: the shot-last layout simulate_defects uses
+        frames, anc, state = run(_apply_channel, order)
+        assert np.array_equal(frames, ref_frames)
+        assert np.array_equal(anc, ref_anc)
+        assert state == ref_state
 
 
 def test_residual_is_logical_class_only():
