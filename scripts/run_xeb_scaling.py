@@ -3,14 +3,19 @@
 function of total qubit count and of how many virtual qubits each ion holds.
 
 Writes one CSV row per (N, n, policy) with the ensemble mean and standard
-error, plus the N log2 N fit coefficient per curve on stderr.
+error, plus the N log2 N fit coefficient per curve on stderr (thin wrapper
+over `ionvq xeb --format json`, one call per point).
 """
 
 import argparse
+import contextlib
 import csv
+import io
+import json
 import sys
 
-from ionvq.sampling import ALL_TO_ALL, CircuitPolicy, gates_to_threshold, nlogn_fit
+from ionvq.cli import main as cli_main
+from ionvq.sampling import ALL_TO_ALL, nlogn_fit
 
 
 def main():
@@ -25,11 +30,11 @@ def main():
     ap.add_argument("--out", default="-")
     args = ap.parse_args()
 
-    threshold = args.threshold if args.threshold else (2.0 if args.statistic == "xeb" else 4.0)
     qubits = [int(v) for v in args.qubits.split(",")]
     encodings = [int(v) for v in args.encodings.split(",")]
-    out = sys.stdout if args.out == "-" else open(args.out, "w")
-    w = csv.writer(out, lineterminator="\n")
+    extra = [] if args.threshold is None else ["--threshold", str(args.threshold)]
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
     w.writerow(["N", "n", "policy", "mean_gates", "stderr", "circuits", "threshold", "seed"])
     curves = {}
     for policy_name in args.policies.split(","):
@@ -38,20 +43,31 @@ def main():
             for N in qubits:
                 if N % n or (N // n) % 2:
                     continue
-                pol = CircuitPolicy(n=n, connectivity=policy_name)
-                res = gates_to_threshold(pol, N, threshold, args.statistic,
-                                         circuits=args.circuits, seed=args.seed)
-                w.writerow([N, n, policy_name, f"{res.mean_gates:.2f}",
-                            f"{res.stderr:.2f}", args.circuits, threshold, args.seed])
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    rc = cli_main([
+                        "xeb", "--qubits", str(N), "--n", str(n), "--policy", policy_name,
+                        "--statistic", args.statistic, "--circuits", str(args.circuits),
+                        "--seed", str(args.seed), "--format", "json", *extra,
+                    ])
+                if rc != 0:
+                    return rc
+                res = json.loads(out.getvalue())
+                w.writerow([N, n, policy_name, f"{res['mean_gates']:.2f}",
+                            f"{res['stderr']:.2f}", args.circuits, res["threshold"], args.seed])
                 xs.append(N)
-                ys.append(res.mean_gates)
+                ys.append(res["mean_gates"])
             if len(xs) >= 2:
                 curves[(policy_name, n)] = nlogn_fit(xs, ys)
-    if out is not sys.stdout:
-        out.close()
+    if args.out == "-":
+        sys.stdout.write(buf.getvalue())
+    else:
+        with open(args.out, "w") as fh:
+            fh.write(buf.getvalue())
     for (policy_name, n), c in curves.items():
         print(f"# {policy_name} n={n}: mean gates ~ {c:.2f} * N log2 N", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -66,26 +67,45 @@ def _config_schema(command: str) -> dict:
         return json.load(fh)["definitions"][command]
 
 
+_BOUNDS = {
+    "minimum": (operator.ge, "at least"),
+    "exclusiveMinimum": (operator.gt, "above"),
+    "maximum": (operator.le, "at most"),
+}
+
+
 def _merge_config(args, command: str):
     """--config values, validated against the shipped schema, fill in flags
-    the user did not set explicitly; unknown keys are rejected."""
-    if not getattr(args, "config", None):
-        return
-    import jsonschema
+    the user did not set explicitly; unknown keys are rejected.  Every value
+    set either way must then lie within the schema's numeric bounds."""
+    schema = _config_schema(command)
+    if getattr(args, "config", None):
+        import jsonschema
 
-    try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{args.config}: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, _config_schema(command))
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(x) for x in exc.absolute_path) or "<root>"
-        raise ConfigError(f"{args.config}: {path}: {exc.message}") from exc
-    for key, val in cfg.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, val)
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"{args.config}: {exc}") from exc
+        try:
+            jsonschema.validate(cfg, schema)
+        except jsonschema.ValidationError as exc:
+            path = "/".join(str(x) for x in exc.absolute_path) or "<root>"
+            raise ConfigError(f"{args.config}: {path}: {exc.message}") from exc
+        for key, val in cfg.items():
+            if getattr(args, key, None) is None:
+                setattr(args, key, val)
+    for key, prop in schema["properties"].items():
+        val = getattr(args, key, None)
+        for word, (within, text) in _BOUNDS.items():
+            if val is not None and word in prop and not within(val, prop[word]):
+                raise ConfigError(f"--{key.replace('_', '-')} {val}: must be {text} {prop[word]}")
+
+
+def _or(val, default):
+    """``default`` when a flag was not given; unlike ``val or default`` this
+    keeps an explicit 0."""
+    return default if val is None else val
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +126,10 @@ def _cmd_xeb(args) -> list[tuple[str, str]]:
     if args.layers is not None:
         # fixed-depth cross-entropy values, one circuit per row
         rows, vals = [], []
-        for k in range(args.circuits or 20):
+        for k in range(_or(args.circuits, 20)):
             circ = sampling.build_brickwork(policy, args.qubits, args.layers, seed=args.seed + k)
             r = sampling.estimate_xeb(
-                circ, args.mode or "exact", shots=args.shots or 500, seed=args.seed + 10_000 + k
+                circ, args.mode or "exact", shots=_or(args.shots, 500), seed=args.seed + 10_000 + k
             )
             vals.append(r.value)
             rows.append([args.qubits, args.n, policy.connectivity, len(circ.gates),
@@ -131,7 +151,7 @@ def _cmd_xeb(args) -> list[tuple[str, str]]:
         args.qubits,
         threshold,
         statistic=args.statistic or "xeb",
-        circuits=args.circuits or 20,
+        circuits=_or(args.circuits, 20),
         seed=args.seed,
     )
     rows = [
@@ -154,7 +174,7 @@ def _cmd_bv(args):
     if args.s is None or args.seed is None:
         raise ConfigError("--s and --seed are required")
     bv, recovered, counts = sampling.run_bv(
-        args.s, args.layout or "n2", shots=args.shots or 200, seed=args.seed
+        args.s, args.layout or "n2", shots=_or(args.shots, 200), seed=args.seed
     )
     out = {
         "s": args.s,
@@ -181,13 +201,13 @@ def _cmd_repcode(args):
         except ValueError as exc:
             raise ConfigError(f"--L {args.L}: {exc}") from exc
         d = d1 if args.n == 1 else d2
-        rounds = args.rounds or d1
+        rounds = _or(args.rounds, d1)
         L = args.L
     else:
         d = args.d
         if d < 1 or d % 2 == 0:
             raise ConfigError(f"--d {d}: code distance must be odd")
-        rounds = args.rounds or d
+        rounds = _or(args.rounds, d)
         L = (d + 2) if args.n == 1 else (d + 1) // 2 + 1
     if args.p_grid:
         try:
@@ -204,7 +224,7 @@ def _cmd_repcode(args):
     rows = []
     for k, p in enumerate(ps):
         r = qec.sample_logical_error(
-            d, args.n, p / 14.0, rounds, args.shots or 10**5, args.seed + k,
+            d, args.n, p / 14.0, rounds, _or(args.shots, 10**5), args.seed + k,
             pauli_convention=args.pauli_convention or "uniform_nonidentity",
         )
         rows.append(
@@ -225,8 +245,8 @@ def _cmd_manifold(args):
         params = replace(params, mechanism=args.mechanism)
     if args.kappa is not None:
         params = replace(params, kappa=args.kappa)
-    n = args.n or 2
-    k = args.top_k or 10
+    n = _or(args.n, 2)
+    k = _or(args.top_k, 10)
     if args.field_sweep:
         try:
             lo, hi, steps = args.field_sweep.split(":")
@@ -349,8 +369,8 @@ def _cmd_compile(args):
             U,
             _default_template(reg),
             reg,
-            VariationalBudget(layers_max=args.layers_max or 4, restarts=args.restarts or 8),
-            seed=args.seed or 0,
+            VariationalBudget(layers_max=_or(args.layers_max, 4), restarts=_or(args.restarts, 8)),
+            seed=_or(args.seed, 0),
         )
         if not rep.converged:
             raise RuntimeError(
@@ -457,7 +477,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(chosen)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, sampling.ResourceLimitError) as exc:
         print(f"ionvq: config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -11,7 +11,10 @@ other so one can check the other:
   path that emits exactly d/2 pulses.
 * ``synthesize_variational``: numeric minimization of
   ((1/2^N)|Tr(U^dag U_ansatz)| - 1)^2 over the free angles of a fixed layered
-  gate template, with random restarts and layer growth.
+  gate template, with random restarts and layer growth.  Each angle enters
+  the overlap as a + b cos t + c sin t, so coordinate descent fits a slice
+  from three overlaps and jumps to its exact optimum (Rotosolve: Ostaszewski
+  et al., Quantum 5, 391 (2021); Nakanishi et al., PRR 2, 043158 (2020)).
 
 All reconstruction checks go through ``distance``, which is invariant under a
 global phase of either argument.
@@ -37,6 +40,7 @@ from .core import (
     gate_matrix,
     is_unitary,
     sequence_matrix,
+    validate_gate,
 )
 
 LEFT_FIRST = "leftmost_applied_first"
@@ -76,10 +80,18 @@ def verify_sequence(seq: PulseSequence, U_target: np.ndarray, reg: Register) -> 
     return distance(U_target, seq.matrix(reg))
 
 
+def overlap(U_target: np.ndarray, V: np.ndarray) -> complex:
+    """Tr(U^dag V), the complex overlap the variational cost is built on."""
+    return complex(np.vdot(U_target, V))
+
+
 def overlap_cost(U_target: np.ndarray, V: np.ndarray) -> float:
     """((1/dim)|Tr(U^dag V)| - 1)^2, the variational figure of merit."""
-    d = U_target.shape[0]
-    return (abs(np.trace(U_target.conj().T @ V)) / d - 1.0) ** 2
+    return _cost(overlap(U_target, V), U_target.shape[0])
+
+
+def _cost(z: complex, dim: int) -> float:
+    return (abs(z) / dim - 1.0) ** 2
 
 
 @dataclass
@@ -100,30 +112,35 @@ class SynthesisReport:
 # spanning-tree utilities
 
 
-def _spanning_tree(d: int, edges: Sequence[tuple[int, int]]):
-    """BFS spanning tree from level 0; returns parent map or None."""
-    adj = {k: [] for k in range(d)}
+def _adjacency(vertices, edges) -> dict[int, set[int]]:
+    adj = {v: set() for v in vertices}
     for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    parent = {0: None}
-    order = [0]
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def _bfs(adj: dict[int, set[int]], root: int):
+    """Parent pointers and visiting order of a BFS, neighbours in sorted order."""
+    parent = {root: None}
+    order = [root]
     for v in order:
         for w in sorted(adj[v]):
             if w not in parent:
                 parent[w] = v
                 order.append(w)
-    if len(parent) != d:
-        return None
-    return parent
+    return parent, order
+
+
+def _spanning_tree(d: int, edges: Sequence[tuple[int, int]]):
+    """BFS spanning tree from level 0; returns parent map or None."""
+    parent, _ = _bfs(_adjacency(range(d), edges), 0)
+    return parent if len(parent) == d else None
 
 
 def _leaf_order(d: int, tree_edges: set[tuple[int, int]]) -> list[int]:
     """Vertex order v1..vd where each v is a leaf of the remaining tree."""
-    adj = {k: set() for k in range(d)}
-    for a, b in tree_edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = _adjacency(range(d), tree_edges)
     alive = set(range(d))
     out = []
     while len(alive) > 1:
@@ -139,18 +156,8 @@ def _leaf_order(d: int, tree_edges: set[tuple[int, int]]) -> list[int]:
 
 def _tree_paths_to(root: int, tree_edges: set[tuple[int, int]], alive: set[int]):
     """Parent pointers toward ``root`` within the still-active subtree."""
-    adj = {v: set() for v in alive}
-    for a, b in tree_edges:
-        if a in alive and b in alive:
-            adj[a].add(b)
-            adj[b].add(a)
-    parent = {root: None}
-    order = [root]
-    for v in order:
-        for w in sorted(adj[v]):
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
+    live_edges = [(a, b) for a, b in tree_edges if a in alive and b in alive]
+    parent, order = _bfs(_adjacency(alive, live_edges), root)
     depth = {v: 0 for v in parent}
     for v in order[1:]:
         depth[v] = depth[parent[v]] + 1
@@ -221,15 +228,10 @@ def _diag_phase_pulses(delta: np.ndarray, edges: Sequence[tuple[int, int]], tol:
     tree_edges = {tuple(sorted((v, p))) for v, p in parent.items() if p is not None}
     order = _leaf_order(d, set(tree_edges))
     res = remaining - remaining.mean()
-    adj = {v: set() for v in range(d)}
-    for a, b in tree_edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = _adjacency(range(d), tree_edges)
     alive = set(range(d))
     for leaf in order[:-1]:
-        nbrs = [w for w in adj[leaf] if w in alive]
-        nbrs_alive = [w for w in nbrs]
-        w = nbrs_alive[0]
+        w = next(w for w in adj[leaf] if w in alive)
         t = res[leaf]
         if abs(t) >= tol:
             a, b = (leaf, w) if leaf < w else (w, leaf)
@@ -314,7 +316,8 @@ def synthesize_exact(
     if connectivity is None:
         connectivity = ion.pairs()
     edges = [tuple(sorted(e)) for e in connectivity]
-    if _spanning_tree(d, edges) is None:
+    parent = _spanning_tree(d, edges)
+    if parent is None:
         raise ValueError("coupling graph is disconnected")
     bound = d * (d - 1) // 2 + 2 * (d - 1)
     reg1 = build_register([IonSpec(d)])
@@ -326,7 +329,6 @@ def synthesize_exact(
         if dist <= tol:
             return SynthesisReport(seq, dist, len(fast), bound, True, fast_path=True)
 
-    parent = _spanning_tree(d, edges)
     tree_edges = {tuple(sorted((v, p))) for v, p in parent.items() if p is not None}
     order = _leaf_order(d, set(tree_edges))
 
@@ -377,10 +379,7 @@ def synthesize_exact(
 class RSlot:
     ion: int
     pair: tuple[int, int]
-
-    @property
-    def n_params(self):
-        return 2
+    n_params = 2  # theta, phi
 
 
 @dataclass(frozen=True)
@@ -389,10 +388,7 @@ class MSSlot:
     ion_j: int
     pair_i: tuple[int, int]
     pair_j: tuple[int, int]
-
-    @property
-    def n_params(self):
-        return 1
+    n_params = 1  # J
 
 
 Slot = RSlot | MSSlot
@@ -428,6 +424,21 @@ class VariationalBudget:
     restarts: int = 8
     iters: int = 60
 
+    def __post_init__(self):
+        for name in ("layers_max", "restarts", "iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"VariationalBudget.{name} must be at least 1")
+
+
+def _objective(U_target, template: Template, reg: Register, layers: int, composition_order):
+    """x -> Tr(U^dag V(x)) and x -> overlap_cost for the template's angles x."""
+    first = composition_order == LEFT_FIRST
+
+    def V(x):
+        return sequence_matrix(template.gates(x, layers), reg, first)
+
+    return (lambda x: overlap(U_target, V(x))), (lambda x: overlap_cost(U_target, V(x)))
+
 
 def synthesize_variational(
     U_target: np.ndarray,
@@ -441,10 +452,10 @@ def synthesize_variational(
 ) -> SynthesisReport:
     """Fit the template's free angles to the target, growing layers on demand.
 
-    Coordinate-wise trigonometric line search (13-point scan plus
-    golden-section refinement) with random restarts; a gradient polish via
-    BFGS on the same cost tightens converged solutions.  Deterministic for a
-    fixed seed.
+    Each restart runs cyclic coordinate descent in which every coordinate
+    jumps to the exact optimum of its trigonometric slice (three overlap
+    evaluations per coordinate), then a BFGS polish on the same cost tightens
+    the result.  Deterministic for a fixed seed.
     """
     U_target = np.asarray(U_target, dtype=np.complex128)
     if not is_unitary(U_target):
@@ -452,112 +463,95 @@ def synthesize_variational(
     budget = budget or VariationalBudget()
     rng = np.random.default_rng(seed)
     for g in template.gates(np.zeros(template.n_params), 1):
-        from .core import validate_gate
-
         validate_gate(g, reg)
-
-    def cost_for(layers):
-        npar = template.n_params * layers
-
-        def fn(x):
-            gates = template.gates(x, layers)
-            V = sequence_matrix(gates, reg, composition_order == LEFT_FIRST)
-            return overlap_cost(U_target, V)
-
-        return fn, npar
+    dim = U_target.shape[0]
 
     best = None
-    layers_used = 0
     restarts_used = 0
     for layers in range(1, budget.layers_max + 1):
-        fn, npar = cost_for(layers)
+        z, fn = _objective(U_target, template, reg, layers, composition_order)
+        npar = template.n_params * layers
         for restart in range(budget.restarts):
-            if init is not None and restart == 0 and layers * template.n_params == len(init):
+            if init is not None and restart == 0 and npar == len(init):
                 x = np.asarray(init, dtype=float).copy()
             else:
                 x = rng.uniform(0.0, 2 * math.pi, size=npar)
-            x = _coordinate_descent(fn, x, budget.iters)
+            x = _coordinate_descent(z, x, budget.iters, dim)
             res = optimize.minimize(fn, x, method="BFGS", options={"maxiter": 250, "gtol": 1e-14})
             val = float(res.fun)
-            cand = (val, layers, res.x)
             restarts_used += 1
             if best is None or val < best[0] - 1e-18:
-                best = cand
+                best = (val, layers, res.x)
             if val <= cost_floor:
                 break
-        if best is not None and best[0] <= cost_floor:
-            layers_used = layers
+        if best[0] <= cost_floor:
             break
-        layers_used = layers
 
     val, layers, x = best
-    gates = template.gates(x, layers)
-    gates = [
-        g
-        for g in gates
-        if not (isinstance(g, R) and abs(math.remainder(g.theta, 2 * math.pi)) < 1e-12)
-        and not (isinstance(g, MS) and abs(math.remainder(g.J, 2 * math.pi)) < 1e-12)
+    gates = [  # drop pulses whose angle is a multiple of 2 pi
+        g for g in template.gates(x, layers)
+        if abs(math.remainder(g.theta if isinstance(g, R) else g.J, 2 * math.pi)) >= 1e-12
     ]
     seq = PulseSequence(gates, composition_order)
-    dist = verify_sequence(seq, U_target, reg)
-    return SynthesisReport(
-        sequence=seq,
-        distance=dist,
-        pulse_count=len(gates),
-        bound=-1,
-        within_bound=True,
-        converged=val <= cost_floor,
-        cost=val,
-        restarts_used=restarts_used,
-        layers_used=layers,
-    )
+    return SynthesisReport(seq, verify_sequence(seq, U_target, reg), len(gates), -1, True,
+                           converged=val <= cost_floor, cost=val,
+                           restarts_used=restarts_used, layers_used=layers)
 
 
-def _coordinate_descent(fn, x0: np.ndarray, sweeps: int) -> np.ndarray:
-    """Cyclic single-coordinate minimization; each slice is trigonometric in
-    the coordinate so a coarse scan plus golden-section refine is reliable."""
+def _coordinate_descent(z, x0: np.ndarray, sweeps: int, dim: int) -> np.ndarray:
+    """Cyclic single-coordinate minimization of ``_cost(z(x), dim)``.
+
+    Each coordinate's slice of the overlap is alpha + beta cos t + gamma sin t;
+    it is fitted from z at t = 0, pi/2, pi and the coordinate moves to the
+    slice's exact optimum only when that lowers the cost.
+    """
     x = x0.copy()
-    grid = np.linspace(0.0, 2 * math.pi, 13, endpoint=False)
-    fbest = fn(x)
     for _ in range(sweeps):
         improved = False
         for k in range(len(x)):
-            xk = x[k]
-
-            def slice_fn(t):
-                x[k] = t
-                return fn(x)
-
-            vals = [slice_fn(t) for t in grid]
-            j = int(np.argmin(vals))
-            lo, hi = grid[j] - 2 * math.pi / 13, grid[j] + 2 * math.pi / 13
-            t_opt = _golden(slice_fn, lo, hi)
-            v_opt = slice_fn(t_opt)
-            if v_opt < fbest - 1e-16:
-                x[k] = t_opt
-                fbest = v_opt
+            coef = _slice_coefficients(z, x, k)
+            t = _slice_maximum(*coef, x[k])
+            f_now, f_new = (_cost(_slice_value(*coef, s), dim) for s in (x[k], t))
+            if f_new < f_now - 1e-16:
+                x[k], f_now = t, f_new
                 improved = True
-            else:
-                x[k] = xk
-                fbest = fn(x)
-        if not improved or fbest < 1e-16:
+        if not improved or f_now < 1e-16:
             break
     return x
 
 
-def _golden(fn, lo, hi, iters=40):
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return (a + b) / 2
+def _slice_coefficients(z, x: np.ndarray, k: int) -> tuple[complex, complex, complex]:
+    """(alpha, beta, gamma) with z(x | x_k = t) = alpha + beta cos t + gamma sin t."""
+
+    def at(t):
+        y = x.copy()
+        y[k] = t
+        return z(y)
+
+    z0, zh, zp = at(0.0), at(math.pi / 2), at(math.pi)
+    alpha = (z0 + zp) / 2
+    return alpha, (z0 - zp) / 2, zh - alpha
+
+
+def _slice_value(alpha, beta, gamma, t):
+    return alpha + beta * np.cos(t) + gamma * np.sin(t)
+
+
+def _slice_maximum(alpha: complex, beta: complex, gamma: complex, t0: float) -> float:
+    """Angle maximizing |alpha + beta cos t + gamma sin t|^2; t0 if the slice
+    is flat (beta = gamma = 0).
+
+    With w = e^{it} the squared modulus is c0 + 2 Re(c1 w + c2 w^2), so its
+    stationary points are the unit-circle roots of 2 c2 w^4 + c1 w^3 -
+    conj(c1) w - 2 conj(c2); the arguments of all four roots are scored and
+    the best kept.
+    """
+    p, m = (beta - 1j * gamma) / 2, (beta + 1j * gamma) / 2
+    c1 = alpha * m.conjugate() + p * alpha.conjugate()
+    c2 = p * m.conjugate()
+    coeffs = np.array([2 * c2, c1, 0.0, -c1.conjugate(), -2 * c2.conjugate()])
+    scale = np.abs(coeffs).max()
+    if scale == 0.0:
+        return t0
+    cands = np.angle(np.roots(coeffs / scale))
+    return float(cands[np.argmax(np.abs(_slice_value(alpha, beta, gamma, cands)))])

@@ -35,6 +35,20 @@ MS_LIMITED = "ms_limited"  # all R pairs, MS fixed to {01}{01}
 BRICKWORK = "brickwork"
 LONGRANGE = "longrange"
 
+MAX_QUBITS = 22  # dense statevector cap: 2^22 complex128 amplitudes are 64 MiB
+
+
+class ResourceLimitError(ValueError):
+    """A register too large to hold as a dense statevector."""
+
+
+def check_qubits(num_qubits: int):
+    """Refuse registers above MAX_QUBITS before anything is allocated."""
+    if num_qubits > MAX_QUBITS:
+        raise ResourceLimitError(
+            f"{num_qubits} qubits exceed the {MAX_QUBITS}-qubit statevector limit"
+        )
+
 
 @dataclass(frozen=True)
 class CircuitPolicy:
@@ -147,8 +161,7 @@ def second_moment(probs: np.ndarray) -> float:
 def estimate_xeb(circ: Circuit, mode: str = "exact", shots: int = 500, seed: int = 0) -> XebResult:
     """Linear cross-entropy fidelity of one circuit from |0...0>."""
     reg = circ.register
-    if reg.num_qubits > 22:
-        raise ValueError("full statevector limited to 22 qubits")
+    check_qubits(reg.num_qubits)
     state = circ.run()
     probs = state.probabilities()
     if mode == "exact":
@@ -194,6 +207,7 @@ def gates_to_threshold(
     """
     if threshold <= 1.0:
         raise ValueError("threshold must exceed the Porter-Thomas asymptote 1")
+    check_qubits(num_qubits)
     stat_fn = STATISTICS[statistic]
     reg = policy.register(num_qubits)
     children = np.random.SeedSequence(seed).spawn(circuits)
@@ -363,6 +377,7 @@ def _build_bv_n1(s: str) -> BvCircuit:
 def run_bv(s: str, layout: str = "n2", shots: int = 200, seed: int = 0):
     """Simulate the BV circuit; decode s from the data-qubit marginal counts
     (the auxiliary qubit ends in |-> and reads out randomly)."""
+    check_qubits(len(s) + 1)  # both layouts add one auxiliary qubit
     bv = build_bv(s, layout)
     state = bv.prep_state()
     apply_circuit(state, bv.circuit.gates)

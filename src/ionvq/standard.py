@@ -43,11 +43,27 @@ def pauli_rotation(s: str, angle: float) -> np.ndarray:
     return math.cos(angle) * np.eye(P.shape[0]) - 1j * math.sin(angle) * P
 
 
-def pauli_sum_rotation(strings: Sequence[str], angle: float) -> np.ndarray:
-    from scipy.linalg import expm
+def _require_commuting(strings: Sequence[str]) -> None:
+    """Raise ValueError unless every pair anticommutes on an even number of sites."""
+    for i, a in enumerate(strings):
+        for b in strings[i + 1:]:
+            if sum(x != y and "I" not in (x, y) for x, y in zip(a, b)) % 2:
+                raise ValueError(f"terms {a} and {b} do not commute")
 
-    M = sum(pauli_string(s) for s in strings)
-    return expm(-1j * angle * M)
+
+def pauli_sum_rotation(strings: Sequence[str], angle: float) -> np.ndarray:
+    """exp(-i angle sum(P)) for pairwise commuting Pauli strings.
+
+    Commuting terms exponentiate one by one, so the product of their closed
+    forms is exact.  A dense matrix exponential (scipy's ``expm``) would wake
+    its BLAS thread pool even for 8x8 inputs and stall the caller for
+    milliseconds per call on a busy machine.
+    """
+    _require_commuting(strings)
+    out = np.eye(2 ** len(strings[0]), dtype=complex)
+    for s in strings:
+        out = pauli_rotation(s, angle) @ out
+    return out
 
 
 def hadamard_on(n: int, q: int) -> np.ndarray:
@@ -186,13 +202,7 @@ def pauli_rotation_gates(
 
 def commuting_sum_rotation_gates(reg: Register, strings: Sequence[str], theta: float) -> list:
     """exp(-i theta sum P_k) as a product, valid when the P_k commute."""
-    for a in range(len(strings)):
-        for b in range(a + 1, len(strings)):
-            anti = sum(
-                1 for x, y in zip(strings[a], strings[b]) if x != y and "I" not in (x, y)
-            )
-            if anti % 2:
-                raise ValueError("terms do not commute")
+    _require_commuting(strings)
     out = []
     for s in strings:
         out.extend(pauli_rotation_gates(reg, s, theta))

@@ -60,6 +60,60 @@ def test_repcode_config_errors_exit_2(tmp_path, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["repcode", "--d", "3", "--n", "1", "--p", "0.01", "--seed", "1", "--shots", "0"],
+        ["repcode", "--d", "3", "--n", "1", "--p", "0.01", "--seed", "1", "--shots", "-3"],
+        ["repcode", "--d", "3", "--n", "1", "--p", "0.01", "--seed", "1", "--rounds", "-1"],
+        ["xeb", "--qubits", "8", "--n", "1", "--seed", "1", "--circuits", "0"],
+        ["xeb", "--qubits", "8", "--n", "1", "--layers", "2", "--mode", "sampled", "--seed", "1",
+         "--shots", "0"],
+        ["bv", "--s", "10", "--seed", "1", "--shots", "0"],
+        ["manifold", "--field", "20", "--top-k", "0"],
+        ["manifold", "--field", "20", "--kappa", "1.5"],
+        ["compile", "--restarts", "0"],
+        ["compile", "--layers-max", "0"],
+    ],
+)
+def test_out_of_range_counts_exit_2(tmp_path, args, capsys):
+    if args[0] == "compile":
+        reg = tmp_path / "reg.json"
+        reg.write_text(json.dumps({"ions": [{"d": 2, "map": [0, 1], "allowed_r": None}] * 2}))
+        target = tmp_path / "t.txt"
+        target.write_text("".join(" ".join("1 0" if i == j else "0 0" for j in range(4)) + "\n"
+                                  for i in range(4)))
+        args = ["compile", "--target", str(target), "--register", str(reg), *args[1:]]
+    out = tmp_path / "out.txt"
+    assert main([*args, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"{args[-2]} {args[-1]}: must be" in capsys.readouterr().err
+
+
+def test_explicit_zero_rounds_is_kept(tmp_path):
+    out = tmp_path / "rep.csv"
+    assert main(["repcode", "--d", "3", "--n", "1", "--p", "0.01", "--rounds", "0",
+                 "--shots", "7", "--seed", "1", "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[3] == "0" and row[8] == "7"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["xeb", "--qubits", "24", "--n", "2", "--circuits", "1", "--seed", "1"],
+        ["xeb", "--qubits", "30", "--n", "1", "--layers", "2", "--seed", "1"],
+        ["bv", "--s", "1" * 22, "--layout", "n2", "--seed", "1"],
+        ["bv", "--s", "1" * 23, "--layout", "n1", "--seed", "1"],
+    ],
+)
+def test_statevector_cap_exits_2(tmp_path, args, capsys):
+    out = tmp_path / "out.txt"
+    assert main([*args, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "22-qubit statevector limit" in capsys.readouterr().err
+
+
 REPCODE_GOLDEN = """\
 L,n,d,rounds,p,p_L,ci_low,ci_high,shots,seed
 4,2,5,5,0.01,0.00095,0.00060828595,0.0014833923,20000,11

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import unitary_group
 
+import ionvq.compiler as compiler
 from ionvq.core import IonSpec, MS, R, build_register, embed_standard, m1_map, m2_map, sequence_matrix
 from ionvq.compiler import (
     LEFT_FIRST,
@@ -14,6 +16,11 @@ from ionvq.compiler import (
     MSSlot,
     Template,
     VariationalBudget,
+    _coordinate_descent,
+    _objective,
+    _slice_coefficients,
+    _slice_maximum,
+    _slice_value,
     distance,
     synthesize_exact,
     synthesize_variational,
@@ -185,3 +192,92 @@ def test_limited_graph_asymmetry_between_virtual_qubits():
     gates = pauli_rotation_gates(reg, "XI", th, {0: set(FIG1)})
     assert len(gates) == 6
     assert verify_sequence(PulseSequence(gates), t_q1, reg) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# closed-form coordinate slices against the dense sequence_matrix overlap
+
+# the CLI's default one-layer slot set for a d=4 + d=2 register; parameter 0 is
+# the MS J, 1 and 2 are theta and phi of the first R
+DEFAULT_LAYER = Template((MSSlot(0, 1, (0, 1), (0, 1)), RSlot(0, (0, 1)), RSlot(0, (0, 3)),
+                          RSlot(0, (1, 2)), RSlot(1, (0, 1))))
+GRID = np.linspace(0.0, 2 * math.pi, 720, endpoint=False)
+REG_MIXED = build_register([IonSpec(4, m1_map()), IonSpec(2)])
+
+
+def _random_problem(reg, seed):
+    rng = np.random.default_rng(seed)
+    U = unitary_group.rvs(reg.dim, random_state=rng)
+    z, cost = _objective(U, DEFAULT_LAYER, reg, 1, LEFT_FIRST)
+    return z, cost, rng.uniform(0.0, 2 * math.pi, DEFAULT_LAYER.n_params)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["ms_J", "r_theta", "r_phi"])
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t=st.floats(-2 * math.pi, 2 * math.pi))
+def test_slice_closed_form_matches_dense_overlap(k, seed, t):
+    z, cost, x = _random_problem(REG_MIXED, seed)
+    x0 = x.copy()
+    coef = _slice_coefficients(z, x, k)
+    assert np.array_equal(x, x0)
+    x[k] = t
+    assert abs(_slice_value(*coef, t) - z(x)) <= 1e-12
+    # the chosen angle is at least as good as a fine scan of the full cost
+    x[k] = _slice_maximum(*coef, x0[k])
+    best = cost(x)
+    scan = []
+    for g in GRID:
+        x[k] = g
+        scan.append(cost(x))
+    assert best <= min(scan) + 1e-12
+    assert best <= cost(x0) + 1e-15
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t0=st.floats(-10.0, 10.0))
+def test_degenerate_slice_keeps_current_angle(seed, t0):
+    # with theta = 0 the first R is the identity whatever its phi
+    z, _, x = _random_problem(REG_MIXED, seed)
+    x[1] = 0.0
+    alpha, beta, gamma = _slice_coefficients(z, x, 2)
+    assert beta == 0 and gamma == 0
+    assert _slice_maximum(alpha, beta, gamma, t0) == t0
+
+
+def test_coordinate_descent_spends_three_overlaps_per_coordinate(reg_mixed, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sequence_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(compiler, "sequence_matrix", counted)
+    z, cost, x0 = _random_problem(reg_mixed, 102)
+    n = DEFAULT_LAYER.n_params
+    for sweeps in (1, 4):
+        calls.clear()
+        x = _coordinate_descent(z, x0, sweeps, reg_mixed.dim)
+        assert 3 * n <= len(calls) <= 3 * n * sweeps + 1
+        assert cost(x) < cost(x0)
+
+
+def test_budget_rejects_counts_below_one():
+    for kw in ({"layers_max": 0}, {"restarts": 0}, {"iters": -1}):
+        with pytest.raises(ValueError):
+            VariationalBudget(**kw)
+
+
+# verdicts of the parent's scan-and-golden-search descent on one-layer instances
+# of the default slots (generator seed k, compiler seed 1000 + k): all converge,
+# with these restart counts
+ONE_LAYER_RESTARTS = {100: 1, 101: 1, 102: 4, 103: 1, 104: 1, 105: 3}
+
+
+@pytest.mark.parametrize("k", sorted(ONE_LAYER_RESTARTS))
+def test_one_layer_instances_keep_verdict_and_restarts(reg_mixed, k):
+    x = np.random.default_rng(k).uniform(0.0, 2 * math.pi, DEFAULT_LAYER.n_params)
+    T = sequence_matrix(DEFAULT_LAYER.gates(x, 1), reg_mixed)
+    rep = synthesize_variational(T, DEFAULT_LAYER, reg_mixed, VariationalBudget(1, 8),
+                                 seed=1000 + k)
+    assert rep.converged and rep.restarts_used == ONE_LAYER_RESTARTS[k]
+    assert rep.distance <= 1e-8

@@ -7,10 +7,13 @@ from ionvq.core import MS, R
 from ionvq.sampling import (
     MINIMAL,
     MS_LIMITED,
+    MAX_QUBITS,
     CircuitPolicy,
+    ResourceLimitError,
     build_bv,
     build_brickwork,
     build_longrange,
+    check_qubits,
     estimate_second_moment,
     estimate_xeb,
     gates_to_threshold,
@@ -171,3 +174,16 @@ def test_bv_layout_validation():
         build_bv("", "n2")
     with pytest.raises(ValueError):
         build_bv("10", "n5")
+
+
+def test_statevector_cap_refuses_before_allocating():
+    big = MAX_QUBITS + 2
+    with pytest.raises(ResourceLimitError):
+        gates_to_threshold(CircuitPolicy(n=1), big, 2.0, circuits=1)
+    with pytest.raises(ResourceLimitError):
+        estimate_xeb(build_brickwork(CircuitPolicy(n=2), big, 1, seed=1))
+    with pytest.raises(ResourceLimitError):
+        run_bv("1" * big, "n2")
+    check_qubits(MAX_QUBITS)  # the cap itself is allowed
+    with pytest.raises(ResourceLimitError):
+        check_qubits(MAX_QUBITS + 1)

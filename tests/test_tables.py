@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
+import scipy.linalg
 
+from ionvq import standard
 from ionvq.tables import audit_summary, run_table_suite
 
 
@@ -77,3 +80,29 @@ def test_summary_counts(entries):
     assert s["rows"] == 35
     assert s["passed"] == sum(1 for e in entries if e.passed)
     assert s["fails_missing_alternative"] == []
+
+
+@pytest.mark.parametrize(
+    "strings", [["XIX", "IXX"], ["IXIX", "XIXI"], ["ZZI", "XXI", "YYI"], ["ZI", "ZZ"], ["Y"]]
+)
+@pytest.mark.parametrize("angle", [0.0, 0.3, np.pi / 4, -2.1])
+def test_sum_rotation_equals_matrix_exponential(strings, angle):
+    M = sum(standard.pauli_string(s) for s in strings)
+    ref = scipy.linalg.expm(-1j * angle * M)
+    assert np.allclose(standard.pauli_sum_rotation(strings, angle), ref, atol=1e-12)
+
+
+def test_sum_rotation_rejects_anticommuting_strings():
+    with pytest.raises(ValueError):
+        standard.pauli_sum_rotation(["XZ", "ZZ"], 0.3)
+
+
+def test_sum_rotation_needs_no_dense_exponential(monkeypatch):
+    # scipy's expm wakes its BLAS thread pool even on 8x8 inputs, which made
+    # audit times swing between processes; the closed form avoids it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix exponential called")
+
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    entries = run_table_suite(("III",))
+    assert by_id(entries, "III", "8").passed
