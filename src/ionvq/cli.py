@@ -117,6 +117,12 @@ def _cmd_xeb(args) -> list[tuple[str, str]]:
     for field in ("qubits", "n", "seed"):
         if getattr(args, field) is None:
             raise ConfigError(f"--{field} is required")
+    if args.qubits % args.n:
+        raise ConfigError(f"--qubits {args.qubits}: must be a multiple of --n {args.n}")
+    ions = args.qubits // args.n
+    if ions < 2 or (ions % 2 and (args.layers is not None or args.arch != sampling.LONGRANGE)):
+        raise ConfigError(f"--qubits {args.qubits}: must be split into at least two ions, an "
+                          f"even number for brickwork circuits (--n {args.n} gives {ions})")
     policy = sampling.CircuitPolicy(
         n=args.n,
         connectivity=args.policy or sampling.ALL_TO_ALL,
@@ -173,8 +179,13 @@ def _cmd_bv(args):
     _merge_config(args, "bv")
     if args.s is None or args.seed is None:
         raise ConfigError("--s and --seed are required")
+    layout = args.layout or "n2"
+    if not args.s or set(args.s) - {"0", "1"}:
+        raise ConfigError(f"--s {args.s}: must be a bit string")
+    if layout == "n2" and len(args.s) % 2:
+        raise ConfigError(f"--s {args.s}: must be of even length for --layout n2")
     bv, recovered, counts = sampling.run_bv(
-        args.s, args.layout or "n2", shots=_or(args.shots, 200), seed=args.seed
+        args.s, layout, shots=_or(args.shots, 200), seed=args.seed
     )
     out = {
         "s": args.s,
@@ -460,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int)
     sp.add_argument("--layers-max", dest="layers_max", type=int)
     sp.add_argument("--restarts", type=int)
-    sp.add_argument("--tol", type=float)
     add_common(sp)
     return p
 

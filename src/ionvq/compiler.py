@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .core import (
     MS,
@@ -431,13 +430,9 @@ class VariationalBudget:
 
 
 def _objective(U_target, template: Template, reg: Register, layers: int, composition_order):
-    """x -> Tr(U^dag V(x)) and x -> overlap_cost for the template's angles x."""
+    """x -> Tr(U^dag V(x)) for the template's angles x."""
     first = composition_order == LEFT_FIRST
-
-    def V(x):
-        return sequence_matrix(template.gates(x, layers), reg, first)
-
-    return (lambda x: overlap(U_target, V(x))), (lambda x: overlap_cost(U_target, V(x)))
+    return lambda x: overlap(U_target, sequence_matrix(template.gates(x, layers), reg, first))
 
 
 def synthesize_variational(
@@ -454,8 +449,8 @@ def synthesize_variational(
 
     Each restart runs cyclic coordinate descent in which every coordinate
     jumps to the exact optimum of its trigonometric slice (three overlap
-    evaluations per coordinate), then a BFGS polish on the same cost tightens
-    the result.  Deterministic for a fixed seed.
+    evaluations per coordinate); the restart's cost is the one the descent
+    reached.  Deterministic for a fixed seed.
     """
     U_target = np.asarray(U_target, dtype=np.complex128)
     if not is_unitary(U_target):
@@ -469,19 +464,17 @@ def synthesize_variational(
     best = None
     restarts_used = 0
     for layers in range(1, budget.layers_max + 1):
-        z, fn = _objective(U_target, template, reg, layers, composition_order)
+        z = _objective(U_target, template, reg, layers, composition_order)
         npar = template.n_params * layers
         for restart in range(budget.restarts):
             if init is not None and restart == 0 and npar == len(init):
                 x = np.asarray(init, dtype=float).copy()
             else:
                 x = rng.uniform(0.0, 2 * math.pi, size=npar)
-            x = _coordinate_descent(z, x, budget.iters, dim)
-            res = optimize.minimize(fn, x, method="BFGS", options={"maxiter": 250, "gtol": 1e-14})
-            val = float(res.fun)
+            x, val = _coordinate_descent(z, x, budget.iters, dim)
             restarts_used += 1
             if best is None or val < best[0] - 1e-18:
-                best = (val, layers, res.x)
+                best = (val, layers, x)
             if val <= cost_floor:
                 break
         if best[0] <= cost_floor:
@@ -498,14 +491,19 @@ def synthesize_variational(
                            restarts_used=restarts_used, layers_used=layers)
 
 
-def _coordinate_descent(z, x0: np.ndarray, sweeps: int, dim: int) -> np.ndarray:
-    """Cyclic single-coordinate minimization of ``_cost(z(x), dim)``.
+def _coordinate_descent(z, x0: np.ndarray, sweeps: int, dim: int) -> tuple[np.ndarray, float]:
+    """Cyclic single-coordinate minimization of ``_cost(z(x), dim)``; returns
+    the final angles and the cost there.
 
     Each coordinate's slice of the overlap is alpha + beta cos t + gamma sin t;
     it is fitted from z at t = 0, pi/2, pi and the coordinate moves to the
-    slice's exact optimum only when that lowers the cost.
+    slice's exact optimum only when that lowers the cost.  The cost at the
+    final angles is the last slice's closed-form value, so it costs no extra
+    overlap.
     """
     x = x0.copy()
+    if not len(x):
+        return x, _cost(z(x), dim)
     for _ in range(sweeps):
         improved = False
         for k in range(len(x)):
@@ -517,7 +515,7 @@ def _coordinate_descent(z, x0: np.ndarray, sweeps: int, dim: int) -> np.ndarray:
                 improved = True
         if not improved or f_now < 1e-16:
             break
-    return x
+    return x, f_now
 
 
 def _slice_coefficients(z, x: np.ndarray, k: int) -> tuple[complex, complex, complex]:

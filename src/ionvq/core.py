@@ -466,53 +466,13 @@ def _apply_multipair(amps: np.ndarray, reg: Register, per_ion_pairs, J: float):
     amps[support] = c * src + s * swapped
 
 
-def apply_native(state: StateVector, gate: NativeGate) -> StateVector:
-    """Apply one native gate in place; returns the state for chaining."""
-    reg = state.register
-    validate_gate(gate, reg)
-    view = state.amps.reshape(reg.shape_view())
+def _apply_gate(amps: np.ndarray, reg: Register, gate: NativeGate):
+    """Apply a validated native gate in place to ``amps`` shaped (dim, *batch):
+    a state, or a matrix whose columns are transformed together."""
+    view = amps.reshape(reg.shape_view() + amps.shape[1:])
     if isinstance(gate, R):
         a, b = _norm_pair((gate.a, gate.b))
         # normalized pair keeps the Eq-pattern phases attached to a < b
-        if (gate.a, gate.b) == (a, b):
-            _apply_r_nd(view, reg.axis(gate.ion), a, b, gate.theta, gate.phi)
-        else:
-            _apply_r_nd(view, reg.axis(gate.ion), a, b, gate.theta, -gate.phi)
-    elif isinstance(gate, MS):
-        _apply_ms_nd(
-            view,
-            reg.axis(gate.ion_i),
-            reg.axis(gate.ion_j),
-            _norm_pair(gate.pair_i),
-            _norm_pair(gate.pair_j),
-            gate.J,
-        )
-    elif isinstance(gate, MultiPairMS):
-        _apply_multipair(
-            state.amps,
-            reg,
-            {gate.ion_i: gate.pairs_i, gate.ion_j: gate.pairs_j},
-            gate.J,
-        )
-    elif isinstance(gate, GlobalMS):
-        _apply_multipair(state.amps, reg, dict(enumerate(gate.pairs)), gate.J)
-    return state
-
-
-def apply_circuit(state: StateVector, gates: Iterable[NativeGate]) -> StateVector:
-    for g in gates:
-        apply_native(state, g)
-    return state
-
-
-def gate_matrix(gate: NativeGate, reg: Register) -> np.ndarray:
-    """Dense matrix of a native gate; intended for dim <= a few thousand."""
-    validate_gate(gate, reg)
-    mat = np.eye(reg.dim, dtype=np.complex128)
-    # rows decompose over the mixed-radix basis, columns broadcast
-    view = mat.reshape(reg.shape_view() + (reg.dim,))
-    if isinstance(gate, R):
-        a, b = _norm_pair((gate.a, gate.b))
         phi = gate.phi if (gate.a, gate.b) == (a, b) else -gate.phi
         _apply_r_nd(view, reg.axis(gate.ion), a, b, gate.theta, phi)
     elif isinstance(gate, MS):
@@ -524,11 +484,31 @@ def gate_matrix(gate: NativeGate, reg: Register) -> np.ndarray:
             _norm_pair(gate.pair_j),
             gate.J,
         )
-    else:
-        for col in range(reg.dim):
-            st = StateVector(reg, mat[:, col].copy())
-            apply_native(st, gate)
-            mat[:, col] = st.amps
+    elif isinstance(gate, MultiPairMS):
+        _apply_multipair(amps, reg, {gate.ion_i: gate.pairs_i, gate.ion_j: gate.pairs_j}, gate.J)
+    elif isinstance(gate, GlobalMS):
+        _apply_multipair(amps, reg, dict(enumerate(gate.pairs)), gate.J)
+
+
+def apply_native(state: StateVector, gate: NativeGate) -> StateVector:
+    """Apply one native gate in place; returns the state for chaining."""
+    validate_gate(gate, state.register)
+    _apply_gate(state.amps, state.register, gate)
+    return state
+
+
+def apply_circuit(state: StateVector, gates: Iterable[NativeGate]) -> StateVector:
+    for g in gates:
+        apply_native(state, g)
+    return state
+
+
+def gate_matrix(gate: NativeGate, reg: Register) -> np.ndarray:
+    """Dense matrix of a native gate (the gate applied to every basis column);
+    intended for dim <= a few thousand."""
+    validate_gate(gate, reg)
+    mat = np.eye(reg.dim, dtype=np.complex128)
+    _apply_gate(mat, reg, gate)
     return mat
 
 

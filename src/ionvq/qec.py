@@ -156,27 +156,21 @@ def simulate_defects(
     model: ChannelModel,
     shots: int,
     seed: int,
-    record: str = "parity",
     pauli_convention: str = "uniform_nonidentity",
 ):
     """Propagate X frames through ``rounds`` template repetitions.
 
-    ``record="parity"`` (default) is the error-free-measurement convention:
-    the round-r syndrome equals the true ZZ parity of the data frame at the
-    end of round r.  Channel X components falling on the ancilla perturb a
-    qubit that is immediately measured and reset, so they leave no trace in
-    this record, and the per-round matching in ``decode`` is then an exact
-    minimum-weight decoder.  ``record="circuit"`` instead copies parities at
-    the CNOT positions and keeps ancilla flips in the measured bits; the
-    resulting space-time-diagonal defect pairs are beyond any per-round
-    decoder and visibly degrade the distance scaling (kept for reference).
+    The syndrome record follows the error-free-measurement convention: the
+    round-r syndrome equals the true ZZ parity of the data frame at the end
+    of round r.  Channel X components falling on the ancilla perturb a qubit
+    that is immediately measured and reset, so they leave no trace in this
+    record, and the per-round matching in ``decode`` is then an exact
+    minimum-weight decoder.
 
     Returns (defects[shots, rounds+1, d-1], final_frames[shots, nq]); the
     last defect slice differences a perfect final data readout against the
     last measured syndrome.
     """
-    if record not in ("parity", "circuit"):
-        raise ValueError("record must be 'parity' or 'circuit'")
     rng = np.random.default_rng(seed)
     d = circ.d
     n_stab = d - 1
@@ -184,25 +178,15 @@ def simulate_defects(
     # columns and the stabiliser-major array ``decode`` walks are contiguous
     frames = np.zeros((circ.num_frame_qubits, shots), dtype=bool).T
     syndromes = np.zeros((n_stab, circ.rounds + 1, shots), dtype=bool).transpose(2, 1, 0)
+    anc = np.zeros(shots, dtype=bool)  # ancilla hits: drawn, then lost at reset
     rates = {"lam_cnot": model.lam_cnot, "lam_paired": model.lam_paired}
+    sites = circ.channel_sites()
     for r in range(circ.rounds):
-        anc = np.zeros(shots, dtype=bool)
-        for op in circ.ops:
-            if op[0] == "cnot":
-                if record == "circuit":
-                    anc ^= frames[:, op[1]]
-            elif op[0] == "channel":
-                _apply_channel(frames, anc, op[1], rates[op[2]], rng, pauli_convention)
-            else:  # measure + reset
-                if record == "circuit":
-                    syndromes[:, r, op[1]] = anc
-                anc[:] = False
-        if record == "parity":
-            data = frames[:, :d]
-            syndromes[:, r, :] = data[:, :-1] ^ data[:, 1:]
+        for _, qubits, key in sites:
+            _apply_channel(frames, anc, qubits, rates[key], rng, pauli_convention)
+        syndromes[:, r, :] = frames[:, : d - 1] ^ frames[:, 1:d]
     # perfect readout of the data qubits closes the defect record
-    final = frames[:, :d]
-    syndromes[:, circ.rounds, :] = final[:, :-1] ^ final[:, 1:]
+    syndromes[:, circ.rounds, :] = frames[:, : d - 1] ^ frames[:, 1:d]
     defects = syndromes.copy(order="K")
     defects[:, 1:, :] ^= syndromes[:, :-1, :]
     return defects, frames
@@ -218,7 +202,8 @@ def _boundary_costs(pos: int, d: int) -> tuple[int, int]:
 
 
 def match_round(defects: tuple[int, ...], d: int):
-    """Interval DP over sorted defect positions.
+    """Interval DP over sorted defect positions; an oracle for the tests,
+    since ``decode`` reaches the same matching in closed form.
 
     Each defect either pairs with its left unmatched neighbour or terminates
     on the cheaper boundary; for collinear weights this covers an optimal

@@ -74,6 +74,11 @@ def test_repcode_config_errors_exit_2(tmp_path, flags):
         ["manifold", "--field", "20", "--kappa", "1.5"],
         ["compile", "--restarts", "0"],
         ["compile", "--layers-max", "0"],
+        ["bv", "--seed", "1", "--s", "101"],  # the n2 layout packs qubit pairs
+        ["bv", "--seed", "1", "--s", "12"],
+        ["xeb", "--n", "2", "--circuits", "1", "--seed", "1", "--qubits", "9"],
+        ["xeb", "--n", "2", "--circuits", "1", "--seed", "1", "--qubits", "6"],  # 3 ions
+        ["xeb", "--n", "2", "--circuits", "1", "--seed", "1", "--qubits", "2"],  # 1 ion
     ],
 )
 def test_out_of_range_counts_exit_2(tmp_path, args, capsys):
@@ -88,6 +93,28 @@ def test_out_of_range_counts_exit_2(tmp_path, args, capsys):
     assert main([*args, "--out", str(out)]) == 2
     assert not out.exists()
     assert f"{args[-2]} {args[-1]}: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_compile_tol_is_rejected(tmp_path, how):
+    # --tol never reached the compiler, so it was dropped
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps({"ions": [{"d": 2, "map": [0, 1], "allowed_r": None}]}))
+    target = tmp_path / "t.txt"
+    target.write_text("1 0 0 0\n0 0 1 0\n")
+    args = ["compile", "--target", str(target), "--register", str(reg)]
+    out = tmp_path / "out.txt"
+    assert main([*args, "--out", str(out)]) == 0
+    out.unlink()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 1e-30}))
+    extra = ["--tol", "1e-30"] if how == "flag" else ["--config", str(cfg)]
+    try:
+        code = main([*args, *extra, "--out", str(out)])
+    except SystemExit as exc:  # argparse rejects an unknown flag this way
+        code = exc.code
+    assert code == 2
+    assert not out.exists()
 
 
 def test_explicit_zero_rounds_is_kept(tmp_path):

@@ -75,6 +75,15 @@ def test_r_gate_matches_gate_law(reg_n2):
     assert m[2, 2] == 1 and m[3, 3] == 1 and m[2, 3] == 0
 
 
+def test_r_gate_law_holds_for_either_pair_order(reg_n2):
+    # the first-named level's row carries e^{-i phi}, whichever level is lower
+    th, ph = 0.3, 0.7
+    for a, b in ((0, 1), (1, 0), (3, 1)):
+        m = gate_matrix(R(0, a, b, th, ph), reg_n2)
+        assert abs(m[a, b] - (-1j * np.exp(-1j * ph) * math.sin(th))) < 1e-15
+        assert abs(m[b, a] - (-1j * np.exp(1j * ph) * math.sin(th))) < 1e-15
+
+
 def test_r_identity_at_zero_theta(reg_n2, rng):
     amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     amps /= np.linalg.norm(amps)
@@ -262,3 +271,55 @@ def test_register_config_round_trip(reg_mixed):
     assert [ion.encoding.perm for ion in back.ions] == [
         ion.encoding.perm for ion in reg_mixed.ions
     ]
+
+
+@st.composite
+def _multipair_gate(draw):
+    """A register of 2-3 ions (d = 2, 4 or 8) and an MPMS or GMS drive on it
+    with random disjoint level pairs."""
+    dims = draw(st.lists(st.sampled_from([2, 4, 8]), min_size=2, max_size=3))
+    reg = build_register([IonSpec(d) for d in dims])
+
+    def pairs(d):
+        levels = draw(st.permutations(range(d)))
+        count = draw(st.integers(1, d // 2))
+        return tuple((levels[2 * k], levels[2 * k + 1]) for k in range(count))
+
+    J = draw(st.floats(-2 * math.pi, 2 * math.pi))
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(len(dims))))[:2]
+        return reg, MultiPairMS(i, j, pairs(dims[i]), pairs(dims[j]), J)
+    return reg, GlobalMS(J, tuple(pairs(d) for d in dims))
+
+
+def _dense_multipair(reg, gate):
+    """exp(-iJ K) with K the product over driven ions of the summed pair
+    exchanges, built entry by entry."""
+    from scipy.linalg import expm
+
+    per_ion = ({gate.ion_i: gate.pairs_i, gate.ion_j: gate.pairs_j}
+               if isinstance(gate, MultiPairMS) else dict(enumerate(gate.pairs)))
+    K = np.zeros((reg.dim, reg.dim))
+    for g in range(reg.dim):
+        lv = list(reg.levels_of_index(g))
+        for ion, pairs in per_ion.items():
+            partner = {a: b for a, b in pairs} | {b: a for a, b in pairs}
+            if lv[ion] not in partner:
+                break
+            lv[ion] = partner[lv[ion]]
+        else:
+            K[reg.index_of_levels(lv), g] = 1.0
+    return expm(-1j * gate.J * K)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_multipair_gate())
+def test_multipair_gate_matrix_columns_equal_apply_native(case):
+    reg, gate = case
+    mat = gate_matrix(gate, reg)
+    for k in range(reg.dim):
+        amps = np.zeros(reg.dim, dtype=np.complex128)
+        amps[k] = 1.0
+        col = apply_native(StateVector(reg, amps), gate).amps
+        assert np.array_equal(mat[:, k], col)
+    assert np.max(np.abs(mat - _dense_multipair(reg, gate))) < 1e-12

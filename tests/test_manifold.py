@@ -11,6 +11,7 @@ from ionvq.atomic import load_level_model
 from ionvq.manifold import (
     TWO_PI,
     CostBreakdown,
+    _median,
     CostParams,
     allowed_graph,
     field_sweep,
@@ -302,3 +303,10 @@ def test_sphere_surface_formula_matches_quadrature():
 def test_moment_sample_floor():
     with pytest.raises(ValueError):
         sphere_moment_oracle(4, 100, seed=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=25))
+def test_sweep_median_equals_numpy_median(values):
+    v = np.array(values)
+    assert _median(v) == float(np.median(v))

@@ -217,12 +217,47 @@ def test_monotone_in_physical_rate():
         prev_hi = r.ci_high
 
 
-def test_circuit_record_flag_runs():
-    c = build_repcode_circuit(3, 1, 2)
-    defects, _ = simulate_defects(c, ChannelModel(0.01), 500, seed=3, record="circuit")
-    assert defects.shape == (500, 3, 2)
-    with pytest.raises(ValueError):
-        simulate_defects(c, ChannelModel(0.01), 10, seed=3, record="bogus")
+def _reference_circuit_record(circ, model, shots, seed):
+    """``simulate_defects`` with the syndrome copied at the CNOT positions and
+    ancilla flips kept in the measured bits.  Its space-time-diagonal defect
+    pairs are beyond any per-round decoder and visibly degrade the distance
+    scaling, so the package uses the parity record; this stays as a reference."""
+    rng = np.random.default_rng(seed)
+    d = circ.d
+    frames = np.zeros((shots, circ.num_frame_qubits), dtype=bool)
+    syndromes = np.zeros((shots, circ.rounds + 1, d - 1), dtype=bool)
+    rates = {"lam_cnot": model.lam_cnot, "lam_paired": model.lam_paired}
+    for r in range(circ.rounds):
+        anc = np.zeros(shots, dtype=bool)
+        for op in circ.ops:
+            if op[0] == "cnot":
+                anc ^= frames[:, op[1]]
+            elif op[0] == "channel":
+                _apply_channel(frames, anc, op[1], rates[op[2]], rng)
+            else:  # measure + reset
+                syndromes[:, r, op[1]] = anc
+                anc[:] = False
+    final = frames[:, :d]
+    syndromes[:, circ.rounds, :] = final[:, :-1] ^ final[:, 1:]
+    defects = syndromes.copy()
+    defects[:, 1:, :] ^= syndromes[:, :-1, :]
+    return defects, frames
+
+
+@pytest.mark.parametrize("enc", [1, 2])
+def test_circuit_record_reference_shares_frames(enc):
+    # both records see the same channel hits, so the data frames agree and each
+    # shot's defects XOR to the parity of the same perfect final readout; the
+    # circuit record also holds hits between a stabiliser's CNOTs and on the
+    # ancilla, so the records themselves differ
+    c = build_repcode_circuit(3, enc, 2)
+    defects, frames = simulate_defects(c, ChannelModel(0.01), 500, seed=3)
+    ref_defects, ref_frames = _reference_circuit_record(c, ChannelModel(0.01), 500, seed=3)
+    assert ref_defects.shape == defects.shape == (500, 3, 2)
+    assert np.array_equal(frames, ref_frames)
+    assert np.array_equal(np.logical_xor.reduce(ref_defects, axis=1),
+                          np.logical_xor.reduce(defects, axis=1))
+    assert not np.array_equal(ref_defects, defects)
 
 
 def test_eps1_validation():
