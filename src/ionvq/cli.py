@@ -117,10 +117,17 @@ def _cmd_xeb(args) -> list[tuple[str, str]]:
     for field in ("qubits", "n", "seed"):
         if getattr(args, field) is None:
             raise ConfigError(f"--{field} is required")
+    unread = ({"--arch": args.arch == sampling.LONGRANGE, "--statistic": args.statistic == "moment",
+               "--threshold": args.threshold is not None} if args.layers is not None
+              else {"--mode": args.mode == "sampled", "--shots": args.shots is not None})
+    flag = next((f for f, given in unread.items() if given), None)
+    if flag:
+        raise ConfigError(f"{flag} {getattr(args, flag[2:])}: not read "
+                          f"{'with' if args.layers is not None else 'without'} --layers")
     if args.qubits % args.n:
         raise ConfigError(f"--qubits {args.qubits}: must be a multiple of --n {args.n}")
     ions = args.qubits // args.n
-    if ions < 2 or (ions % 2 and (args.layers is not None or args.arch != sampling.LONGRANGE)):
+    if ions < 2 or (ions % 2 and args.arch != sampling.LONGRANGE):
         raise ConfigError(f"--qubits {args.qubits}: must be split into at least two ions, an "
                           f"even number for brickwork circuits (--n {args.n} gives {ions})")
     policy = sampling.CircuitPolicy(

@@ -24,7 +24,6 @@ single caller at a time.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -147,23 +146,6 @@ class IonSpec:
             return tuple((a, b) for a in range(self.d) for b in range(a + 1, self.d))
         return tuple(sorted(self.allowed_r))
 
-    def allows(self, a: int, b: int) -> bool:
-        return self.allowed_r is None or _norm_pair((a, b)) in self.allowed_r
-
-    def is_connected(self) -> bool:
-        """True when the coupling graph connects all d levels."""
-        adj = {k: set() for k in range(self.d)}
-        for a, b in self.pairs():
-            adj[a].add(b)
-            adj[b].add(a)
-        seen, stack = {0}, [0]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return len(seen) == self.d
-
 
 @dataclass
 class Register:
@@ -184,6 +166,7 @@ class Register:
             strides.append(s)
             s *= ion.d
         self.strides = tuple(strides)
+        self._shape = tuple(ion.d for ion in reversed(self.ions))
         self.dim = s
         self.num_qubits = sum(ion.n for ion in self.ions)
         self.qubit_offsets = tuple(
@@ -199,7 +182,7 @@ class Register:
 
     def shape_view(self) -> tuple[int, ...]:
         """Shape for viewing a statevector as an ndarray (ion 0 = last axis)."""
-        return tuple(ion.d for ion in reversed(self.ions))
+        return self._shape
 
     def axis(self, ion: int) -> int:
         return self.num_ions - 1 - ion
@@ -209,12 +192,6 @@ class Register:
 
     def index_of_levels(self, levels: Sequence[int]) -> int:
         return sum(lv * st for lv, st in zip(levels, self.strides))
-
-    def qubit_index(self, ion: int, q: int) -> int:
-        """Global index of virtual qubit q (0-based) of ``ion``."""
-        if not 0 <= q < self.ions[ion].n:
-            raise ValueError(f"ion {ion} has no virtual qubit {q}")
-        return self.qubit_offsets[ion] + q
 
     def bitstring(self, g: int) -> str:
         """Measurement label of basis state g: per-ion labels, ion 0 first."""
@@ -399,41 +376,55 @@ class StateVector:
         return np.abs(self.amps) ** 2
 
 
-def _axis_slices(nd: int, axis: int, idx: int):
-    sl = [slice(None)] * nd
-    sl[axis] = idx
-    return tuple(sl)
+def _index_base(view: np.ndarray, last_axis: int, *levels) -> list:
+    """Full slices up to ``last_axis`` for the caller to fix levels in; with
+    (C,) level arrays, circuit axis 0 gathers one level per circuit."""
+    idx = [slice(None)] * (last_axis + 1)
+    if any(isinstance(lv, np.ndarray) for lv in levels):
+        idx[0] = np.arange(len(view))
+    return idx
 
 
-def _apply_r_nd(view: np.ndarray, axis: int, a: int, b: int, theta: float, phi: float):
-    c = math.cos(theta)
-    s = math.sin(theta)
-    off_ab = -1j * cmath.exp(-1j * phi) * s
-    off_ba = -1j * cmath.exp(1j * phi) * s
-    ia = _axis_slices(view.ndim, axis, a)
-    ib = _axis_slices(view.ndim, axis, b)
-    va = view[ia].copy()
-    vb = view[ib]
-    view[ia] = c * va + off_ab * vb
+def _columns(ndim: int, *coefficients):
+    """Per-circuit coefficients (C,) broadcast over the ``ndim - 1`` axes
+    after the circuit axis; one circuit's scalars pass through."""
+    shape = (-1,) + (1,) * (ndim - 1)
+    return [x.reshape(shape) if isinstance(x, np.ndarray) else x for x in coefficients]
+
+
+def _apply_r_nd(view: np.ndarray, axis: int, a, b, theta, phi):
+    """R_ab(theta, phi) on ``axis`` of ``view``, one rotation per circuit:
+    float angles for a single state, or (C,) arrays for a batch with the
+    circuit axis first; levels a < b are ints or (C,) arrays."""
+    head = tuple(_index_base(view, axis, a)[:axis])
+    ia, ib = head + (a,), head + (b,)
+    va, vb = view[ia], view[ib]
+    xp = np if isinstance(theta, np.ndarray) else math  # a batch, or one circuit's floats
+    s = xp.sin(theta)
+    re, im = xp.sin(phi) * s, xp.cos(phi) * s
+    c, off_ab, off_ba = _columns(va.ndim, xp.cos(theta), -re - 1j * im, re - 1j * im)
+    new_a = c * va + off_ab * vb  # before any write: va may be a view
     view[ib] = off_ba * va + c * vb
+    view[ia] = new_a
 
 
 def _apply_ms_nd(view, axis_i, axis_j, pair_i, pair_j, J):
-    ai, bi = pair_i
-    aj, bj = pair_j
-    c = math.cos(J)
-    s = -1j * math.sin(J)
-
-    def sl(li, lj):
-        out = [slice(None)] * view.ndim
-        out[axis_i], out[axis_j] = li, lj
-        return tuple(out)
-
-    for (p, q) in (((ai, aj), (bi, bj)), ((ai, bj), (bi, aj))):
-        vp = view[sl(*p)].copy()
-        vq = view[sl(*q)]
-        view[sl(*p)] = c * vp + s * vq
-        view[sl(*q)] = s * vp + c * vq
+    """MS on ``axis_i``/``axis_j`` of ``view``, one coupling per circuit:
+    J is a float for a single state or a (C,) array for a batch with the
+    circuit axis first; each level is an int or a (C,) array."""
+    (ai, bi), (aj, bj) = pair_i, pair_j
+    idx = _index_base(view, max(axis_i, axis_j), ai, aj)
+    xp = np if isinstance(J, np.ndarray) else math
+    c, s = _columns(view.ndim - 2, xp.cos(J), -1j * xp.sin(J))
+    for p, q in (((ai, aj), (bi, bj)), ((ai, bj), (bi, aj))):
+        idx[axis_i], idx[axis_j] = p
+        ip = tuple(idx)
+        idx[axis_i], idx[axis_j] = q
+        iq = tuple(idx)
+        vp, vq = view[ip], view[iq]
+        new_p = c * vp + s * vq
+        view[iq] = s * vp + c * vq
+        view[ip] = new_p
 
 
 def _partner_arrays(reg: Register, per_ion_pairs: dict[int, Sequence[tuple[int, int]]]):
@@ -476,14 +467,8 @@ def _apply_gate(amps: np.ndarray, reg: Register, gate: NativeGate):
         phi = gate.phi if (gate.a, gate.b) == (a, b) else -gate.phi
         _apply_r_nd(view, reg.axis(gate.ion), a, b, gate.theta, phi)
     elif isinstance(gate, MS):
-        _apply_ms_nd(
-            view,
-            reg.axis(gate.ion_i),
-            reg.axis(gate.ion_j),
-            _norm_pair(gate.pair_i),
-            _norm_pair(gate.pair_j),
-            gate.J,
-        )
+        _apply_ms_nd(view, reg.axis(gate.ion_i), reg.axis(gate.ion_j), _norm_pair(gate.pair_i),
+                     _norm_pair(gate.pair_j), gate.J)
     elif isinstance(gate, MultiPairMS):
         _apply_multipair(amps, reg, {gate.ion_i: gate.pairs_i, gate.ion_j: gate.pairs_j}, gate.J)
     elif isinstance(gate, GlobalMS):

@@ -10,6 +10,8 @@ measurements so the comparison between encodings carries no shot noise.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +24,8 @@ from .core import (
     R,
     Register,
     StateVector,
+    _apply_ms_nd,
+    _apply_r_nd,
     apply_circuit,
     build_register,
     m1_map,
@@ -36,6 +40,7 @@ BRICKWORK = "brickwork"
 LONGRANGE = "longrange"
 
 MAX_QUBITS = 22  # dense statevector cap: 2^22 complex128 amplitudes are 64 MiB
+CHUNK_AMPLITUDES = 2**16  # circuits stepped as one batch: larger batches fall out of cache
 
 
 class ResourceLimitError(ValueError):
@@ -76,6 +81,11 @@ class CircuitPolicy:
     def ms_fixed(self) -> bool:
         return self.connectivity in (MINIMAL, MS_LIMITED)
 
+    @functools.cached_property
+    def pairs(self) -> tuple[tuple, tuple]:
+        """(MS pairs, R pairs) that a brick chooses from."""
+        return ((0, 1),) if self.ms_fixed() else self.r_pairs(), self.r_pairs()
+
     def register(self, num_qubits: int) -> Register:
         if num_qubits % self.n:
             raise ValueError(f"{num_qubits} qubits do not fill ions of n={self.n}")
@@ -86,32 +96,39 @@ class CircuitPolicy:
         return build_register([IonSpec(self.d, m1_map(self.n), allowed) for _ in range(L)])
 
 
+def _draw_brick(rng, ms_pairs, r_pairs):
+    """Raw draws of one brick in stream order: indices into the MS pairs of
+    ions i, j and the R pairs of ions i, j, and the uniforms behind J,
+    theta_i, phi_i, theta_j, phi_j (angle = 2 pi uniform).  integers(1)
+    draws nothing, so with a single pair a brick is one ``random(5)``."""
+    if len(r_pairs) == 1:
+        return (0, 0, 0, 0), rng.random(5)
+    ms = rng.integers(len(ms_pairs), size=2)
+    J = rng.random()
+    ki, ui = rng.integers(len(r_pairs)), rng.random(2)
+    kj, uj = rng.integers(len(r_pairs)), rng.random(2)
+    return (ms[0], ms[1], ki, kj), (J, ui[0], ui[1], uj[0], uj[1])
+
+
 def _brick(policy: CircuitPolicy, i: int, j: int, rng) -> list:
     """One MS on ions (i, j) followed by a rotation on each ion."""
-    if policy.ms_fixed():
-        pair_i = pair_j = (0, 1)
-    else:
-        pairs = policy.r_pairs() if policy.connectivity == ALL_TO_ALL else None
-        pair_i = pairs[rng.integers(len(pairs))]
-        pair_j = pairs[rng.integers(len(pairs))]
-    gates = [MS(i, j, tuple(pair_i), tuple(pair_j), rng.uniform(0, 2 * math.pi))]
-    rp = policy.r_pairs()
-    for ion in (i, j):
-        a, b = rp[rng.integers(len(rp))]
-        gates.append(R(ion, a, b, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)))
-    return gates
+    ms_pairs, r_pairs = policy.pairs
+    k, u = _draw_brick(rng, ms_pairs, r_pairs)
+    J, ti, pi, tj, pj = (2 * math.pi * float(x) for x in u)
+    return [MS(i, j, ms_pairs[k[0]], ms_pairs[k[1]], J),
+            R(i, *r_pairs[k[2]], ti, pi), R(j, *r_pairs[k[3]], tj, pj)]
+
+
+def _layer_pairs(L: int) -> list[tuple[int, int]]:
+    """Ion pairs (1,2),(3,4),... then (2,3),(4,5),...,(L,1) [1-based]."""
+    if L < 2 or L % 2:
+        raise ValueError("brickwork pairing needs an even ion count >= 2")
+    return [(i, i + 1) for i in range(0, L - 1, 2)] + [(i, (i + 1) % L) for i in range(1, L, 2)]
 
 
 def brickwork_layer(policy: CircuitPolicy, L: int, rng) -> list:
-    """Bricks on (1,2),(3,4),... then (2,3),(4,5),...,(L,1) [1-based]."""
-    if L < 2 or L % 2:
-        raise ValueError("brickwork pairing needs an even ion count >= 2")
-    gates = []
-    for i in range(0, L - 1, 2):
-        gates.extend(_brick(policy, i, i + 1, rng))
-    for i in range(1, L, 2):
-        gates.extend(_brick(policy, i, (i + 1) % L, rng))
-    return gates
+    """One brick on each ion pair of ``_layer_pairs(L)``."""
+    return [g for i, j in _layer_pairs(L) for g in _brick(policy, i, j, rng)]
 
 
 def build_brickwork(policy: CircuitPolicy, num_qubits: int, layers: int, seed: int) -> Circuit:
@@ -130,11 +147,14 @@ def build_longrange(policy: CircuitPolicy, num_qubits: int, bricks: int, seed: i
     rng = np.random.default_rng(seed)
     circ = Circuit(reg, meta={"policy": policy.connectivity, "n": policy.n,
                               "architecture": LONGRANGE, "seed": seed, "bricks": bricks})
-    L = reg.num_ions
     for _ in range(bricks):
-        i, j = rng.choice(L, size=2, replace=False)
-        circ.extend(_brick(policy, int(i), int(j), rng))
+        circ.extend(_brick(policy, *_random_pair(reg.num_ions, rng), rng))
     return circ
+
+
+def _random_pair(L: int, rng):
+    i, j = rng.choice(L, size=2, replace=False)
+    return int(i), int(j)
 
 
 @dataclass
@@ -142,20 +162,20 @@ class XebResult:
     value: float
     mode: str
     shots: int = 0
-    circuits: int = 1
 
 
-def xeb_exact(probs: np.ndarray) -> float:
-    """2^N sum_x p(x)^2 - 1 from the full output distribution."""
-    dim = probs.size
-    return float(dim * np.sum(probs**2) - 1.0)
+def xeb_exact(probs: np.ndarray):
+    """2^N sum_x p(x)^2 - 1 from the full output distribution (the last
+    axis: one value per row of a batch)."""
+    dim = probs.shape[-1]
+    return dim * np.sum(probs**2, axis=-1) - 1.0
 
 
-def second_moment(probs: np.ndarray) -> float:
-    """2^{2N} var(p) over all bit strings; 2^N - 1 at depth 0, 1 in the
-    Porter-Thomas limit."""
-    dim = probs.size
-    return float(dim**2 * (np.mean(probs**2) - np.mean(probs) ** 2))
+def second_moment(probs: np.ndarray):
+    """2^{2N} var(p) over all bit strings (the last axis); 2^N - 1 at depth
+    0, 1 in the Porter-Thomas limit."""
+    dim = probs.shape[-1]
+    return dim**2 * (np.mean(probs**2, axis=-1) - np.mean(probs, axis=-1) ** 2)
 
 
 def estimate_xeb(circ: Circuit, mode: str = "exact", shots: int = 500, seed: int = 0) -> XebResult:
@@ -174,6 +194,7 @@ def estimate_xeb(circ: Circuit, mode: str = "exact", shots: int = 500, seed: int
 
 
 def estimate_second_moment(circ: Circuit) -> float:
+    check_qubits(circ.register.num_qubits)
     state = circ.run()
     return second_moment(state.probabilities())
 
@@ -189,7 +210,6 @@ class ThresholdResult:
     counts: list
     statistic: str
     threshold: float
-    fit_coefficient: float | None = None
 
 
 def gates_to_threshold(
@@ -201,50 +221,83 @@ def gates_to_threshold(
     seed: int = 0,
     max_layers: int = 400,
 ) -> ThresholdResult:
-    """Grow circuits layer by layer; record the first total gate count at
-    which the exact-mode statistic drops to the threshold; average over the
-    circuit ensemble (per-circuit seeds derive from ``seed``).
-    """
+    """Grow circuits layer by layer (longrange: brick by brick); record the
+    first total gate count at which the exact-mode statistic drops to the
+    threshold; average over the circuit ensemble (per-circuit seeds derive
+    from ``seed``).  Up to CHUNK_AMPLITUDES / 2^N live circuits step as one
+    batch; one that crosses leaves it and the next circuit joins."""
     if threshold <= 1.0:
         raise ValueError("threshold must exceed the Porter-Thomas asymptote 1")
     check_qubits(num_qubits)
     stat_fn = STATISTICS[statistic]
     reg = policy.register(num_qubits)
-    children = np.random.SeedSequence(seed).spawn(circuits)
-    counts = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        state = StateVector.zero(reg)
-        gates = 0
-        recent = []
-        crossed = None
-        for _ in range(max_layers):
-            if policy.architecture == BRICKWORK:
-                layer = brickwork_layer(policy, reg.num_ions, rng)
-            else:
-                layer = _brick(policy, *_random_pair(reg.num_ions, rng), rng)
-            apply_circuit(state, layer)
-            gates += len(layer)
-            val = stat_fn(state.probabilities())
+    pending = iter(enumerate(np.random.SeedSequence(seed).spawn(circuits)))
+    size = max(1, CHUNK_AMPLITUDES // reg.dim)
+    live, psi = [], None  # live: (circuit, generator, statistic per step) of each row of psi
+    counts = [0] * circuits
+    while True:
+        new = [(k, np.random.default_rng(ss), [])
+               for k, ss in itertools.islice(pending, size - len(live))]
+        if new:
+            fresh = np.zeros((len(new), reg.dim), dtype=np.complex128)
+            fresh[:, 0] = 1.0
+            psi, live = np.concatenate([psi, fresh]) if live else fresh, live + new
+        if not live:
+            break
+        gates = _step(psi.reshape((len(live),) + reg.shape_view()), reg, policy, [c[1] for c in live])
+        keep = []
+        for row, ((k, _, history), val) in enumerate(zip(live, stat_fn(np.abs(psi) ** 2))):
+            history.append(val)
             if val <= threshold:
-                crossed = gates
-                break
-            recent.append(val)
-            if len(recent) > 50 and recent[-1] >= recent[-50]:
+                counts[k] = gates * len(history)
+            elif len(history) > 50 and val >= history[-50]:
                 raise RuntimeError(
                     f"statistic stopped decreasing near {val:.3g} before reaching {threshold}"
                 )
-        if crossed is None:
-            raise RuntimeError(f"no crossing within {max_layers} layers")
-        counts.append(crossed)
+            elif len(history) == max_layers:
+                raise RuntimeError(f"no crossing within {max_layers} layers")
+            else:
+                keep.append(row)
+        if len(keep) < len(live):
+            psi, live = psi[keep], [live[row] for row in keep]
     arr = np.asarray(counts, dtype=float)
     stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return ThresholdResult(float(arr.mean()), stderr, counts, statistic, threshold)
 
 
-def _random_pair(L: int, rng):
-    i, j = rng.choice(L, size=2, replace=False)
-    return int(i), int(j)
+def _step(view: np.ndarray, reg: Register, policy: CircuitPolicy, rngs) -> int:
+    """One brickwork layer, or one brick on a drawn ion pair, on every circuit
+    of ``view`` (C, *reg.shape_view()), each drawing from its own generator;
+    returns the gates added to each circuit."""
+    L = reg.num_ions
+    ions = [_layer_pairs(L) if policy.architecture == BRICKWORK else [_random_pair(L, rng)]
+            for rng in rngs]
+    draws = [_draw_brick(rng, *policy.pairs) for rng, row in zip(rngs, ions) for _ in row]
+    k = np.array([d[0] for d in draws]).reshape(len(rngs), -1, 4)
+    u = 2 * math.pi * np.array([d[1] for d in draws]).reshape(len(rngs), -1, 5)
+    ms_pairs, r_pairs = (np.array(p) for p in policy.pairs)
+    groups: dict[tuple, list] = {}  # circuits that drew the same ion pairs
+    for c, row in enumerate(ions):
+        groups.setdefault(tuple(row), []).append(c)
+    for group, rows in groups.items():
+        sub = view if len(groups) == 1 else view[rows]
+        for b, (i, j) in enumerate(group):
+            kb, ub = k[rows, b], u[rows, b]
+            ax_i, ax_j = 1 + reg.axis(i), 1 + reg.axis(j)
+            _apply_ms_nd(sub, ax_i, ax_j, _chosen(ms_pairs, kb[:, 0]), _chosen(ms_pairs, kb[:, 1]),
+                         ub[:, 0])
+            _apply_r_nd(sub, ax_i, *_chosen(r_pairs, kb[:, 2]), ub[:, 1], ub[:, 2])
+            _apply_r_nd(sub, ax_j, *_chosen(r_pairs, kb[:, 3]), ub[:, 3], ub[:, 4])
+        if len(groups) > 1:
+            view[rows] = sub
+    return 3 * len(ions[0])
+
+
+def _chosen(pairs: np.ndarray, k: np.ndarray):
+    """Levels (a, b) of pair k per circuit: ints when all circuits agree."""
+    if (k == k[0]).all():
+        return int(pairs[k[0], 0]), int(pairs[k[0], 1])
+    return pairs[k, 0], pairs[k, 1]
 
 
 def nlogn_fit(num_qubits: list[int], mean_counts: list[float]) -> float:
@@ -280,7 +333,6 @@ class BvCircuit:
     layout: str
     intra_count: int
     ms_count: int
-    prep_levels: None = None  # prepared state is built directly, see prep_state()
 
     def prep_state(self) -> StateVector:
         return _bv_prep(self.circuit.register, self.s, self.layout)

@@ -366,10 +366,6 @@ def _legal(row, gates) -> bool:
     )
 
 
-def _num_qubits(register_key: str) -> int:
-    return _REGISTRY[register_key]("msb_first").num_qubits
-
-
 def _edges_per_ion(row) -> dict | None:
     if row["connectivity"] == "all":
         return None

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ionvq.core import IonSpec, build_register, m1_map, m2_map
+
+# examples run whole syntheses, circuit ensembles and decoders, whose time per
+# example varies well past hypothesis's default 200 ms deadline
+settings.register_profile("ionvq", deadline=None)
+settings.load_profile("ionvq")
 
 
 @pytest.fixture

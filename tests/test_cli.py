@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -154,6 +155,55 @@ def test_repcode_output_bytes_are_pinned(tmp_path):
     assert main(["repcode", "--d", "5", "--n", "2", "--rounds", "5", "--p-grid", "1e-2:1e-1:3",
                  "--shots", "20000", "--seed", "11", "--out", str(out)]) == 0
     assert out.read_bytes() == REPCODE_GOLDEN.encode()
+
+
+# recorded from the per-circuit stepper that the batched one replaced:
+# (argv, sha256 of the csv, the json summary)
+XEB_GOLDEN = [
+    (["xeb", "--qubits", "8", "--n", "2", "--circuits", "40", "--seed", "7"],
+     "05db864b91bc407a736e0d369fe6668c2d7ce858046b0b481987119797535651",
+     {"circuits": 40, "mean_gates": 68.1, "statistic": "xeb", "stderr": 2.1649302706838105,
+      "threshold": 2.0}),
+    (["xeb", "--qubits", "8", "--n", "1", "--arch", "longrange", "--statistic", "moment",
+      "--circuits", "20", "--seed", "3"],
+     "5dc77fef700f5016b0cec93f97441502f079c0b360c439c380fb89cd22222b1b",
+     {"circuits": 20, "mean_gates": 34.2, "statistic": "moment", "stderr": 3.011032346135406,
+      "threshold": 4.0}),
+]
+
+
+@pytest.mark.parametrize("argv,csv_sha256,summary", XEB_GOLDEN)
+def test_xeb_output_bytes_are_pinned(tmp_path, argv, csv_sha256, summary):
+    csv_out, json_out = tmp_path / "x.csv", tmp_path / "x.json"
+    assert main([*argv, "--out", str(csv_out)]) == 0
+    assert main([*argv, "--format", "json", "--out", str(json_out)]) == 0
+    assert hashlib.sha256(csv_out.read_bytes()).hexdigest() == csv_sha256
+    assert json_out.read_text() == json.dumps(summary, indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize(
+    "key,value,layers",
+    [
+        ("arch", "longrange", "2"),  # fixed depth
+        ("statistic", "moment", "2"),
+        ("threshold", 3, "2"),
+        ("mode", "sampled", None),  # gates to threshold
+        ("shots", 50, None),
+    ],
+)
+def test_xeb_rejects_flags_its_mode_never_reads(tmp_path, capsys, key, value, layers, how):
+    args = ["xeb", "--qubits", "4", "--n", "1", "--circuits", "2", "--seed", "1"]
+    args += ["--layers", layers] if layers else []
+    out = tmp_path / "out.csv"
+    assert main([*args, "--out", str(out)]) == 0
+    out.unlink()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    extra = [f"--{key}", str(value)] if how == "flag" else ["--config", str(cfg)]
+    assert main([*args, *extra, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"--{key} " in capsys.readouterr().err
 
 
 def test_manifold_sweep_csv(tmp_path):

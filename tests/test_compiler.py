@@ -227,7 +227,7 @@ def _random_problem(reg, seed):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2], ids=["ms_J", "r_theta", "r_phi"])
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12)
 @given(seed=st.integers(0, 2**32 - 1), t=st.floats(-2 * math.pi, 2 * math.pi))
 def test_slice_closed_form_matches_dense_overlap(k, seed, t):
     z, cost, x = _random_problem(REG_MIXED, seed)
@@ -247,7 +247,7 @@ def test_slice_closed_form_matches_dense_overlap(k, seed, t):
     assert best <= cost(x0) + 1e-15
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(seed=st.integers(0, 2**32 - 1), t0=st.floats(-10.0, 10.0))
 def test_degenerate_slice_keeps_current_angle(seed, t0):
     # with theta = 0 the first R is the identity whatever its phi

@@ -163,7 +163,7 @@ def test_global_ms_ghz():
     assert abs(probs[top].sum() - 1) < 1e-12
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(0, 10**6))
 def test_norm_preserved_random_gates(seed):
     rng = np.random.default_rng(seed)
@@ -312,7 +312,7 @@ def _dense_multipair(reg, gate):
     return expm(-1j * gate.J * K)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(_multipair_gate())
 def test_multipair_gate_matrix_columns_equal_apply_native(case):
     reg, gate = case

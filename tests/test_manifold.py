@@ -178,7 +178,7 @@ def test_admission_matches_loop_reference(scope):
             assert np.array_equal(data.resolved, _reference_resolved(data, params))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     field_G=st.floats(0.5, 70.0),
     scope=st.sampled_from(["all", "endpoint"]),
@@ -305,7 +305,7 @@ def test_moment_sample_floor():
         sphere_moment_oracle(4, 100, seed=1)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=25))
 def test_sweep_median_equals_numpy_median(values):
     v = np.array(values)

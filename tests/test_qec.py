@@ -81,7 +81,7 @@ def test_decoder_matches_brute_force_exhaustive():
                 assert syn == tuple(1 if i in defects else 0 for i in range(d - 1))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(2, 9), st.integers(0, 10**6))
 def test_decoder_hypothesis(d, seed):
     rng = np.random.default_rng(seed)
@@ -106,7 +106,7 @@ def test_decode_equals_match_round_on_every_single_round_pattern(d):
     assert np.array_equal(decode(defects, d), expected)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     st.integers(0, 7).map(lambda k: 2 * k + 1),
     st.integers(0, 5),

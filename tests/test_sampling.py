@@ -1,10 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ionvq.core import MS, R
+from ionvq import sampling
+from ionvq.core import MS, R, StateVector, apply_circuit
 from ionvq.sampling import (
+    ALL_TO_ALL,
+    BRICKWORK,
+    LONGRANGE,
     MINIMAL,
     MS_LIMITED,
     MAX_QUBITS,
@@ -117,6 +123,136 @@ def test_threshold_ordering_lower_bar_later():
     assert r15.mean_gates >= r2.mean_gates
 
 
+# ---------------------------------------------------------------------------
+# the batched stepper against the per-circuit loop it replaced
+
+
+def _reference_brick(policy, i, j, rng):
+    """The scalar-draw brick that the grouped draws of ``_brick`` replaced."""
+    if policy.ms_fixed():
+        pair_i = pair_j = (0, 1)
+    else:
+        pairs = policy.r_pairs() if policy.connectivity == ALL_TO_ALL else None
+        pair_i = pairs[rng.integers(len(pairs))]
+        pair_j = pairs[rng.integers(len(pairs))]
+    gates = [MS(i, j, tuple(pair_i), tuple(pair_j), rng.uniform(0, 2 * math.pi))]
+    rp = policy.r_pairs()
+    for ion in (i, j):
+        a, b = rp[rng.integers(len(rp))]
+        gates.append(R(ion, a, b, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)))
+    return gates
+
+
+def _reference_gates_to_threshold(policy, num_qubits, threshold, statistic, circuits, seed,
+                                  max_layers=400):
+    """One circuit at a time through apply_native: counts, mean and stderr."""
+    stat_fn = sampling.STATISTICS[statistic]
+    reg = policy.register(num_qubits)
+    L = reg.num_ions
+    counts = []
+    for child in np.random.SeedSequence(seed).spawn(circuits):
+        rng = np.random.default_rng(child)
+        state = StateVector.zero(reg)
+        gates = 0
+        recent = []
+        crossed = None
+        for _ in range(max_layers):
+            if policy.architecture == BRICKWORK:
+                pairs = [(i, i + 1) for i in range(0, L - 1, 2)] + [(i, (i + 1) % L)
+                                                                   for i in range(1, L, 2)]
+            else:
+                i, j = rng.choice(L, size=2, replace=False)
+                pairs = [(int(i), int(j))]
+            layer = [g for i, j in pairs for g in _reference_brick(policy, i, j, rng)]
+            apply_circuit(state, layer)
+            gates += len(layer)
+            val = stat_fn(state.probabilities())
+            if val <= threshold:
+                crossed = gates
+                break
+            recent.append(val)
+            if len(recent) > 50 and recent[-1] >= recent[-50]:
+                raise RuntimeError(
+                    f"statistic stopped decreasing near {val:.3g} before reaching {threshold}"
+                )
+        if crossed is None:
+            raise RuntimeError(f"no crossing within {max_layers} layers")
+        counts.append(crossed)
+    arr = np.asarray(counts, dtype=float)
+    stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
+    return counts, float(arr.mean()), stderr
+
+
+# (n, qubits) with an even ion count, so both architectures apply
+REGISTERS = [(1, 4), (1, 6), (2, 4), (2, 8), (3, 6)]
+
+
+@settings(max_examples=40)
+@given(
+    reg=st.sampled_from(REGISTERS),
+    connectivity=st.sampled_from([ALL_TO_ALL, MINIMAL, MS_LIMITED]),
+    architecture=st.sampled_from([BRICKWORK, LONGRANGE]),
+    statistic=st.sampled_from(["xeb", "moment"]),
+    threshold=st.floats(1.1, 4.0),
+    circuits=st.integers(1, 9),
+    per_chunk=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_threshold_equals_per_circuit_loop(reg, connectivity, architecture, statistic,
+                                                   threshold, circuits, per_chunk, seed):
+    n, N = reg
+    policy = CircuitPolicy(n=n, connectivity=connectivity, architecture=architecture)
+    try:
+        expect = _reference_gates_to_threshold(policy, N, threshold, statistic, circuits, seed)
+    except RuntimeError:
+        expect = RuntimeError
+    # chunks of 1-4 circuits, so that nine circuits span several chunks
+    with mock.patch.object(sampling, "CHUNK_AMPLITUDES", per_chunk * 2**N):
+        if expect is RuntimeError:
+            with pytest.raises(RuntimeError):
+                gates_to_threshold(policy, N, threshold, statistic, circuits, seed)
+            return
+        res = gates_to_threshold(policy, N, threshold, statistic, circuits, seed)
+    assert (res.counts, res.mean_gates, res.stderr) == expect
+
+
+def test_batched_threshold_equals_per_circuit_loop_in_full_chunks():
+    # 12 qubits: 16 circuits per chunk at the shipped CHUNK_AMPLITUDES, so 40 span three
+    for n in (1, 3):
+        policy = CircuitPolicy(n=n)
+        res = gates_to_threshold(policy, 12, 2.0, "xeb", 40, seed=8)
+        expect = _reference_gates_to_threshold(policy, 12, 2.0, "xeb", 40, seed=8)
+        assert (res.counts, res.mean_gates, res.stderr) == expect
+
+
+def test_threshold_runtime_errors_still_raised():
+    with pytest.raises(RuntimeError, match="no crossing within 3 layers"):
+        gates_to_threshold(CircuitPolicy(n=2), 8, 1.1, circuits=5, seed=1, max_layers=3)
+    # a statistic that never falls stops the run after 50 steps
+    flat = {"xeb": lambda probs: np.full(probs.shape[:-1], 9.0)}
+    with mock.patch.dict(sampling.STATISTICS, flat):
+        with pytest.raises(RuntimeError, match="stopped decreasing near 9 before reaching 2"):
+            gates_to_threshold(CircuitPolicy(n=1), 4, 2.0, circuits=3, seed=1)
+
+
+@settings(max_examples=60)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    connectivity=st.sampled_from([ALL_TO_ALL, MINIMAL, MS_LIMITED]),
+    seed=st.integers(0, 2**32 - 1),
+    bricks=st.integers(1, 12),
+)
+def test_grouped_brick_draws_equal_scalar_draws(n, connectivity, seed, bricks):
+    # integers(k, size=2) == two integers(k), integers(1) draws nothing and
+    # uniform(0, 2 pi) == 2 pi * random(): a numpy that breaks one fails here
+    policy = CircuitPolicy(n=n, connectivity=connectivity)
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    for k in range(bricks):
+        i, j = k % 3, (k + 1) % 3
+        assert sampling._brick(policy, i, j, new) == _reference_brick(policy, i, j, old)
+        assert new.bit_generator.state == old.bit_generator.state
+
+
 def test_threshold_validates_asymptote():
     with pytest.raises(ValueError):
         gates_to_threshold(CircuitPolicy(n=1), 4, 0.9, circuits=1, seed=0)
@@ -182,6 +318,8 @@ def test_statevector_cap_refuses_before_allocating():
         gates_to_threshold(CircuitPolicy(n=1), big, 2.0, circuits=1)
     with pytest.raises(ResourceLimitError):
         estimate_xeb(build_brickwork(CircuitPolicy(n=2), big, 1, seed=1))
+    with pytest.raises(ResourceLimitError):
+        estimate_second_moment(build_brickwork(CircuitPolicy(n=2), big, 1, seed=1))
     with pytest.raises(ResourceLimitError):
         run_bv("1" * big, "n2")
     check_qubits(MAX_QUBITS)  # the cap itself is allowed
