@@ -15,6 +15,7 @@ import json
 import math
 import operator
 import os
+import re
 import sys
 import tempfile
 from dataclasses import replace
@@ -62,11 +63,16 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _config_schema(command: str) -> dict:
+def _schema() -> dict:
     with open(atomic.data_dir() / "config_schema.json") as fh:
-        return json.load(fh)["definitions"][command]
+        return json.load(fh)
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+_TYPES = {"integer": int, "number": float, "string": str}
 _BOUNDS = {
     "minimum": (operator.ge, "at least"),
     "exclusiveMinimum": (operator.gt, "above"),
@@ -74,38 +80,62 @@ _BOUNDS = {
 }
 
 
-def _merge_config(args, command: str):
-    """--config values, validated against the shipped schema, fill in flags
-    the user did not set explicitly; unknown keys are rejected.  Every value
-    set either way must then lie within the schema's numeric bounds."""
-    schema = _config_schema(command)
-    if getattr(args, "config", None):
-        import jsonschema
+def schema_error(val, schema: dict) -> str | None:
+    """Why ``val`` breaks ``schema`` (a subcommand definition of
+    config_schema.json or one of its properties), or None.  Covers the JSON
+    Schema (Draft 7) keywords that file uses; unlike Draft 7, NaN meets no bound."""
+    kind = schema["type"]
+    if kind == "object":
+        if not isinstance(val, dict):
+            return "must be an object"
+        for key, item in val.items():
+            error = (schema_error(item, schema["properties"][key]) if key in schema["properties"]
+                     else "unknown key")
+            if error:
+                return f"{key}: {error}"
+        return None
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if not {"string": isinstance(val, str), "number": number,
+            "integer": number and (isinstance(val, int) or val.is_integer())}[kind]:
+        return f"must be {'an' if kind == 'integer' else 'a'} {kind}"
+    if "enum" in schema and val not in schema["enum"]:
+        return "must be one of " + ", ".join(map(str, schema["enum"]))
+    for word, (within, text) in _BOUNDS.items():
+        if word in schema and not within(val, schema[word]):
+            return f"must be {text} {schema[word]}"
+    if "pattern" in schema and not re.search(schema["pattern"], val):
+        return f"must be of the form {schema['pattern']}"
+    return None
 
+
+def _resolve(args, command: str, *required: str) -> set[str]:
+    """Set each option of ``command`` on ``args``: its flag, else its --config
+    value, else the schema default.  Flags and config values pass the same
+    check, and config values get the flag's type.  Returns the options set,
+    which must include ``required``."""
+    spec = _schema()["definitions"][command]
+    props = spec["properties"]
+    given = {key: getattr(args, key) for key in props if getattr(args, key) is not None}
+    for key, val in given.items():
+        error = schema_error(val, props[key])
+        if error:
+            raise ConfigError(f"{_flag(key)} {val}: {error}")
+    if args.config:
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"{args.config}: {exc}") from exc
-        try:
-            jsonschema.validate(cfg, schema)
-        except jsonschema.ValidationError as exc:
-            path = "/".join(str(x) for x in exc.absolute_path) or "<root>"
-            raise ConfigError(f"{args.config}: {path}: {exc.message}") from exc
-        for key, val in cfg.items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, val)
-    for key, prop in schema["properties"].items():
-        val = getattr(args, key, None)
-        for word, (within, text) in _BOUNDS.items():
-            if val is not None and word in prop and not within(val, prop[word]):
-                raise ConfigError(f"--{key.replace('_', '-')} {val}: must be {text} {prop[word]}")
-
-
-def _or(val, default):
-    """``default`` when a flag was not given; unlike ``val or default`` this
-    keeps an explicit 0."""
-    return default if val is None else val
+        error = schema_error(cfg, spec)
+        if error:
+            raise ConfigError(f"{args.config}: {error}")
+        given = {**{k: _TYPES[props[k]["type"]](v) for k, v in cfg.items()}, **given}
+    missing = [_flag(key) for key in required if key not in given]
+    if missing:
+        raise ConfigError(f"missing {' and '.join(missing)}")
+    for key, prop in props.items():
+        setattr(args, key, given.get(key, prop.get("default")))
+    return set(given)
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +143,11 @@ def _or(val, default):
 
 
 def _cmd_xeb(args) -> list[tuple[str, str]]:
-    _merge_config(args, "xeb")
-    for field in ("qubits", "n", "seed"):
-        if getattr(args, field) is None:
-            raise ConfigError(f"--{field} is required")
+    given = _resolve(args, "xeb", "qubits", "n", "seed")
     unread = ({"--arch": args.arch == sampling.LONGRANGE, "--statistic": args.statistic == "moment",
-               "--threshold": args.threshold is not None} if args.layers is not None
-              else {"--mode": args.mode == "sampled", "--shots": args.shots is not None})
-    flag = next((f for f, given in unread.items() if given), None)
+               "--threshold": "threshold" in given} if args.layers is not None
+              else {"--mode": args.mode == "sampled", "--shots": "shots" in given})
+    flag = next((f for f, read in unread.items() if read), None)
     if flag:
         raise ConfigError(f"{flag} {getattr(args, flag[2:])}: not read "
                           f"{'with' if args.layers is not None else 'without'} --layers")
@@ -130,20 +157,15 @@ def _cmd_xeb(args) -> list[tuple[str, str]]:
     if ions < 2 or (ions % 2 and args.arch != sampling.LONGRANGE):
         raise ConfigError(f"--qubits {args.qubits}: must be split into at least two ions, an "
                           f"even number for brickwork circuits (--n {args.n} gives {ions})")
-    policy = sampling.CircuitPolicy(
-        n=args.n,
-        connectivity=args.policy or sampling.ALL_TO_ALL,
-        architecture=args.arch or sampling.BRICKWORK,
-    )
+    policy = sampling.CircuitPolicy(n=args.n, connectivity=args.policy, architecture=args.arch)
     header = ["N", "n", "policy", "gate_count", "statistic", "stderr", "seed"]
     if args.layers is not None:
         # fixed-depth cross-entropy values, one circuit per row
         rows, vals = [], []
-        for k in range(_or(args.circuits, 20)):
+        for k in range(args.circuits):
             circ = sampling.build_brickwork(policy, args.qubits, args.layers, seed=args.seed + k)
-            r = sampling.estimate_xeb(
-                circ, args.mode or "exact", shots=_or(args.shots, 500), seed=args.seed + 10_000 + k
-            )
+            r = sampling.estimate_xeb(circ, args.mode, shots=args.shots,
+                                      seed=args.seed + 10_000 + k)
             vals.append(r.value)
             rows.append([args.qubits, args.n, policy.connectivity, len(circ.gates),
                          f"{r.value:.8g}", "", args.seed + k])
@@ -151,22 +173,15 @@ def _cmd_xeb(args) -> list[tuple[str, str]]:
             "mean_statistic": float(np.mean(vals)),
             "stderr": float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0,
             "layers": args.layers,
-            "mode": args.mode or "exact",
+            "mode": args.mode,
             "circuits": len(vals),
         }
         text = _csv_text(header, rows)
         return [(text, "csv"), (json.dumps(summary, indent=1, sort_keys=True) + "\n", "json")]
-    threshold = args.threshold if args.threshold is not None else (
-        sampling.DEFAULT_THRESHOLDS[args.statistic or "xeb"]
-    )
-    res = sampling.gates_to_threshold(
-        policy,
-        args.qubits,
-        threshold,
-        statistic=args.statistic or "xeb",
-        circuits=_or(args.circuits, 20),
-        seed=args.seed,
-    )
+    threshold = (sampling.DEFAULT_THRESHOLDS[args.statistic] if args.threshold is None
+                 else args.threshold)
+    res = sampling.gates_to_threshold(policy, args.qubits, threshold, statistic=args.statistic,
+                                      circuits=args.circuits, seed=args.seed)
     rows = [
         [args.qubits, args.n, policy.connectivity, c, res.statistic, f"{res.stderr:.6g}", args.seed]
         for c in res.counts
@@ -183,17 +198,10 @@ def _cmd_xeb(args) -> list[tuple[str, str]]:
 
 
 def _cmd_bv(args):
-    _merge_config(args, "bv")
-    if args.s is None or args.seed is None:
-        raise ConfigError("--s and --seed are required")
-    layout = args.layout or "n2"
-    if not args.s or set(args.s) - {"0", "1"}:
-        raise ConfigError(f"--s {args.s}: must be a bit string")
-    if layout == "n2" and len(args.s) % 2:
+    _resolve(args, "bv", "s", "seed")
+    if args.layout == "n2" and len(args.s) % 2:
         raise ConfigError(f"--s {args.s}: must be of even length for --layout n2")
-    bv, recovered, counts = sampling.run_bv(
-        args.s, layout, shots=_or(args.shots, 200), seed=args.seed
-    )
+    bv, recovered, counts = sampling.run_bv(args.s, args.layout, shots=args.shots, seed=args.seed)
     out = {
         "s": args.s,
         "layout": bv.layout,
@@ -208,9 +216,7 @@ def _cmd_bv(args):
 
 
 def _cmd_repcode(args):
-    _merge_config(args, "repcode")
-    if args.seed is None or args.n is None:
-        raise ConfigError("--n and --seed are required")
+    _resolve(args, "repcode", "n", "seed")
     if (args.L is None) == (args.d is None):
         raise ConfigError("give exactly one of --L (matched layout) or --d")
     if args.L is not None:
@@ -218,15 +224,14 @@ def _cmd_repcode(args):
             d1, d2 = qec.matched_distances(args.L)
         except ValueError as exc:
             raise ConfigError(f"--L {args.L}: {exc}") from exc
-        d = d1 if args.n == 1 else d2
-        rounds = _or(args.rounds, d1)
-        L = args.L
+        d, rounds, L = (d1 if args.n == 1 else d2), d1, args.L
     else:
-        d = args.d
-        if d < 1 or d % 2 == 0:
+        d = rounds = args.d
+        if d % 2 == 0:
             raise ConfigError(f"--d {d}: code distance must be odd")
-        rounds = _or(args.rounds, d)
         L = (d + 2) if args.n == 1 else (d + 1) // 2 + 1
+    if args.rounds is not None:
+        rounds = args.rounds
     if args.p_grid:
         try:
             lo, hi, num = args.p_grid.split(":")
@@ -237,13 +242,13 @@ def _cmd_repcode(args):
         ps = [args.p]
     else:
         raise ConfigError("give --p or --p-grid")
-    if len(ps) == 0 or not all(0.0 < p / 14.0 <= 0.1 for p in ps):
-        raise ConfigError("need at least one p, each in (0, 1.4] (eps1 = p/14 at most 0.1)")
+    if not all(0.0 < p / 14.0 <= 0.1 for p in ps):
+        raise ConfigError("each p must lie in (0, 1.4] (eps1 = p/14 at most 0.1)")
     rows = []
     for k, p in enumerate(ps):
         r = qec.sample_logical_error(
-            d, args.n, p / 14.0, rounds, _or(args.shots, 10**5), args.seed + k,
-            pauli_convention=args.pauli_convention or "uniform_nonidentity",
+            d, args.n, p / 14.0, rounds, args.shots, args.seed + k,
+            pauli_convention=args.pauli_convention,
         )
         rows.append(
             [L, args.n, d, rounds, f"{p:.8g}", f"{r.p_logical:.8g}",
@@ -256,15 +261,12 @@ def _cmd_repcode(args):
 
 
 def _cmd_manifold(args):
-    _merge_config(args, "manifold")
-    model = atomic.load_level_model(args.level or "ba137_d52")
-    params = manifold.CostParams()
-    if args.mechanism:
-        params = replace(params, mechanism=args.mechanism)
-    if args.kappa is not None:
-        params = replace(params, kappa=args.kappa)
-    n = _or(args.n, 2)
-    k = _or(args.top_k, 10)
+    _resolve(args, "manifold")
+    try:
+        model = atomic.load_level_model(args.level)
+    except (OSError, KeyError, ValueError) as exc:
+        raise ConfigError(f"--level {args.level}: {exc}") from exc
+    params = manifold.CostParams(mechanism=args.mechanism, kappa=args.kappa)
     if args.field_sweep:
         try:
             lo, hi, steps = args.field_sweep.split(":")
@@ -272,7 +274,7 @@ def _cmd_manifold(args):
         except ValueError as exc:
             raise ConfigError(f"--field-sweep expects lo:hi:steps in gauss") from exc
         fields = np.maximum(fields, 1e-6)
-        points = manifold.field_sweep(model, n, params, fields, k)
+        points = manifold.field_sweep(model, args.n, params, fields, args.top_k)
         rows = [
             [f"{pt.B_T*1e4:.6g}", f"{pt.median_cost:.8g}", f"{pt.min_cost:.8g}",
              f"{pt.max_cost:.8g}", f"{pt.median_gate_time:.8g}", f"{pt.min_gate_time:.8g}",
@@ -285,8 +287,9 @@ def _cmd_manifold(args):
             rows,
         )
         return [(text, "csv")]
-    B = (args.field if args.field is not None else 20.0) * 1e-4
-    top = manifold.search_top_k(model, n, replace(params, B_T=B), k)
+    top = manifold.search_top_k(model, args.n, replace(params, B_T=args.field * 1e-4), args.top_k)
+    if not top:
+        raise ConfigError(f"--field {args.field}: must be high enough to resolve a manifold")
     rows = []
     report = []
     for rank, cb in enumerate(top, start=1):
@@ -320,9 +323,8 @@ def _cmd_manifold(args):
 
 
 def _cmd_tables(args):
-    _merge_config(args, "tables")
-    which = tuple((args.tables or "I,II,III,IV").split(","))
-    entries = tables.run_table_suite(which)
+    _resolve(args, "tables")
+    entries = tables.run_table_suite(tuple(args.tables.split(",")))
     payload = {
         "summary": tables.audit_summary(entries),
         "entries": [e.to_dict() for e in entries],
@@ -364,9 +366,7 @@ def _default_template(reg: Register) -> Template:
 
 
 def _cmd_compile(args):
-    _merge_config(args, "compile")
-    if not args.target or not args.register:
-        raise ConfigError("--target and --register are required")
+    _resolve(args, "compile", "target", "register")
     try:
         reg = load_register(args.register)
     except (OSError, KeyError, ValueError) as exc:
@@ -387,8 +387,8 @@ def _cmd_compile(args):
             U,
             _default_template(reg),
             reg,
-            VariationalBudget(layers_max=_or(args.layers_max, 4), restarts=_or(args.restarts, 8)),
-            seed=_or(args.seed, 0),
+            VariationalBudget(layers_max=args.layers_max, restarts=args.restarts),
+            seed=args.seed,
         )
         if not rep.converged:
             raise RuntimeError(
@@ -413,72 +413,23 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per definition of config_schema.json and one flag per
+    property; values are left unchecked and unset flags None for _resolve."""
     p = argparse.ArgumentParser(
         prog="ionvq",
         description="Simulate and compile trapped-ion registers with virtual qubits",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
+    for command, spec in _schema()["definitions"].items():
+        sp = sub.add_parser(command, help=spec["description"])
+        for key, prop in spec["properties"].items():
+            default = f" (default {prop['default']})" if "default" in prop else ""
+            choices = "{" + ",".join(map(str, prop["enum"])) + "}" if "enum" in prop else None
+            sp.add_argument(_flag(key), dest=key, type=_TYPES[prop["type"]], metavar=choices,
+                            help=prop["description"] + default)
         sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--format", choices=["csv", "json"], default=None)
+        sp.add_argument("--format", choices=["csv", "json"])
         sp.add_argument("--config", help="JSON config supplying unset flags")
-
-    sp = sub.add_parser("xeb", help="gates to reach a cross-entropy threshold")
-    sp.add_argument("--qubits", type=int)
-    sp.add_argument("--n", type=int, help="virtual qubits per ion")
-    sp.add_argument("--policy", choices=[sampling.ALL_TO_ALL, sampling.MINIMAL, sampling.MS_LIMITED])
-    sp.add_argument("--arch", choices=[sampling.BRICKWORK, sampling.LONGRANGE])
-    sp.add_argument("--statistic", choices=["xeb", "moment"])
-    sp.add_argument("--threshold", type=float)
-    sp.add_argument("--circuits", type=int)
-    sp.add_argument("--layers", type=int, help="fixed depth: report per-circuit statistics")
-    sp.add_argument("--mode", choices=["exact", "sampled"])
-    sp.add_argument("--shots", type=int)
-    sp.add_argument("--seed", type=int)
-    add_common(sp)
-
-    sp = sub.add_parser("bv", help="Bernstein-Vazirani circuit, counts and recovery")
-    sp.add_argument("--s", help="hidden bit string")
-    sp.add_argument("--layout", choices=["n1", "n2"])
-    sp.add_argument("--shots", type=int)
-    sp.add_argument("--seed", type=int)
-    add_common(sp)
-
-    sp = sub.add_parser("repcode", help="repetition-code logical error rates")
-    sp.add_argument("--L", type=int, help="matched ion count (sets d per encoding)")
-    sp.add_argument("--d", type=int, help="explicit code distance")
-    sp.add_argument("--n", type=int, choices=[1, 2])
-    sp.add_argument("--p", type=float, help="physical rate p = 14 eps1")
-    sp.add_argument("--p-grid", dest="p_grid", help="lo:hi:steps logarithmic grid")
-    sp.add_argument("--rounds", type=int)
-    sp.add_argument("--shots", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--pauli-convention", dest="pauli_convention",
-                    choices=["uniform_nonidentity", "quarter_rate"])
-    add_common(sp)
-
-    sp = sub.add_parser("manifold", help="rank computational manifolds by cost")
-    sp.add_argument("--field", type=float, help="quantisation field in gauss")
-    sp.add_argument("--field-sweep", dest="field_sweep", help="lo:hi:steps in gauss")
-    sp.add_argument("--n", type=int, choices=[2, 3])
-    sp.add_argument("--top-k", dest="top_k", type=int)
-    sp.add_argument("--level", help="level data name or JSON path")
-    sp.add_argument("--mechanism", choices=["raman", "m1"])
-    sp.add_argument("--kappa", type=float)
-    add_common(sp)
-
-    sp = sub.add_parser("tables", help="audit the stored decomposition tables")
-    sp.add_argument("--tables", help="comma list, default I,II,III,IV")
-    add_common(sp)
-
-    sp = sub.add_parser("compile", help="synthesize a pulse sequence for a unitary")
-    sp.add_argument("--target", help="text file of row-major re/im pairs")
-    sp.add_argument("--register", help="register JSON config")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--layers-max", dest="layers_max", type=int)
-    sp.add_argument("--restarts", type=int)
-    add_common(sp)
     return p
 
 

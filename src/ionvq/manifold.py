@@ -292,6 +292,9 @@ def field_sweep(
     out = []
     for B in fields_T:
         top = search_top_k(model, n, replace(params, B_T=float(B)), k)
+        if not top:  # no connected manifold resolves at this field
+            out.append(SweepPoint(float(B), *[math.nan] * 6, 0))
+            continue
         costs = np.array([t.cost for t in top])
         tg = np.array([t.t_gate for t in top])
         out.append(

@@ -80,6 +80,12 @@ def test_repcode_config_errors_exit_2(tmp_path, flags):
         ["xeb", "--n", "2", "--circuits", "1", "--seed", "1", "--qubits", "9"],
         ["xeb", "--n", "2", "--circuits", "1", "--seed", "1", "--qubits", "6"],  # 3 ions
         ["xeb", "--n", "2", "--circuits", "1", "--seed", "1", "--qubits", "2"],  # 1 ion
+        ["xeb", "--qubits", "4", "--seed", "1", "--n", "0"],
+        ["xeb", "--qubits", "10", "--seed", "1", "--n", "5"],
+        ["bv", "--s", "10", "--seed", "-1"],
+        ["tables", "--tables", "V"],  # would audit no rows
+        ["manifold", "--field-sweep", "1:2:0"],  # would sweep no fields
+        ["manifold", "--top-k", "1", "--field", "0.0"],  # no transition is resolved at 0 G
     ],
 )
 def test_out_of_range_counts_exit_2(tmp_path, args, capsys):
@@ -224,6 +230,12 @@ def test_config_error_exit_codes(tmp_path):
     assert main(["bv", "--config", str(bad), "--seed", "1", "--s", "10"]) == 2
     bad.write_text('{"shots": "many"}')
     assert main(["bv", "--config", str(bad), "--seed", "1", "--s", "10"]) == 2
+    # an integral float for an integer key runs as the flag would
+    cfg, flag_out, cfg_out = tmp_path / "f.json", tmp_path / "flag.json", tmp_path / "cfg.json"
+    cfg.write_text('{"s": "10", "seed": 1, "shots": 64.0}')
+    assert main(["bv", "--s", "10", "--seed", "1", "--shots", "64", "--out", str(flag_out)]) == 0
+    assert main(["bv", "--config", str(cfg), "--out", str(cfg_out)]) == 0
+    assert cfg_out.read_bytes() == flag_out.read_bytes()
 
 
 def test_manifold_config_rejects_threads(tmp_path):
@@ -241,10 +253,12 @@ def test_config_fills_missing_flags(tmp_path):
     assert data["success"] and data["s"] == "1100"
 
 
-def test_runtime_error_exit_code(tmp_path):
-    # a statistic floor below the Porter-Thomas limit cannot be crossed
-    assert main(["xeb", "--qubits", "4", "--n", "1", "--circuits", "1",
-                 "--threshold", "0.5", "--seed", "1"]) == 2 or True
+def test_runtime_error_exit_code(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    assert main(["bv", "--s", "10", "--seed", "1", "--out", str(blocker / "out.json")]) == 3
+    assert "File exists" in capsys.readouterr().err
+    assert blocker.read_text() == "kept" and os.listdir(tmp_path) == ["file"]
     # unreadable register file for compile
     assert main(["compile", "--target", "/nonexistent", "--register", "/nonexistent"]) == 2
 

@@ -17,13 +17,29 @@ print(json.dumps({"modules": names,
 """
 
 
-def test_package_imports_without_scipy():
-    # scipy is a test-only dependency: no ionvq module may pull it in
+def _fresh(code):
     src = str(Path(ionvq.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_ALL], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    result = json.loads(proc.stdout)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_package_imports_without_scipy():
+    # scipy is a test-only dependency: no ionvq module may pull it in
+    result = _fresh(IMPORT_ALL)
     assert {"cli", "compiler", "core", "qec", "sampling", "tables"} <= set(result["modules"])
     assert result["scipy"] == []
+
+
+def test_config_is_checked_without_jsonschema():
+    # jsonschema is the test-only reference for the CLI's own schema checker
+    config = Path(__file__).resolve().parents[1] / "configs" / "smoke_bv.json"
+    result = _fresh(f"""
+import json, sys
+from ionvq.cli import main
+code = main(["bv", "--config", {str(config)!r}])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "jsonschema")]))
+""")
+    assert result == [0, []]
