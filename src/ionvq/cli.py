@@ -180,6 +180,10 @@ def _cmd_xeb(args) -> list[tuple[str, str]]:
         return [(text, "csv"), (json.dumps(summary, indent=1, sort_keys=True) + "\n", "json")]
     threshold = (sampling.DEFAULT_THRESHOLDS[args.statistic] if args.threshold is None
                  else args.threshold)
+    try:
+        sampling.check_threshold(threshold, args.qubits)
+    except ValueError as exc:
+        raise ConfigError(f"--threshold {threshold}: {exc}") from exc
     res = sampling.gates_to_threshold(policy, args.qubits, threshold, statistic=args.statistic,
                                       circuits=args.circuits, seed=args.seed)
     rows = [
@@ -270,9 +274,14 @@ def _cmd_manifold(args):
     if args.field_sweep:
         try:
             lo, hi, steps = args.field_sweep.split(":")
-            fields = np.linspace(float(lo), float(hi), int(steps)) * 1e-4  # gauss -> T
+            ends, steps = (float(lo), float(hi)), int(steps)
         except ValueError as exc:
             raise ConfigError(f"--field-sweep expects lo:hi:steps in gauss") from exc
+        field = _schema()["definitions"]["manifold"]["properties"]["field"]
+        error = next(filter(None, (schema_error(end, field) for end in ends)), None)
+        if error:  # each endpoint is a --field
+            raise ConfigError(f"--field-sweep {args.field_sweep}: each endpoint {error}")
+        fields = np.linspace(*ends, steps) * 1e-4  # gauss -> T
         fields = np.maximum(fields, 1e-6)
         points = manifold.field_sweep(model, args.n, params, fields, args.top_k)
         rows = [

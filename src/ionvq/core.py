@@ -24,6 +24,7 @@ single caller at a time.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,6 +34,7 @@ import numpy as np
 
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
+BLOCK_AMPLITUDES = 2**13  # per R/MS kernel step: block and scratch stay in cache
 
 MSB_FIRST = "msb_first"
 LSB_FIRST = "lsb_first"
@@ -376,55 +378,80 @@ class StateVector:
         return np.abs(self.amps) ** 2
 
 
-def _index_base(view: np.ndarray, last_axis: int, *levels) -> list:
-    """Full slices up to ``last_axis`` for the caller to fix levels in; with
-    (C,) level arrays, circuit axis 0 gathers one level per circuit."""
-    idx = [slice(None)] * (last_axis + 1)
-    if any(isinstance(lv, np.ndarray) for lv in levels):
-        idx[0] = np.arange(len(view))
-    return idx
+@functools.lru_cache(maxsize=256)
+def _layout(shape: tuple, axes: tuple, batch: bool, size: int):
+    """The kernels' walk over level ``axes`` of an array of ``shape``: a merged shape, the order
+    putting levels then circuits first, and blocks of <= ``size`` over the rest, largest first."""
+    bounds = [int(batch), *(b for ax in axes for b in (ax, ax + 1)), len(shape)]
+    merged = [shape[0]] * batch + [math.prod(shape[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    levels = range(1 + batch, len(merged) - 1, 2)
+    keep = [k for k, n in enumerate(merged)  # length-1 axes only slow numpy down
+            if n > 1 or k in levels or k == len(merged) - 1 or batch and k == 0]
+    rest = [k for k in keep if k not in levels]
+    order, dims = tuple(map(keep.index, [*levels, *rest])), [merged[k] for k in rest]
+    k = next(k for k in range(len(dims)) if math.prod(dims[k + 1:]) <= size)
+    step = min(dims[k], size // math.prod(dims[k + 1:]))
+    blocks = tuple(tuple(slice(i, i + 1) for i in lead) + (slice(j, j + step),)
+                   + (slice(None),) * (len(dims) - 1 - k)
+                   for lead in np.ndindex(*dims[:k]) for j in range(0, dims[k], step))
+    return tuple(merged[k] for k in keep), order, blocks
 
 
-def _columns(ndim: int, *coefficients):
-    """Per-circuit coefficients (C,) broadcast over the ``ndim - 1`` axes
-    after the circuit axis; one circuit's scalars pass through."""
-    shape = (-1,) + (1,) * (ndim - 1)
-    return [x.reshape(shape) if isinstance(x, np.ndarray) else x for x in coefficients]
+def _rotate_pairs(view: np.ndarray, axes: tuple, pairs, c, u, w):
+    """For each (la, lb) of ``pairs``, x, y = ``view`` (C-contiguous) at levels la, lb on ``axes``
+    become c x + u y, w x + c y, a block at a time; a batch holds per-circuit (C,) arrays."""
+    batch = isinstance(c, np.ndarray)
+    shape, order, blocks = _layout(view.shape, axes, batch, BLOCK_AMPLITUDES)
+    view, scratch, t0, t1 = view.reshape(shape).transpose(order), None, None, None
+    if batch:  # coefficients broadcast over each circuit's rows
+        c, u, w = (x.reshape((-1,) + (1,) * (len(shape) - len(axes) - 1)) for x in (c, u, w))
+        gather = any(isinstance(lv, np.ndarray) for la, lb in pairs for lv in la + lb)
+    for blk in blocks:
+        bc, bu, bw, bpairs = c, u, w, pairs
+        if batch:
+            rows = blk[0]  # a range of whole circuits
+            bc, bu, bw = c[rows], u[rows], w[rows]
+            if gather:  # copies at each circuit's levels, written back below
+                blk = (np.arange(shape[0])[rows],) + blk[1:]
+                bpairs = [[tuple(lv[rows] if isinstance(lv, np.ndarray) else lv for lv in levels)
+                           for levels in pair] for pair in pairs]
+        for la, lb in bpairs:
+            ia, ib = la + blk, lb + blk
+            x, y = view[ia], view[ib]
+            if t0 is not None and t0.shape != x.shape:  # a smaller block: a leading part of the
+                # scratch, still contiguous (numpy's complex multiply may round otherwise)
+                t0, t1 = (t[tuple(map(slice, x.shape))] for t in scratch)
+            # out=None allocates: the first block's products, the largest, are the scratch
+            t0, t1 = np.multiply(bc, x, out=t0), np.multiply(bu, y, out=t1)
+            scratch = scratch or (t0, t1)
+            np.add(t0, t1, out=t0)
+            np.multiply(bw, x, out=t1)
+            view[ia] = t0  # x is not read again: it may be a view of these amplitudes
+            np.multiply(bc, y, out=t0)
+            np.add(t1, t0, out=t1)
+            view[ib] = t1
 
 
 def _apply_r_nd(view: np.ndarray, axis: int, a, b, theta, phi):
     """R_ab(theta, phi) on ``axis`` of ``view``, one rotation per circuit:
     float angles for a single state, or (C,) arrays for a batch with the
     circuit axis first; levels a < b are ints or (C,) arrays."""
-    head = tuple(_index_base(view, axis, a)[:axis])
-    ia, ib = head + (a,), head + (b,)
-    va, vb = view[ia], view[ib]
     xp = np if isinstance(theta, np.ndarray) else math  # a batch, or one circuit's floats
     s = xp.sin(theta)
     re, im = xp.sin(phi) * s, xp.cos(phi) * s
-    c, off_ab, off_ba = _columns(va.ndim, xp.cos(theta), -re - 1j * im, re - 1j * im)
-    new_a = c * va + off_ab * vb  # before any write: va may be a view
-    view[ib] = off_ba * va + c * vb
-    view[ia] = new_a
+    _rotate_pairs(view, (axis,), [((a,), (b,))], xp.cos(theta), -re - 1j * im, re - 1j * im)
 
 
 def _apply_ms_nd(view, axis_i, axis_j, pair_i, pair_j, J):
     """MS on ``axis_i``/``axis_j`` of ``view``, one coupling per circuit:
     J is a float for a single state or a (C,) array for a batch with the
     circuit axis first; each level is an int or a (C,) array."""
+    if axis_i > axis_j:  # MS is symmetric in its two ions
+        axis_i, axis_j, pair_i, pair_j = axis_j, axis_i, pair_j, pair_i
     (ai, bi), (aj, bj) = pair_i, pair_j
-    idx = _index_base(view, max(axis_i, axis_j), ai, aj)
     xp = np if isinstance(J, np.ndarray) else math
-    c, s = _columns(view.ndim - 2, xp.cos(J), -1j * xp.sin(J))
-    for p, q in (((ai, aj), (bi, bj)), ((ai, bj), (bi, aj))):
-        idx[axis_i], idx[axis_j] = p
-        ip = tuple(idx)
-        idx[axis_i], idx[axis_j] = q
-        iq = tuple(idx)
-        vp, vq = view[ip], view[iq]
-        new_p = c * vp + s * vq
-        view[iq] = s * vp + c * vq
-        view[ip] = new_p
+    c, s = xp.cos(J), -1j * xp.sin(J)
+    _rotate_pairs(view, (axis_i, axis_j), [((ai, aj), (bi, bj)), ((ai, bj), (bi, aj))], c, s, s)
 
 
 def _partner_arrays(reg: Register, per_ion_pairs: dict[int, Sequence[tuple[int, int]]]):
@@ -581,8 +608,7 @@ def sample_measurement(
         left -= m
         rng = np.random.default_rng(child)
         total += rng.multinomial(m, p)
-    reg = state.register
-    return {reg.bitstring(g): int(c) for g, c in enumerate(total) if c}
+    return {state.register.bitstring(g): int(total[g]) for g in np.flatnonzero(total).tolist()}
 
 
 # ---------------------------------------------------------------------------

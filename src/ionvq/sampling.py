@@ -203,6 +203,12 @@ STATISTICS = {"xeb": xeb_exact, "moment": second_moment}
 DEFAULT_THRESHOLDS = {"xeb": 2.0, "moment": 4.0}
 
 
+def check_threshold(threshold: float, num_qubits: int):
+    """Refuse a threshold no circuit crosses: both statistics fall from 2^N - 1 to 1."""
+    if not 1.0 < threshold < 2**num_qubits - 1:
+        raise ValueError(f"must be above 1 and below the depth-0 value {2**num_qubits - 1}")
+
+
 @dataclass
 class ThresholdResult:
     mean_gates: float
@@ -226,8 +232,7 @@ def gates_to_threshold(
     threshold; average over the circuit ensemble (per-circuit seeds derive
     from ``seed``).  Up to CHUNK_AMPLITUDES / 2^N live circuits step as one
     batch; one that crosses leaves it and the next circuit joins."""
-    if threshold <= 1.0:
-        raise ValueError("threshold must exceed the Porter-Thomas asymptote 1")
+    check_threshold(threshold, num_qubits)
     check_qubits(num_qubits)
     stat_fn = STATISTICS[statistic]
     reg = policy.register(num_qubits)

@@ -86,6 +86,13 @@ def test_repcode_config_errors_exit_2(tmp_path, flags):
         ["tables", "--tables", "V"],  # would audit no rows
         ["manifold", "--field-sweep", "1:2:0"],  # would sweep no fields
         ["manifold", "--top-k", "1", "--field", "0.0"],  # no transition is resolved at 0 G
+        ["manifold", "--top-k", "1", "--field", "inf"],
+        ["manifold", "--top-k", "1", "--field", "1e+30"],  # past the 1 T bound
+        # both statistics start at 2^N - 1 = 15: no threshold at or above it is crossed
+        ["xeb", "--qubits", "4", "--n", "1", "--circuits", "1", "--seed", "1", "--threshold",
+         "inf"],
+        ["xeb", "--qubits", "4", "--n", "1", "--circuits", "1", "--seed", "1", "--threshold",
+         "15.0"],
     ],
 )
 def test_out_of_range_counts_exit_2(tmp_path, args, capsys):
@@ -100,6 +107,15 @@ def test_out_of_range_counts_exit_2(tmp_path, args, capsys):
     assert main([*args, "--out", str(out)]) == 2
     assert not out.exists()
     assert f"{args[-2]} {args[-1]}: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep", ["1:inf:3", "1:1e30:3", "nan:2:3", "10001:2:3"])
+def test_field_sweep_endpoints_are_bounded_like_field(tmp_path, sweep, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["manifold", "--field-sweep", sweep, "--n", "2", "--top-k", "1",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"--field-sweep {sweep}: each endpoint must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("how", ["flag", "config"])

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ionvq import core
 from ionvq.core import (
     MS,
     EncodingMap,
@@ -323,3 +326,137 @@ def test_multipair_gate_matrix_columns_equal_apply_native(case):
         col = apply_native(StateVector(reg, amps), gate).amps
         assert np.array_equal(mat[:, k], col)
     assert np.max(np.abs(mat - _dense_multipair(reg, gate))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the R and MS kernels as they were before blocking: one pass over whole level
+# slices with slice-sized temporaries.  The blocked kernels evaluate the same
+# expressions element by element, so they must match these bit for bit.
+
+
+def _reference_index_base(view, last_axis, *levels):
+    idx = [slice(None)] * (last_axis + 1)
+    if any(isinstance(lv, np.ndarray) for lv in levels):
+        idx[0] = np.arange(len(view))
+    return idx
+
+
+def _reference_columns(ndim, *coefficients):
+    shape = (-1,) + (1,) * (ndim - 1)
+    return [x.reshape(shape) if isinstance(x, np.ndarray) else x for x in coefficients]
+
+
+def _reference_r(view, axis, a, b, theta, phi):
+    head = tuple(_reference_index_base(view, axis, a)[:axis])
+    ia, ib = head + (a,), head + (b,)
+    va, vb = view[ia], view[ib]
+    xp = np if isinstance(theta, np.ndarray) else math
+    s = xp.sin(theta)
+    re, im = xp.sin(phi) * s, xp.cos(phi) * s
+    c, off_ab, off_ba = _reference_columns(va.ndim, xp.cos(theta), -re - 1j * im, re - 1j * im)
+    new_a = c * va + off_ab * vb
+    view[ib] = off_ba * va + c * vb
+    view[ia] = new_a
+
+
+def _reference_ms(view, axis_i, axis_j, pair_i, pair_j, J):
+    (ai, bi), (aj, bj) = pair_i, pair_j
+    idx = _reference_index_base(view, max(axis_i, axis_j), ai, aj)
+    xp = np if isinstance(J, np.ndarray) else math
+    c, s = _reference_columns(view.ndim - 2, xp.cos(J), -1j * xp.sin(J))
+    for p, q in (((ai, aj), (bi, bj)), ((ai, bj), (bi, aj))):
+        idx[axis_i], idx[axis_j] = p
+        ip = tuple(idx)
+        idx[axis_i], idx[axis_j] = q
+        iq = tuple(idx)
+        vp, vq = view[ip], view[iq]
+        new_p = c * vp + s * vq
+        view[iq] = s * vp + c * vq
+        view[ip] = new_p
+
+
+@st.composite
+def _kernel_case(draw):
+    """An R or MS kernel call on a random array: a single state (possibly
+    with trailing matrix columns) with float angles and int levels, or a
+    batch of C circuits with (C,) angles and int or (C,) levels."""
+    d = draw(st.sampled_from([2, 4, 8]))
+    ions = draw(st.integers(2, 4 if d < 8 else 3))
+    circuits = draw(st.none() | st.integers(1, 4))
+    batch = circuits is not None
+    cols = () if batch else draw(st.sampled_from([(), (3,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = ((circuits,) if batch else ()) + (d,) * ions + cols
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def angle():
+        return rng.uniform(-7, 7, circuits) if batch else float(rng.uniform(-7, 7))
+
+    def pair():
+        if batch and draw(st.booleans()):
+            levels = np.sort([rng.choice(d, 2, replace=False) for _ in range(circuits)], axis=1)
+            return levels[:, 0], levels[:, 1]
+        a, b = sorted(draw(st.permutations(range(d)))[:2])
+        return a, b
+
+    axes = [int(batch) + k for k in draw(st.permutations(range(ions)))[:2]]
+    if draw(st.booleans()):
+        return amps, _reference_r, (axes[0], *pair(), angle(), angle())
+    return amps, _reference_ms, (*axes, pair(), pair(), angle())
+
+
+@settings(max_examples=300)
+@given(_kernel_case(), st.integers(1, 64))
+def test_blocked_kernels_equal_reference_bit_for_bit(case, block):
+    # blocks of 1-64 amplitudes, so that small registers take many blocks
+    amps, reference, args = case
+    kernel = core._apply_r_nd if reference is _reference_r else core._apply_ms_nd
+    expect, got = amps.copy(), amps.copy()
+    reference(expect, *args)
+    with mock.patch.object(core, "BLOCK_AMPLITUDES", block):
+        kernel(got, *args)
+    assert np.array_equal(got.view(np.float64), expect.view(np.float64))
+
+
+def test_kernels_allocate_no_state_sized_temporaries():
+    # 2^18 amplitudes (4 MiB); one slice-sized temporary alone would be 1 MiB
+    reg = build_register([IonSpec(4) for _ in range(9)])
+    st_ = StateVector.zero(reg)
+    for gate in (R(4, 1, 2, 0.3, 0.7), MS(2, 6, (0, 1), (1, 3), 0.4)):
+        tracemalloc.start()
+        try:
+            apply_native(st_, gate)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < st_.amps.nbytes / 4, gate
+
+
+def _reference_sample_measurement(state, shots, seed, chunk_size=65536):
+    """sample_measurement as it was: every basis count visited in Python."""
+    p = state.probabilities()
+    p = p / p.sum()
+    n_chunks = (shots + chunk_size - 1) // chunk_size
+    total = np.zeros(state.register.dim, dtype=np.int64)
+    left = shots
+    for child in np.random.SeedSequence(seed).spawn(n_chunks):
+        m = min(chunk_size, left)
+        left -= m
+        total += np.random.default_rng(child).multinomial(m, p)
+    reg = state.register
+    return {reg.bitstring(g): int(c) for g, c in enumerate(total) if c}
+
+
+@pytest.mark.parametrize("ions,support,shots", [(3, 5, 1000), (3, 64, 70_000), (8, 2**16, 5000)])
+def test_sample_measurement_equals_all_basis_labelling(ions, support, shots):
+    # m2 maps make the labels differ from the level order; zero
+    # probabilities outside ``support`` random basis states
+    reg = build_register([IonSpec(4, m2_map() if k % 2 else m1_map()) for k in range(ions)])
+    rng = np.random.default_rng(support)
+    amps = np.zeros(reg.dim, dtype=np.complex128)
+    where = rng.choice(reg.dim, support, replace=False)
+    amps[where] = rng.standard_normal(support) + 1j * rng.standard_normal(support)
+    st_ = StateVector(reg, amps / np.linalg.norm(amps))
+    got = sample_measurement(st_, shots, seed=support)
+    expect = _reference_sample_measurement(st_, shots, seed=support)
+    assert list(got.items()) == list(expect.items())

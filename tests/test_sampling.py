@@ -258,6 +258,16 @@ def test_threshold_validates_asymptote():
         gates_to_threshold(CircuitPolicy(n=1), 4, 0.9, circuits=1, seed=0)
 
 
+@pytest.mark.parametrize("statistic", ["xeb", "moment"])
+def test_threshold_at_or_above_the_depth_0_value_is_refused(statistic):
+    # both statistics start at 2^N - 1 = 15, so no layer can cross these
+    for threshold in (15.0, 16.0, math.inf):
+        with pytest.raises(ValueError, match="below the depth-0 value 15"):
+            gates_to_threshold(CircuitPolicy(n=1), 4, threshold, statistic, circuits=1, seed=0)
+    res = gates_to_threshold(CircuitPolicy(n=1), 4, 14.5, statistic, circuits=1, seed=0)
+    assert res.counts[0] > 0
+
+
 # ---------------------------------------------------------------------------
 # Bernstein-Vazirani
 
