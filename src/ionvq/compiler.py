@@ -23,6 +23,7 @@ global phase of either argument.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -380,6 +381,9 @@ class RSlot:
     pair: tuple[int, int]
     n_params = 2  # theta, phi
 
+    def gate(self, p) -> R:
+        return R(self.ion, self.pair[0], self.pair[1], p[0], p[1])
+
 
 @dataclass(frozen=True)
 class MSSlot:
@@ -388,6 +392,9 @@ class MSSlot:
     pair_i: tuple[int, int]
     pair_j: tuple[int, int]
     n_params = 1  # J
+
+    def gate(self, p) -> MS:
+        return MS(self.ion_i, self.ion_j, self.pair_i, self.pair_j, p[0])
 
 
 Slot = RSlot | MSSlot
@@ -403,18 +410,14 @@ class Template:
     def n_params(self) -> int:
         return sum(s.n_params for s in self.slots)
 
+    def starts(self, layer_count: int) -> list[int]:
+        """Index of each gate position's first parameter, then the total."""
+        return list(itertools.accumulate((s.n_params for s in self.slots * layer_count),
+                                         initial=0))
+
     def gates(self, params: np.ndarray, layer_count: int) -> list[NativeGate]:
-        out = []
-        k = 0
-        for _ in range(layer_count):
-            for s in self.slots:
-                if isinstance(s, RSlot):
-                    out.append(R(s.ion, s.pair[0], s.pair[1], params[k], params[k + 1]))
-                    k += 2
-                else:
-                    out.append(MS(s.ion_i, s.ion_j, s.pair_i, s.pair_j, params[k]))
-                    k += 1
-        return out
+        k = self.starts(layer_count)
+        return [s.gate(params[k[i]:k[i + 1]]) for i, s in enumerate(self.slots * layer_count)]
 
 
 @dataclass
@@ -430,9 +433,42 @@ class VariationalBudget:
 
 
 def _objective(U_target, template: Template, reg: Register, layers: int, composition_order):
-    """x -> Tr(U^dag V(x)) for the template's angles x."""
-    first = composition_order == LEFT_FIRST
-    return lambda x: overlap(U_target, sequence_matrix(template.gates(x, layers), reg, first))
+    """(x, k) -> the overlaps Tr(U^dag V(x)) at x_k = 0, pi/2, pi.
+
+    Each gate position keeps its matrix with the angles it was built at and is
+    rebuilt only when they change.  The gates applied before the probed one
+    are multiplied from the kept matrices, then the probe and the later gates
+    are applied, in ``sequence_matrix``'s order: every overlap is bit-identical
+    to ``overlap(U_target, sequence_matrix(...))``.
+    """
+    slots, start = template.slots * layers, template.starts(layers)
+    order = range(len(slots)) if composition_order == LEFT_FIRST else range(len(slots))[::-1]
+    owner = [i for i, s in enumerate(slots) for _ in range(s.n_params)]
+    kept = [(None, None)] * len(slots)  # (angle bytes, matrix); bytes tell -0.0 from 0.0
+
+    def matrix(i, x):
+        angles = x[start[i]:start[i + 1]]
+        if kept[i][0] != angles.tobytes():
+            kept[i] = angles.tobytes(), gate_matrix(slots[i].gate(angles), reg)
+        return kept[i][1]
+
+    def overlaps(x, k):
+        p = owner[k]
+        m = order.index(p)
+        before = np.eye(reg.dim, dtype=np.complex128)
+        for i in order[:m]:
+            before = matrix(i, x) @ before
+        out = []
+        for t in (0.0, math.pi / 2, math.pi):
+            angles = x[start[p]:start[p + 1]].copy()
+            angles[k - start[p]] = t
+            V = gate_matrix(slots[p].gate(angles), reg) @ before
+            for i in order[m + 1:]:
+                V = matrix(i, x) @ V
+            out.append(overlap(U_target, V))
+        return tuple(out)
+
+    return overlaps
 
 
 def synthesize_variational(
@@ -464,14 +500,17 @@ def synthesize_variational(
     best = None
     restarts_used = 0
     for layers in range(1, budget.layers_max + 1):
-        z = _objective(U_target, template, reg, layers, composition_order)
+        overlaps = _objective(U_target, template, reg, layers, composition_order)
         npar = template.n_params * layers
         for restart in range(budget.restarts):
             if init is not None and restart == 0 and npar == len(init):
                 x = np.asarray(init, dtype=float).copy()
             else:
                 x = rng.uniform(0.0, 2 * math.pi, size=npar)
-            x, val = _coordinate_descent(z, x, budget.iters, dim)
+            if npar:
+                x, val = _coordinate_descent(overlaps, x, budget.iters, dim)
+            else:  # no angle to fit: score the gate-free sequence
+                val = overlap_cost(U_target, sequence_matrix([], reg))
             restarts_used += 1
             if best is None or val < best[0] - 1e-18:
                 best = (val, layers, x)
@@ -491,23 +530,21 @@ def synthesize_variational(
                            restarts_used=restarts_used, layers_used=layers)
 
 
-def _coordinate_descent(z, x0: np.ndarray, sweeps: int, dim: int) -> tuple[np.ndarray, float]:
-    """Cyclic single-coordinate minimization of ``_cost(z(x), dim)``; returns
-    the final angles and the cost there.
+def _coordinate_descent(overlaps, x0: np.ndarray, sweeps: int, dim: int) -> tuple[np.ndarray, float]:
+    """Cyclic single-coordinate minimization of the cost ``_cost(z(x), dim)``
+    of the overlap z; returns the final angles and the cost there.
 
     Each coordinate's slice of the overlap is alpha + beta cos t + gamma sin t;
-    it is fitted from z at t = 0, pi/2, pi and the coordinate moves to the
-    slice's exact optimum only when that lowers the cost.  The cost at the
-    final angles is the last slice's closed-form value, so it costs no extra
-    overlap.
+    it is fitted from ``overlaps(x, k)``, z at x_k = 0, pi/2, pi, and the
+    coordinate moves to the slice's exact optimum only when that lowers the
+    cost.  The cost at the final angles is the last slice's closed-form value,
+    so it costs no extra overlap.  ``x0`` must hold at least one angle.
     """
     x = x0.copy()
-    if not len(x):
-        return x, _cost(z(x), dim)
     for _ in range(sweeps):
         improved = False
         for k in range(len(x)):
-            coef = _slice_coefficients(z, x, k)
+            coef = _slice_coefficients(*overlaps(x, k))
             t = _slice_maximum(*coef, x[k])
             f_now, f_new = (_cost(_slice_value(*coef, s), dim) for s in (x[k], t))
             if f_new < f_now - 1e-16:
@@ -518,15 +555,9 @@ def _coordinate_descent(z, x0: np.ndarray, sweeps: int, dim: int) -> tuple[np.nd
     return x, f_now
 
 
-def _slice_coefficients(z, x: np.ndarray, k: int) -> tuple[complex, complex, complex]:
-    """(alpha, beta, gamma) with z(x | x_k = t) = alpha + beta cos t + gamma sin t."""
-
-    def at(t):
-        y = x.copy()
-        y[k] = t
-        return z(y)
-
-    z0, zh, zp = at(0.0), at(math.pi / 2), at(math.pi)
+def _slice_coefficients(z0: complex, zh: complex, zp: complex) -> tuple[complex, complex, complex]:
+    """(alpha, beta, gamma) of the slice alpha + beta cos t + gamma sin t that
+    takes the values z0, zh, zp at t = 0, pi/2, pi."""
     alpha = (z0 + zp) / 2
     return alpha, (z0 - zp) / 2, zh - alpha
 

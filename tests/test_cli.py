@@ -93,6 +93,20 @@ def test_repcode_config_errors_exit_2(tmp_path, flags):
          "inf"],
         ["xeb", "--qubits", "4", "--n", "1", "--circuits", "1", "--seed", "1", "--threshold",
          "15.0"],
+        # counts past their upper bound, which a typo would otherwise run for hours
+        ["repcode", "--d", "3", "--n", "1", "--p", "0.01", "--shots", "1", "--seed", "1",
+         "--rounds", "100000000"],
+        ["repcode", "--d", "3", "--n", "1", "--p", "0.01", "--seed", "1", "--rounds", "1001"],
+        ["repcode", "--d", "3", "--n", "1", "--p", "0.01", "--seed", "1", "--shots", "10000001"],
+        ["repcode", "--d", "3", "--n", "1", "--seed", "1", "--p-grid", "1e-3:1e-1:1000"],
+        ["xeb", "--qubits", "8", "--n", "1", "--seed", "1", "--circuits", "10001"],
+        ["xeb", "--qubits", "8", "--n", "1", "--circuits", "1", "--seed", "1", "--layers", "1001"],
+        ["xeb", "--qubits", "8", "--n", "1", "--layers", "2", "--mode", "sampled", "--seed", "1",
+         "--shots", "1000001"],
+        ["bv", "--s", "10", "--seed", "1", "--shots", "1000001"],
+        ["manifold", "--top-k", "1", "--field-sweep", "1:2:1000"],
+        ["compile", "--restarts", "1001"],
+        ["compile", "--layers-max", "101"],
     ],
 )
 def test_out_of_range_counts_exit_2(tmp_path, args, capsys):

@@ -121,9 +121,11 @@ def test_nan_meets_no_bound():
 SAMPLES = {
     ("bv", "s"): (["0", "1", "10", "0110"], ["", "12", "1 0", "10\n"]),
     ("repcode", "p_grid"): (["1e-3:1e-1:2", "0.01:0.1:1", "0.1:0.2:02"],
-                            ["1e-3:1e-1:0", "a:b:2", "1:2", "0:1:2", "-1:1:2", "0.1:2:2", "1:2:3\n"]),
+                            ["1e-3:1e-1:0", "a:b:2", "1:2", "0:1:2", "-1:1:2", "0.1:2:2", "1:2:3\n",
+                             "0.01:0.1:1000"]),
     ("manifold", "n"): ([2], [1, 3.5, 4]),
-    ("manifold", "field_sweep"): (["5:60:2", "1:2:1", "0:1:2", "60:5:2"], ["1:2:0", "x:2:1", "1:2"]),
+    ("manifold", "field_sweep"): (["5:60:2", "1:2:1", "0:1:2", "60:5:2"],
+                                  ["1:2:0", "x:2:1", "1:2", "5:60:1000"]),
     ("manifold", "level"): (["ba137_d52"], ["nope", ""]),
     ("tables", "tables"): (["I", "II", "IV", "II,IV", "I,I"], ["V", "", "II,", "ii", "II\n"]),
     ("compile", "target"): ([str(CONFIGS / "smoke_target.txt")],
@@ -142,8 +144,9 @@ def _values(command, key, prop):
         near = ["bogus"] if prop["type"] == "string" else [min(prop["enum"]) - 1,
                                                           max(prop["enum"]) + 1]
         vals = prop["enum"] + near
-    elif prop["type"] == "integer":
+    elif prop["type"] == "integer":  # just past the maximum too, never on it: counts are slow
         vals = list(range(prop["minimum"] - 1, prop["minimum"] + 4))
+        vals += [prop["maximum"] + 1] if "maximum" in prop else []
     else:
         vals = sorted({*_edges(prop), prop.get("default", 1.0)})
     valid = jsonschema.Draft7Validator(prop).is_valid

@@ -22,6 +22,7 @@ from ionvq.compiler import (
     _slice_maximum,
     _slice_value,
     distance,
+    overlap,
     overlap_cost,
     synthesize_exact,
     synthesize_variational,
@@ -216,23 +217,28 @@ REG_MIXED = build_register([IonSpec(4, m1_map()), IonSpec(2)])
 
 
 def _random_problem(reg, seed):
+    """The kept-matrix overlaps of a Haar target, the dense overlap z and cost
+    they must reproduce, and random angles."""
     rng = np.random.default_rng(seed)
     U = unitary_group.rvs(reg.dim, random_state=rng)
+
+    def z(x):
+        return overlap(U, sequence_matrix(DEFAULT_LAYER.gates(x, 1), reg))
 
     def cost(x):
         return overlap_cost(U, sequence_matrix(DEFAULT_LAYER.gates(x, 1), reg))
 
-    z = _objective(U, DEFAULT_LAYER, reg, 1, LEFT_FIRST)
-    return z, cost, rng.uniform(0.0, 2 * math.pi, DEFAULT_LAYER.n_params)
+    overlaps = _objective(U, DEFAULT_LAYER, reg, 1, LEFT_FIRST)
+    return overlaps, z, cost, rng.uniform(0.0, 2 * math.pi, DEFAULT_LAYER.n_params)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2], ids=["ms_J", "r_theta", "r_phi"])
 @settings(max_examples=12)
 @given(seed=st.integers(0, 2**32 - 1), t=st.floats(-2 * math.pi, 2 * math.pi))
 def test_slice_closed_form_matches_dense_overlap(k, seed, t):
-    z, cost, x = _random_problem(REG_MIXED, seed)
+    overlaps, z, cost, x = _random_problem(REG_MIXED, seed)
     x0 = x.copy()
-    coef = _slice_coefficients(z, x, k)
+    coef = _slice_coefficients(*overlaps(x, k))
     assert np.array_equal(x, x0)
     x[k] = t
     assert abs(_slice_value(*coef, t) - z(x)) <= 1e-12
@@ -251,29 +257,82 @@ def test_slice_closed_form_matches_dense_overlap(k, seed, t):
 @given(seed=st.integers(0, 2**32 - 1), t0=st.floats(-10.0, 10.0))
 def test_degenerate_slice_keeps_current_angle(seed, t0):
     # with theta = 0 the first R is the identity whatever its phi
-    z, _, x = _random_problem(REG_MIXED, seed)
+    overlaps, _, _, x = _random_problem(REG_MIXED, seed)
     x[1] = 0.0
-    alpha, beta, gamma = _slice_coefficients(z, x, 2)
+    alpha, beta, gamma = _slice_coefficients(*overlaps(x, 2))
     assert beta == 0 and gamma == 0
     assert _slice_maximum(alpha, beta, gamma, t0) == t0
 
 
 def test_coordinate_descent_spends_three_overlaps_per_coordinate(reg_mixed, monkeypatch):
-    calls = []
+    # three overlaps per coordinate visited; the kept matrices leave three
+    # probes and at most one rebuild per coordinate, plus each gate's first build
+    calls = {"overlap": 0, "gate_matrix": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(compiler, name)):
+            calls[_name] += 1
+            return _fn(*args)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return sequence_matrix(*args, **kwargs)
-
-    monkeypatch.setattr(compiler, "sequence_matrix", counted)
-    z, cost, x0 = _random_problem(reg_mixed, 102)
-    n = DEFAULT_LAYER.n_params
+        monkeypatch.setattr(compiler, name, counted)
+    n, gates = DEFAULT_LAYER.n_params, len(DEFAULT_LAYER.slots)
+    visited = {}
     for sweeps in (1, 4):
-        calls.clear()
-        x, f = _coordinate_descent(z, x0, sweeps, reg_mixed.dim)
-        assert 3 * n <= len(calls) <= 3 * n * sweeps
+        overlaps, _, cost, x0 = _random_problem(reg_mixed, 102)
+        calls.update(overlap=0, gate_matrix=0)
+        seen = []
+
+        def probed(x, k):
+            seen.append(k)
+            return overlaps(x, k)
+
+        x, f = _coordinate_descent(probed, x0, sweeps, reg_mixed.dim)
+        visited[sweeps] = len(seen)
+        assert seen == list(range(n)) * (len(seen) // n)
+        assert calls["overlap"] == 3 * len(seen)
+        assert 3 * len(seen) < calls["gate_matrix"] <= 4 * len(seen) + gates
         assert abs(f - cost(x)) <= 1e-15  # the cost it reports is the cost where it stopped
         assert cost(x) < cost(x0)
+    assert visited[1] == n < visited[4] <= 4 * n
+
+
+# a d=2 + d=4 (map M2) + d=2 chain with an MS on each neighbouring pair
+REG_THREE = build_register([IonSpec(2), IonSpec(4, m2_map()), IonSpec(2)])
+THREE_ION_LAYER = Template((MSSlot(0, 1, (0, 1), (1, 3)), RSlot(1, (0, 2)), RSlot(0, (0, 1)),
+                            MSSlot(1, 2, (2, 3), (0, 1)), RSlot(1, (1, 3)), RSlot(2, (0, 1))))
+
+
+def _bits(z: complex):
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("order", [LEFT_FIRST, LEFT_LAST])
+@pytest.mark.parametrize("reg,layer", [(REG_MIXED, DEFAULT_LAYER), (REG_THREE, THREE_ION_LAYER)],
+                         ids=["mixed", "three_ion"])
+@settings(max_examples=8)
+@given(layers=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       steps=st.lists(st.tuples(st.integers(0, 2**16),
+                                st.lists(st.tuples(st.integers(0, 2**16),
+                                                   st.floats(-10.0, 10.0)), max_size=3)),
+                      min_size=1, max_size=8))
+def test_kept_matrix_overlaps_equal_dense_overlaps_bit_for_bit(reg, layer, order, layers, seed,
+                                                             steps):
+    # each step moves some coordinates (none, one of the probed gate's, or
+    # others; -0.0 included) and probes one; the three overlaps must equal
+    # the dense sequence_matrix overlaps exactly, signed zeros included
+    rng = np.random.default_rng(seed)
+    U = unitary_group.rvs(reg.dim, random_state=rng)
+    n = layer.n_params * layers
+    overlaps = _objective(U, layer, reg, layers, order)
+    x = rng.uniform(0.0, 2 * math.pi, n)
+    for k, moves in steps:
+        for j, value in moves:
+            x[j % n] = value
+        got = overlaps(x, k % n)
+        for t, z in zip((0.0, math.pi / 2, math.pi), got):
+            y = x.copy()
+            y[k % n] = t
+            V = sequence_matrix(layer.gates(y, layers), reg, order == LEFT_FIRST)
+            assert _bits(z) == _bits(overlap(U, V))
 
 
 def test_budget_rejects_counts_below_one():

@@ -460,3 +460,45 @@ def test_sample_measurement_equals_all_basis_labelling(ions, support, shots):
     got = sample_measurement(st_, shots, seed=support)
     expect = _reference_sample_measurement(st_, shots, seed=support)
     assert list(got.items()) == list(expect.items())
+
+
+def _reference_embed(U, targets, reg):
+    """embed_standard as it was: bit_table and the lift looped over every basis
+    state and every output in Python."""
+    bits = np.array([[int(c) for c in reg.bitstring(g)] for g in range(reg.dim)], dtype=np.uint8)
+    k = len(targets)
+    index_of = {tuple(bits[g]): g for g in range(reg.dim)}
+    V = np.zeros((reg.dim, reg.dim), dtype=np.complex128)
+    for g in range(reg.dim):
+        row = bits[g].copy()
+        t_in = 0
+        for q in targets:
+            t_in = (t_in << 1) | int(row[q])
+        for t_out in range(2**k):
+            new = row.copy()
+            for pos, q in enumerate(targets):
+                new[q] = (t_out >> (k - 1 - pos)) & 1
+            V[index_of[tuple(new)], g] += U[t_out, t_in]
+    return bits, V
+
+
+@settings(max_examples=30)
+@given(maps=st.lists(st.sampled_from(["d2", "m1", "m2", "d8"]), min_size=1, max_size=3),
+       order=st.sampled_from(["msb_first", "lsb_first"]), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_vectorised_embedding_equals_basis_loop_bit_for_bit(maps, order, seed, data):
+    # signed zeros included: -I has -0.0 off its diagonal, and the lift adds onto zeros
+    specs = {"d2": IonSpec(2), "m1": IonSpec(4, m1_map()), "m2": IonSpec(4, m2_map()),
+             "d8": IonSpec(8)}
+    reg = core.Register(tuple(specs[m] for m in maps), order)
+    targets = data.draw(st.lists(st.integers(0, reg.num_qubits - 1), min_size=1,
+                                 max_size=min(3, reg.num_qubits), unique=True))
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2 ** len(targets),) * 2) + 1j * rng.standard_normal(
+        (2 ** len(targets),) * 2)
+    U = data.draw(st.sampled_from([np.linalg.qr(z)[0], -np.eye(2 ** len(targets)),
+                                   np.linalg.qr(z.real)[0] + 0j]))
+    bits, V = _reference_embed(U, targets, reg)
+    assert reg.bit_table().dtype == np.uint8
+    assert reg.bit_table().tobytes() == bits.tobytes()
+    assert embed_standard(U, targets, reg).tobytes() == V.tobytes()
