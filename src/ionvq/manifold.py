@@ -19,7 +19,6 @@ rotation time t_R taken as the pi time at the mean Rabi frequency
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -139,50 +138,53 @@ class CostBreakdown:
     t_rotation: float
     t_gate: float
     mean_element: float
-    connected: bool = True
-
-    def recombined(self, kappa: float) -> float:
-        return self.eps_memory + self.eps_internal + kappa * self.eps_spectator
 
 
-# candidate rows per scoring block: large enough to amortise the per-block
-# numpy calls, small enough that every temporary stays well under a few MB
+# lexicographic subsets per scoring block, of which the connected are scored:
+# temporaries stay under a few MB, and the blocks fix BLAS's rounding
 _BLOCK_ROWS = 1024
 
 
-def _score(combos, data: LevelData, params: CostParams):
-    """Score a block of candidate state sets with array operations.
+def _connected_subsets(size: int, edges, k: int) -> np.ndarray:
+    """Connected k-subsets of a graph on ``size`` vertices, one sorted row of
+    vertices each, in lexicographic order (that of ``itertools.combinations``).
 
-    ``combos`` holds one sorted row of level indices per candidate.  Returns
-    the connected mask over the rows and a dict of arrays over the connected
-    rows only, in row order: states, edge_count, x, eps_memory, eps_internal,
-    eps_spectator, cost, t_rotation, t_gate and mean_element.
+    ESU (Wernicke 2006) one level at a time: a set grows by each vertex w of
+    its extension, whose child keeps the extension's vertices after w and adds
+    w's neighbours after the set's least vertex that are neither in nor next
+    to the set, so each connected set is made once.  A set is a bitmask with
+    vertex v at bit size - 1 - v, so descending masks are lexicographic rows.
+    """
+    bit = np.array([1 << (size - 1 - v) for v in range(size)],
+                   dtype=np.uint64 if size <= 64 else object)
+    nb = np.zeros_like(bit)
+    for i, j in edges:
+        nb[i] |= bit[j]
+        nb[j] |= bit[i]
+    # per set: its members, its extension, its members and their neighbours,
+    # and the vertices after its least member (bit - 1: those after each vertex)
+    sub, ext, near, low = bit, nb & (bit - 1), bit | nb, bit - 1
+    for _ in range(k - 1):
+        picks = [np.flatnonzero(ext & b) for b in bit]
+        sub, ext, near, low = (np.concatenate(parts) for parts in zip(*[
+            (sub[i] | b, ext[i] & a | n & ~near[i] & low[i], near[i] | n, low[i])
+            for i, b, n, a in zip(picks, bit, nb, bit - 1)]))
+    sets = np.sort(sub)[::-1]
+    return (np.flatnonzero(np.stack([sets & b != 0 for b in bit], axis=1)) % size).reshape(-1, k)
+
+
+def _scorer(data: LevelData, params: CostParams):
+    """Array scorer of one field point, its invariants built once: ``_score``
+    takes one sorted row of level indices per connected candidate and returns
+    a dict of arrays over the rows: states, edge_count, x, eps_memory,
+    eps_internal, eps_spectator, cost, t_rotation, t_gate and mean_element.
     """
     if params.rotation_time_mode not in ("inverse_mean", "mean_inverse"):
         raise ValueError("rotation_time_mode must be 'inverse_mean' or 'mean_inverse'")
-    combos = np.asarray(combos, dtype=np.intp)
-    d = combos.shape[1]
     ends = np.array(data.pairs)
     pair_of = np.zeros((len(data.states.labels),) * 2, dtype=np.intp)
     pair_of[ends[:, 0], ends[:, 1]] = np.arange(len(ends))
-    a, b = np.triu_indices(d, 1)
-    kp = pair_of[combos[:, a], combos[:, b]]
-    edge = (data.drivable & data.resolved)[kp]
-
-    # boolean reachability, squared until it spans paths of d - 1 hops; sets
-    # with fewer than d - 1 edges cannot be connected
-    connected = edge.sum(axis=1) >= d - 1
-    reach = np.zeros((int(connected.sum()), d, d), dtype=bool)
-    reach[:, a, b] = reach[:, b, a] = edge[connected]
-    reach[:, np.arange(d), np.arange(d)] = True
-    for _ in range(max(1, (d - 2).bit_length())):
-        reach = reach @ reach
-    connected[connected] = reach[:, 0].all(axis=1)
-    combos, kp, edge = combos[connected], kp[connected], edge[connected]
-    A = edge.sum(axis=1)
-    a_max, a_min = d * (d - 1) // 2, d - 1
-    x = (a_max - A) / (a_max - a_min) if a_max > a_min else np.zeros(len(A))
-
+    admitted = data.drivable & data.resolved
     # one product over drivable transitions gives both crosstalk sums: g[r, k]
     # sums ct[e, k] over the internal edges e of row r, with the self term
     # ct[e, e] zeroed; internal partners are the other edges, spectators the
@@ -190,38 +192,53 @@ def _score(combos, data: LevelData, params: CostParams):
     drv = np.flatnonzero(data.drivable)
     ct = data.crosstalk[np.ix_(drv, drv)]
     np.fill_diagonal(ct, 0.0)
-    rows, cols = np.nonzero(edge)
-    onehot = np.zeros((len(kp), len(drv)))
-    onehot[rows, (np.cumsum(data.drivable) - 1)[kp[rows, cols]]] = 1.0
-    g = onehot @ ct
-    in_set = np.zeros((len(kp), pair_of.shape[0]), dtype=bool)
-    in_set[np.arange(len(kp))[:, None], combos] = True
-    spect = in_set[:, ends[drv, 0]] ^ in_set[:, ends[drv, 1]]
-    geom = d ** (2 - x)
+    column = np.cumsum(data.drivable) - 1
     d2 = (TWO_PI * params.D_Hz) ** 2
-    eps_int = geom * d2 * ((g * onehot).sum(axis=1) / A)
-    eps_spect = geom * d2 * ((g * spect).sum(axis=1) / A)
 
-    m_int = np.where(edge, data.m_abs[kp], 0.0)
-    omega_rabi = TWO_PI * params.D_Hz * m_int
-    if params.rotation_time_mode == "inverse_mean":
-        t_r = math.pi / (omega_rabi.sum(axis=1) / A)
-    else:
-        t_r = (math.pi / np.where(edge, omega_rabi, np.inf)).sum(axis=1) / A
-    sens2 = np.where(edge, data.sens[kp] ** 2, 0.0).sum(axis=1)
-    eps_mem = (d ** (4 - 2 * x)) * t_r**2 * (params.dB_rms_T**2) * sens2 / (4 * d * (d + 2))
-    return connected, dict(
-        states=combos,
-        edge_count=A,
-        x=x,
-        eps_memory=eps_mem,
-        eps_internal=eps_int,
-        eps_spectator=eps_spect,
-        cost=eps_mem + eps_int + params.kappa * eps_spect,
-        t_rotation=t_r,
-        t_gate=geom * t_r,
-        mean_element=m_int.sum(axis=1) / A,
-    )
+    def _score(combos):
+        d = combos.shape[1]
+        a, b = np.triu_indices(d, 1)
+        # row-major: numpy sums each row of it pairwise, but would sum a
+        # column-major array (what the fancy index gives) column by column
+        kp = np.ascontiguousarray(pair_of[combos[:, a], combos[:, b]])
+        edge = admitted[kp]
+        A = edge.sum(axis=1)
+        a_max, a_min = d * (d - 1) // 2, d - 1
+        x = (a_max - A) / (a_max - a_min) if a_max > a_min else np.zeros(len(A))
+
+        rows, cols = np.nonzero(edge)
+        onehot = np.zeros((len(kp), len(drv)))
+        onehot[rows, column[kp[rows, cols]]] = 1.0
+        g = onehot @ ct
+        in_set = np.zeros((len(kp), pair_of.shape[0]), dtype=bool)
+        in_set[np.arange(len(kp))[:, None], combos] = True
+        spect = in_set[:, ends[drv, 0]] ^ in_set[:, ends[drv, 1]]
+        geom = d ** (2 - x)
+        eps_int = geom * d2 * ((g * onehot).sum(axis=1) / A)
+        eps_spect = geom * d2 * ((g * spect).sum(axis=1) / A)
+
+        m_int = np.where(edge, data.m_abs[kp], 0.0)
+        omega_rabi = TWO_PI * params.D_Hz * m_int
+        if params.rotation_time_mode == "inverse_mean":
+            t_r = math.pi / (omega_rabi.sum(axis=1) / A)
+        else:
+            t_r = (math.pi / np.where(edge, omega_rabi, np.inf)).sum(axis=1) / A
+        sens2 = np.where(edge, data.sens[kp] ** 2, 0.0).sum(axis=1)
+        eps_mem = (d ** (4 - 2 * x)) * t_r**2 * (params.dB_rms_T**2) * sens2 / (4 * d * (d + 2))
+        return dict(
+            states=combos,
+            edge_count=A,
+            x=x,
+            eps_memory=eps_mem,
+            eps_internal=eps_int,
+            eps_spectator=eps_spect,
+            cost=eps_mem + eps_int + params.kappa * eps_spect,
+            t_rotation=t_r,
+            t_gate=geom * t_r,
+            mean_element=m_int.sum(axis=1) / A,
+        )
+
+    return _score
 
 
 def _breakdown(scores: dict, row: int, data: LevelData) -> CostBreakdown:
@@ -233,10 +250,10 @@ def _breakdown(scores: dict, row: int, data: LevelData) -> CostBreakdown:
 
 def manifold_cost(state_set, data: LevelData, params: CostParams) -> CostBreakdown:
     """Evaluate the heuristic cost of one connected candidate."""
-    connected, scores = _score([sorted(state_set)], data, params)
-    if not connected[0]:
+    s = sorted(state_set)
+    if not len(_connected_subsets(len(data.states.labels), allowed_graph(s, data), len(s))):
         raise ValueError("candidate graph is not connected")
-    return _breakdown(scores, 0, data)
+    return _breakdown(_scorer(data, params)(np.array([s], dtype=np.intp)), 0, data)
 
 
 def search_top_k(
@@ -244,22 +261,24 @@ def search_top_k(
 ) -> list[CostBreakdown]:
     """Rank all connected 2^n-state subsets of the level by cost.
 
-    Subsets are scored in lexicographic blocks; a stable sort on cost over
-    the running winners followed by each block keeps ties in subset order.
+    They are scored in lexicographic blocks; a stable sort on cost over the
+    running winners followed by each block keeps ties in subset order.
     """
     if n not in (2, 3):
         raise ValueError("manifold search supports n in {2, 3}")
     data = precompute_level_data(model, params)
-    d = 2**n
-    combos = itertools.combinations(range(len(data.states.labels)), d)
-    best = _score(np.empty((0, d), dtype=np.intp), data, params)[1]
-    while True:
-        flat = itertools.chain.from_iterable(itertools.islice(combos, _BLOCK_ROWS))
-        block = np.fromiter(flat, dtype=np.intp).reshape(-1, d)
-        if not len(block):
-            break
-        _, scores = _score(block, data, params)
-        scores = {key: np.concatenate([best[key], val]) for key, val in scores.items()}
+    score = _scorer(data, params)
+    L, d = len(data.states.labels), 2**n
+    combos = _connected_subsets(L, np.array(data.pairs)[data.drivable & data.resolved], d)
+    # BLAS rounds a row of onehot @ ct by the rows beside it, so each subset
+    # is scored with the connected ones of its block of the lexicographic
+    # order, as the all-subsets search scored it; that keeps every cost's
+    # bits.  The rank of c_0 < ... < c_{d-1} is C(L, d) - 1 - sum_i C(L-1-c_i, d-i)
+    tail = np.array([[math.comb(L - 1 - v, d - i) for i in range(d)] for v in range(L)])
+    rank = math.comb(L, d) - 1 - sum(tail[combos[:, i], i] for i in range(d))
+    best = score(combos[:0])
+    for block in np.split(combos, np.flatnonzero(np.diff(rank // _BLOCK_ROWS)) + 1):
+        scores = {key: np.concatenate([best[key], val]) for key, val in score(block).items()}
         order = np.argsort(scores["cost"], kind="stable")[:k]
         best = {key: val[order] for key, val in scores.items()}
     return [_breakdown(best, r, data) for r in range(len(best["cost"]))]

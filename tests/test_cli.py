@@ -217,6 +217,30 @@ def test_xeb_output_bytes_are_pinned(tmp_path, argv, csv_sha256, summary):
     assert json_out.read_text() == json.dumps(summary, indent=1, sort_keys=True) + "\n"
 
 
+# recorded from the all-subsets search that the connected-subset enumeration
+# replaced; the json prints every bit of each cost, so these hold only where
+# BLAS rounds onehot @ ct as it did there (OpenBLAS on a 2-CPU AVX-512 Xeon)
+MANIFOLD_GOLDEN = [
+    (["manifold", "--field", "20", "--n", "2", "--top-k", "10", "--format", "json"],
+     "aa2da2201b7bce76d7074bd18fcd7a94a7cfe4228320e3f1c9514e2b4d58932e"),
+    (["manifold", "--field-sweep", "1:70:8", "--n", "2", "--top-k", "10"],
+     "91cea00528d3de351ee8f5f18c7cfad06732aaf5516c0ec82bb16d6cf0048679"),
+    (["manifold", "--field", "20", "--n", "3", "--top-k", "5", "--format", "json"],
+     "2d92aff1b105c4e38ce367538df0dc4af2a51a328611c8b5c42c3237fad62a06"),
+    # all 968 connected candidates: scored in blocks other than the
+    # all-subsets search's, 5 of their costs move in the last bit
+    (["manifold", "--field", "42.1", "--n", "2", "--top-k", "1000", "--format", "json"],
+     "303ec954a9268cc52667b2294884d556d12d0e2624038611e26fb634d2cad938"),
+]
+
+
+@pytest.mark.parametrize("argv,sha256", MANIFOLD_GOLDEN)
+def test_manifold_output_bytes_are_pinned(tmp_path, argv, sha256):
+    out = tmp_path / "m.out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 @pytest.mark.parametrize("how", ["flag", "config"])
 @pytest.mark.parametrize(
     "key,value,layers",

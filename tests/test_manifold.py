@@ -11,6 +11,7 @@ from ionvq.atomic import load_level_model
 from ionvq.manifold import (
     TWO_PI,
     CostBreakdown,
+    _connected_subsets,
     _median,
     CostParams,
     allowed_graph,
@@ -211,15 +212,48 @@ def test_search_matches_reference_loop():
             _assert_same_breakdown(got, want)
 
 
+@st.composite
+def _graphs(draw):
+    """(size, edges) on 6-14 vertices: empty, complete, or a random edge set."""
+    size = draw(st.integers(6, 14))
+    pairs = list(itertools.combinations(range(size), 2))
+    kind = draw(st.sampled_from(["empty", "complete", "random"]))
+    if kind != "random":
+        return size, pairs if kind == "complete" else []
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs)))
+    return size, [e if draw(st.booleans()) else e[::-1] for e in sorted(edges)]
+
+
+@settings(max_examples=60)
+@given(graph=_graphs(), k=st.integers(2, 8))
+def test_connected_subsets_match_filtered_combinations(graph, k):
+    size, edges = graph
+    want = [list(c) for c in itertools.combinations(range(size), k)
+            if _connected(c, [e for e in edges if set(e) <= set(c)])]
+    got = _connected_subsets(size, edges, k)
+    assert got.shape == (len(want), k)
+    assert got.tolist() == want
+
+
+def test_connected_subsets_past_64_vertices():
+    # a path on 70 vertices, whose subset bitmasks no longer fit 64 bits
+    rows = _connected_subsets(70, [(v, v + 1) for v in range(69)], 3)
+    assert rows.tolist() == [[v, v + 1, v + 2] for v in range(68)]
+
+
 def test_disconnected_candidate_rejected(data20):
-    # two stretch states plus two far states unlikely to connect fully
-    for combo in ([0, 1, 2, 3], [0, 5, 10, 23]):
-        edges = allowed_graph(combo, data20)
-        if len(edges) < 3:
-            with pytest.raises(ValueError):
-                manifold_cost(combo, data20, PARAMS)
-            return
-    pytest.skip("no disconnected example found")
+    # one candidate with fewer than d - 1 admitted edges, and one with enough
+    # edges that is still disconnected: a triangle beside an isolated level
+    L = len(data20.states.labels)
+    edges = {c: allowed_graph(c, data20) for c in itertools.combinations(range(L), 4)}
+    sparse = next(c for c, e in edges.items() if len(e) < 3)
+    triangle = next(c for c, e in edges.items() if len(e) >= 3 and not _connected(c, e))
+    found = {cb.states for cb in search_top_k(BA, 2, PARAMS, len(edges))}
+    assert len(found) == sum(_connected(c, e) for c, e in edges.items())
+    for combo in (sparse, triangle):
+        with pytest.raises(ValueError):
+            manifold_cost(combo, data20, PARAMS)
+        assert combo not in found
 
 
 def test_cost_recombination_and_invariance(data20, chosen_manifold):
