@@ -549,6 +549,20 @@ def is_unitary(U: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     return bool(np.allclose(U.conj().T @ U, np.eye(U.shape[0]), atol=tol))
 
 
+@functools.lru_cache(maxsize=32)
+def _qubit_codes(ions: tuple[IonSpec, ...], qubit_order: str):
+    """(bits, code, state_of) of a register: its bit table, code[g] the qubit
+    values of basis state g as an integer (qubit 0 highest), and the inverse
+    of code.  Keyed by the ions, as callers build equal registers anew."""
+    reg = Register(ions, qubit_order)
+    bits = reg.bit_table().astype(np.int64)
+    code = bits @ (1 << np.arange(reg.num_qubits)[::-1])
+    state_of = np.empty(reg.dim, dtype=np.int64)
+    state_of[code] = np.arange(reg.dim)
+    bits.flags.writeable = code.flags.writeable = state_of.flags.writeable = False
+    return bits, code, state_of
+
+
 def embed_standard(U: np.ndarray, targets: Sequence[int], reg: Register) -> np.ndarray:
     """Lift a 2^k-dim unitary on the given global qubits to the level space.
 
@@ -564,11 +578,8 @@ def embed_standard(U: np.ndarray, targets: Sequence[int], reg: Register) -> np.n
         raise ValueError("unitary dimension does not match target count")
     if not is_unitary(U):
         raise ValueError("embed_standard requires a unitary input")
-    # code[g]: the qubit values of basis state g as an integer, qubit 0 highest
-    bits, dim = reg.bit_table().astype(np.int64), reg.dim
-    code = bits @ (1 << np.arange(reg.num_qubits)[::-1])
-    state_of = np.empty(dim, dtype=np.int64)
-    state_of[code] = np.arange(dim)
+    bits, code, state_of = _qubit_codes(reg.ions, reg.qubit_order)
+    dim = reg.dim
     place = 1 << (reg.num_qubits - 1 - np.array(targets))  # targets[0] is U's high bit
     t_bits = np.arange(2**k)[:, None] >> np.arange(k)[::-1] & 1  # (t, pos)
     out = state_of[(code & ~place.sum()) | (t_bits @ place)[:, None]]  # (t_out, g)
@@ -586,8 +597,10 @@ def sample_measurement(
 ) -> dict[str, int]:
     """Sample Z-basis outcomes; counts keyed by encoded bit labels.
 
-    Shots are drawn in fixed chunks with seeds spawned from ``seed`` so that
-    serial and chunk-parallel execution aggregate to identical counts.
+    Each chunk of ``chunk_size`` shots is one multinomial draw from its own
+    generator, seeded by ``SeedSequence(seed).spawn``, so for one state and
+    shot count the counts are fixed by ``seed`` and ``chunk_size``; another
+    ``chunk_size`` gives other counts.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")

@@ -100,23 +100,91 @@ def _draw_brick(rng, ms_pairs, r_pairs):
     """Raw draws of one brick in stream order: indices into the MS pairs of
     ions i, j and the R pairs of ions i, j, and the uniforms behind J,
     theta_i, phi_i, theta_j, phi_j (angle = 2 pi uniform).  integers(1)
-    draws nothing, so with a single pair a brick is one ``random(5)``."""
-    if len(r_pairs) == 1:
-        return (0, 0, 0, 0), rng.random(5)
-    # scalar draws cost a quarter of integers(k, size=2) and give the same stream
+    draws nothing.  This defines the stream ``_draw_layer`` decodes."""
     mi, mj, J = rng.integers(len(ms_pairs)), rng.integers(len(ms_pairs)), rng.random()
     ki, ti, pi = rng.integers(len(r_pairs)), rng.random(), rng.random()
     kj, tj, pj = rng.integers(len(r_pairs)), rng.random(), rng.random()
     return (mi, mj, ki, kj), (J, ti, pi, tj, pj)
 
 
+def _layout(kinds: str, buffered: bool):
+    """Where draws ``kinds`` ('i': ``integers(k)`` with k > 1, 'd': a double)
+    read a block of raw PCG64 words: the word count, the 32-bit half of each
+    integer (2 * word, + 1 if high; -1: the half buffered before the block), the
+    word of each double, and the half buffered last (-1: none in the block).
+    numpy's PCG64 gives a fresh word's low half and buffers the high one."""
+    words, ints, dbls, buf, last = 0, [], [], -1 if buffered else None, -1
+    for kind in kinds:
+        if kind == "i" and buf is not None:
+            ints.append(buf)
+            buf = None
+            continue
+        if kind == "i":
+            ints.append(2 * words)
+            buf = last = 2 * words + 1
+        else:
+            dbls.append(words)
+        words += 1
+    return words, ints, dbls, last
+
+
+def _rejected(m: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Lemire's test on m = half * k: the draws numpy rejects and makes again."""
+    return (m & 0xFFFFFFFF) < (2**32 - bound) % bound
+
+
+def _draw_layer(rngs, bricks: int, policy: CircuitPolicy):
+    """The (k, u) arrays, (G, bricks, 4) and (G, bricks, 5), that ``bricks``
+    consecutive ``_draw_brick`` calls give for each of the G generators, which
+    are left in the state those calls leave them in.  Each generator's draws
+    come from one ``random_raw`` block, decoded as numpy does: a double is
+    (word >> 11) * 2^-53 and ``integers(k)`` is Lemire's (half * k) >> 32.  A
+    generator whose block holds a half that Lemire rejects is rewound and
+    drawn through ``_draw_brick``."""
+    G, (ms, r) = len(rngs), (len(p) for p in policy.pairs)
+    sizes = [s for s in (ms, ms, 0, r, 0, 0, r, 0, 0) if s != 1] * bricks  # 0: a double
+    bound = np.array([s for s in sizes if s], dtype=np.uint64)
+    # an even count of integers per brick: the word count is the same either way
+    layouts = [_layout("".join("i" if s else "d" for s in sizes), b) for b in (False, True)]
+    words = layouts[0][0]
+    raw = np.stack([rng.bit_generator.random_raw(words) for rng in rngs])
+    k, u = np.zeros((G, bricks, 4), dtype=np.int64), np.empty((G, bricks, 5))
+    if not bound.size:  # a single pair: doubles only, and no buffered half to mind
+        u[:] = ((raw >> 11) * 2.0**-53).reshape(u.shape)
+        return k, u
+    states = [rng.bit_generator.state for rng in rngs]  # random_raw leaves the buffer alone
+    flags = [st["has_uint32"] for st in states]
+    _, ints, dbls, last = (np.array(x, dtype=np.int64)[flags] for x in zip(*layouts))
+    halves = np.empty((G, 1 + 2 * words), dtype=np.uint64)
+    halves[:, 0] = [st["uinteger"] for st in states]
+    halves[:, 1::2], halves[:, 2::2] = raw & 0xFFFFFFFF, raw >> 32
+    m = np.take_along_axis(halves, 1 + ints, axis=1) * bound
+    k[:, :, [c for c, s in enumerate((ms, ms, r, r)) if s > 1]] = (m >> 32).reshape(G, bricks, -1)
+    u[:] = ((np.take_along_axis(raw, dbls, axis=1) >> 11) * 2.0**-53).reshape(u.shape)
+    for g, (rng, st, rejected) in enumerate(zip(rngs, states, _rejected(m, bound).any(axis=1))):
+        if not rejected:
+            st["uinteger"] = int(halves[g, 1 + last[g]])
+            rng.bit_generator.state = st
+            continue
+        # rewind: advance() also drops the buffered half, which st still holds
+        st["state"] = rng.bit_generator.advance(-words).state["state"]
+        rng.bit_generator.state = st
+        for b in range(bricks):
+            k[g, b], u[g, b] = _draw_brick(rng, *policy.pairs)
+    return k, u
+
+
+def _bricks(policy: CircuitPolicy, ion_pairs: list, rng) -> list:
+    """One MS on each ion pair (i, j) followed by a rotation on each ion."""
+    (ms_pairs, r_pairs), (k, u) = policy.pairs, _draw_layer([rng], len(ion_pairs), policy)
+    return [g for (i, j), (mi, mj, ki, kj), (J, ti, pi, tj, pj)
+            in zip(ion_pairs, k[0].tolist(), (2 * math.pi * u[0]).tolist())
+            for g in (MS(i, j, ms_pairs[mi], ms_pairs[mj], J),
+                      R(i, *r_pairs[ki], ti, pi), R(j, *r_pairs[kj], tj, pj))]
+
+
 def _brick(policy: CircuitPolicy, i: int, j: int, rng) -> list:
-    """One MS on ions (i, j) followed by a rotation on each ion."""
-    ms_pairs, r_pairs = policy.pairs
-    k, u = _draw_brick(rng, ms_pairs, r_pairs)
-    J, ti, pi, tj, pj = (2 * math.pi * float(x) for x in u)
-    return [MS(i, j, ms_pairs[k[0]], ms_pairs[k[1]], J),
-            R(i, *r_pairs[k[2]], ti, pi), R(j, *r_pairs[k[3]], tj, pj)]
+    return _bricks(policy, [(i, j)], rng)
 
 
 def _layer_pairs(L: int) -> list[tuple[int, int]]:
@@ -128,7 +196,7 @@ def _layer_pairs(L: int) -> list[tuple[int, int]]:
 
 def brickwork_layer(policy: CircuitPolicy, L: int, rng) -> list:
     """One brick on each ion pair of ``_layer_pairs(L)``."""
-    return [g for i, j in _layer_pairs(L) for g in _brick(policy, i, j, rng)]
+    return _bricks(policy, _layer_pairs(L), rng)
 
 
 def build_brickwork(policy: CircuitPolicy, num_qubits: int, layers: int, seed: int) -> Circuit:
@@ -139,22 +207,6 @@ def build_brickwork(policy: CircuitPolicy, num_qubits: int, layers: int, seed: i
     for _ in range(layers):
         circ.extend(brickwork_layer(policy, reg.num_ions, rng))
     return circ
-
-
-def build_longrange(policy: CircuitPolicy, num_qubits: int, bricks: int, seed: int) -> Circuit:
-    """Bricks on uniformly random ion pairs instead of the brickwork pattern."""
-    reg = policy.register(num_qubits)
-    rng = np.random.default_rng(seed)
-    circ = Circuit(reg, meta={"policy": policy.connectivity, "n": policy.n,
-                              "architecture": LONGRANGE, "seed": seed, "bricks": bricks})
-    for _ in range(bricks):
-        circ.extend(_brick(policy, *_random_pair(reg.num_ions, rng), rng))
-    return circ
-
-
-def _random_pair(L: int, rng):
-    i, j = rng.choice(L, size=2, replace=False)
-    return int(i), int(j)
 
 
 @dataclass
@@ -275,11 +327,10 @@ def _step(view: np.ndarray, reg: Register, policy: CircuitPolicy, rngs) -> int:
     of ``view`` (C, *reg.shape_view()), each drawing from its own generator;
     returns the gates added to each circuit."""
     L = reg.num_ions
-    ions = [_layer_pairs(L) if policy.architecture == BRICKWORK else [_random_pair(L, rng)]
-            for rng in rngs]
-    draws = [_draw_brick(rng, *policy.pairs) for rng, row in zip(rngs, ions) for _ in row]
-    k = np.array([d[0] for d in draws]).reshape(len(rngs), -1, 4)
-    u = 2 * math.pi * np.array([d[1] for d in draws]).reshape(len(rngs), -1, 5)
+    ions = ([_layer_pairs(L)] * len(rngs) if policy.architecture == BRICKWORK else
+            [[tuple(rng.choice(L, size=2, replace=False).tolist())] for rng in rngs])
+    k, u = _draw_layer(rngs, len(ions[0]), policy)
+    u = 2 * math.pi * u
     ms_pairs, r_pairs = (np.array(p) for p in policy.pairs)
     groups: dict[tuple, list] = {}  # circuits that drew the same ion pairs
     for c, row in enumerate(ions):

@@ -205,6 +205,21 @@ XEB_GOLDEN = [
      "5dc77fef700f5016b0cec93f97441502f079c0b360c439c380fb89cd22222b1b",
      {"circuits": 20, "mean_gates": 34.2, "statistic": "moment", "stderr": 3.011032346135406,
       "threshold": 4.0}),
+    # recorded from the scalar per-brick draws that the raw-word decoder replaced
+    (["xeb", "--qubits", "12", "--n", "3", "--circuits", "16", "--seed", "5"],
+     "ba6041b8ad33267a637d83349e72b0d20c8778d68050c04fa5f0b3fdd4679297",
+     {"circuits": 16, "mean_gates": 255.0, "statistic": "xeb", "stderr": 9.889388252060893,
+      "threshold": 2.0}),
+    (["xeb", "--qubits", "8", "--n", "2", "--policy", "minimal", "--circuits", "20", "--seed", "5"],
+     "adf67c00258896590c8bc44312802a18783869243ccef0a11f3b69ba9b9e0741",
+     {"circuits": 20, "mean_gates": 106.8, "statistic": "xeb", "stderr": 6.8493564814897985,
+      "threshold": 2.0}),
+    # fixed depth: build_brickwork's circuits, XEB estimated from 200 shots
+    (["xeb", "--qubits", "8", "--n", "2", "--layers", "4", "--mode", "sampled", "--shots", "200",
+      "--circuits", "2", "--seed", "5"],
+     "cf337844b9e3976009310b7d81c8c11f1ba881998a0c34516648eb859326341a",
+     {"circuits": 2, "layers": 4, "mean_statistic": 4.130497405637853, "mode": "sampled",
+      "stderr": 2.091830321455009}),
 ]
 
 

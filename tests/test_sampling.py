@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ionvq import sampling
-from ionvq.core import MS, R, StateVector, apply_circuit
+from ionvq.core import MS, Circuit, R, StateVector, apply_circuit
 from ionvq.sampling import (
     ALL_TO_ALL,
     BRICKWORK,
@@ -18,7 +18,6 @@ from ionvq.sampling import (
     ResourceLimitError,
     build_bv,
     build_brickwork,
-    build_longrange,
     check_qubits,
     estimate_second_moment,
     estimate_xeb,
@@ -58,23 +57,6 @@ def test_ms_limited_policy():
     rs = {(g.a, g.b) for g in circ.gates if isinstance(g, R)}
     assert all(isinstance(g, R) or g.pair_i == (0, 1) for g in circ.gates)
     assert len(rs) > 3, "rotations range over all pairs"
-
-
-def test_longrange_empty_and_pair_histogram():
-    assert build_longrange(CircuitPolicy(n=1, architecture="longrange"), 4, 0, seed=1).gates == []
-    pol = CircuitPolicy(n=1, architecture="longrange")
-    circ = build_longrange(pol, 4, 10**4, seed=3)
-    pairs = {}
-    for g in circ.gates:
-        if isinstance(g, MS):
-            key = tuple(sorted((g.ion_i, g.ion_j)))
-            pairs[key] = pairs.get(key, 0) + 1
-    n_pairs = 6
-    expect = 10**4 / n_pairs
-    sigma = math.sqrt(10**4 * (1 / n_pairs) * (1 - 1 / n_pairs))
-    assert len(pairs) == n_pairs
-    for count in pairs.values():
-        assert abs(count - expect) < 5 * sigma
 
 
 def test_xeb_depth0_and_uniform():
@@ -183,6 +165,35 @@ def _reference_gates_to_threshold(policy, num_qubits, threshold, statistic, circ
     return counts, float(arr.mean()), stderr
 
 
+def build_longrange(policy, num_qubits, bricks, seed):
+    """Bricks on uniformly random ion pairs instead of the brickwork pattern."""
+    reg = policy.register(num_qubits)
+    rng = np.random.default_rng(seed)
+    circ = Circuit(reg, meta={"policy": policy.connectivity, "n": policy.n,
+                              "architecture": LONGRANGE, "seed": seed, "bricks": bricks})
+    for _ in range(bricks):
+        i, j = rng.choice(reg.num_ions, size=2, replace=False)
+        circ.extend(_reference_brick(policy, int(i), int(j), rng))
+    return circ
+
+
+def test_longrange_empty_and_pair_histogram():
+    assert build_longrange(CircuitPolicy(n=1, architecture="longrange"), 4, 0, seed=1).gates == []
+    pol = CircuitPolicy(n=1, architecture="longrange")
+    circ = build_longrange(pol, 4, 10**4, seed=3)
+    pairs = {}
+    for g in circ.gates:
+        if isinstance(g, MS):
+            key = tuple(sorted((g.ion_i, g.ion_j)))
+            pairs[key] = pairs.get(key, 0) + 1
+    n_pairs = 6
+    expect = 10**4 / n_pairs
+    sigma = math.sqrt(10**4 * (1 / n_pairs) * (1 - 1 / n_pairs))
+    assert len(pairs) == n_pairs
+    for count in pairs.values():
+        assert abs(count - expect) < 5 * sigma
+
+
 # (n, qubits) with an even ion count, so both architectures apply
 REGISTERS = [(1, 4), (1, 6), (2, 4), (2, 8), (3, 6)]
 
@@ -251,6 +262,92 @@ def test_grouped_brick_draws_equal_scalar_draws(n, connectivity, seed, bricks):
         i, j = k % 3, (k + 1) % 3
         assert sampling._brick(policy, i, j, new) == _reference_brick(policy, i, j, old)
         assert new.bit_generator.state == old.bit_generator.state
+
+
+def _scalar_layer(policy, rngs, bricks):
+    """What ``_draw_layer`` decodes: ``bricks`` scalar draws per generator."""
+    draws = [[sampling._draw_brick(rng, *policy.pairs) for _ in range(bricks)] for rng in rngs]
+    return (np.array([[d[0] for d in row] for row in draws]),
+            np.array([[d[1] for d in row] for row in draws]))
+
+
+def _assert_layer_equals_scalar_draws(policy, seeds, buffered, bricks):
+    new = [np.random.default_rng(s) for s in seeds]
+    old = [np.random.default_rng(s) for s in seeds]
+    for a, b, pre in zip(new, old, buffered):
+        if pre:  # leaves numpy's PCG64 holding the high half of a word
+            a.integers(3), b.integers(3)
+    k, u = sampling._draw_layer(new, bricks, policy)
+    ref_k, ref_u = _scalar_layer(policy, old, bricks)
+    assert k.dtype == np.int64 and np.array_equal(k, ref_k)
+    assert u.dtype == np.float64 and np.array_equal(u, ref_u)
+    for a, b in zip(new, old):
+        assert a.bit_generator.state == b.bit_generator.state  # has_uint32 and uinteger too
+        assert a.random() == b.random() and a.integers(5) == b.integers(5)
+
+
+@settings(max_examples=80)
+@given(
+    n=st.sampled_from([1, 2, 3, 4]),
+    connectivity=st.sampled_from([ALL_TO_ALL, MINIMAL, MS_LIMITED]),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+    buffered=st.lists(st.booleans(), min_size=6, max_size=6),
+    bricks=st.integers(1, 12),
+)
+def test_draw_layer_equals_scalar_draws(n, connectivity, seeds, buffered, bricks):
+    policy = CircuitPolicy(n=n, connectivity=connectivity)
+    _assert_layer_equals_scalar_draws(policy, seeds, buffered, bricks)
+
+
+@pytest.mark.parametrize("n,connectivity", [(1, ALL_TO_ALL), (2, ALL_TO_ALL), (2, MINIMAL),
+                                            (3, MS_LIMITED)])
+def test_draw_layer_decodes_a_buffered_half(n, connectivity):
+    # one integers(3) before the layer: its first integer draw takes the buffered
+    # high half, and every brick after it reads the next word's halves shifted by one
+    policy = CircuitPolicy(n=n, connectivity=connectivity)
+    with mock.patch.object(sampling, "_draw_brick", wraps=sampling._draw_brick) as scalar:
+        new = np.random.default_rng(17)
+        new.integers(3)
+        sampling._draw_layer([new], 5, policy)
+    assert scalar.call_count == 0
+    _assert_layer_equals_scalar_draws(policy, [17, 18, 19], [True, False, True], 5)
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_draw_layer_falls_back_on_a_lemire_rejection(buffered):
+    # a half that Lemire rejects (probability 4 / 2^32 for k = 6) makes numpy draw
+    # again; force one for the second generator only
+    policy, bricks = CircuitPolicy(n=2), 4
+    rejected = sampling._rejected
+
+    def reject_in_generator_1(m, bound):
+        out = rejected(m, bound)
+        out[1, 2] = True
+        return out
+
+    with mock.patch.object(sampling, "_rejected", reject_in_generator_1), \
+            mock.patch.object(sampling, "_draw_brick", wraps=sampling._draw_brick) as scalar:
+        _assert_layer_equals_scalar_draws(policy, [5, 6, 7], [buffered] * 3, bricks)
+    # the fallback drew generator 1's bricks, and the reference drew all three generators'
+    assert scalar.call_count == bricks + 3 * bricks
+
+
+def test_rejected_is_lemires_test():
+    # numpy keeps (half * k) >> 32 unless its low 32 bits fall below (2^32 - k) % k
+    bound = np.array([6, 6, 6, 120], dtype=np.uint64)
+    threshold = (2**32 - bound) % bound
+    assert threshold.tolist() == [4, 4, 4, 16]
+    m = np.array([3, 4, 2**32 + 3, 2**33 + 16], dtype=np.uint64)
+    assert sampling._rejected(m, bound).tolist() == [True, False, True, False]
+
+
+def test_threshold_runs_make_no_scalar_brick_draws():
+    for policy in (CircuitPolicy(n=2), CircuitPolicy(n=3, connectivity=MINIMAL),
+                   CircuitPolicy(n=2, architecture=LONGRANGE)):
+        with mock.patch.object(sampling, "_draw_brick", side_effect=AssertionError):
+            res = gates_to_threshold(policy, 8 if policy.n == 2 else 12, 2.0, circuits=6, seed=3)
+        assert res.counts == _reference_gates_to_threshold(policy, 8 if policy.n == 2 else 12,
+                                                           2.0, "xeb", 6, 3)[0]
 
 
 def test_threshold_validates_asymptote():
