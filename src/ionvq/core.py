@@ -551,14 +551,11 @@ def is_unitary(U: np.ndarray, tol: float = UNITARY_TOL) -> bool:
 
 @functools.lru_cache(maxsize=32)
 def _qubit_codes(ions: tuple[IonSpec, ...], qubit_order: str):
-    """(bits, code, state_of) of a register: its bit table, code[g] the qubit
-    values of basis state g as an integer (qubit 0 highest), and the inverse
-    of code.  Keyed by the ions, as callers build equal registers anew."""
-    reg = Register(ions, qubit_order)
-    bits = reg.bit_table().astype(np.int64)
-    code = bits @ (1 << np.arange(reg.num_qubits)[::-1])
-    state_of = np.empty(reg.dim, dtype=np.int64)
-    state_of[code] = np.arange(reg.dim)
+    """A register's bit table, code[g] = basis state g's qubit values as an integer
+    (qubit 0 highest), and code's inverse; cached by ions, as callers rebuild registers."""
+    bits = Register(ions, qubit_order).bit_table().astype(np.int64)
+    code = bits @ (1 << np.arange(bits.shape[1])[::-1])
+    state_of = np.argsort(code)  # code is a permutation
     bits.flags.writeable = code.flags.writeable = state_of.flags.writeable = False
     return bits, code, state_of
 
@@ -578,8 +575,7 @@ def embed_standard(U: np.ndarray, targets: Sequence[int], reg: Register) -> np.n
         raise ValueError("unitary dimension does not match target count")
     if not is_unitary(U):
         raise ValueError("embed_standard requires a unitary input")
-    bits, code, state_of = _qubit_codes(reg.ions, reg.qubit_order)
-    dim = reg.dim
+    (bits, code, state_of), dim = _qubit_codes(reg.ions, reg.qubit_order), reg.dim
     place = 1 << (reg.num_qubits - 1 - np.array(targets))  # targets[0] is U's high bit
     t_bits = np.arange(2**k)[:, None] >> np.arange(k)[::-1] & 1  # (t, pos)
     out = state_of[(code & ~place.sum()) | (t_bits @ place)[:, None]]  # (t_out, g)

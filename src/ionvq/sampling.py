@@ -107,27 +107,6 @@ def _draw_brick(rng, ms_pairs, r_pairs):
     return (mi, mj, ki, kj), (J, ti, pi, tj, pj)
 
 
-def _layout(kinds: str, buffered: bool):
-    """Where draws ``kinds`` ('i': ``integers(k)`` with k > 1, 'd': a double)
-    read a block of raw PCG64 words: the word count, the 32-bit half of each
-    integer (2 * word, + 1 if high; -1: the half buffered before the block), the
-    word of each double, and the half buffered last (-1: none in the block).
-    numpy's PCG64 gives a fresh word's low half and buffers the high one."""
-    words, ints, dbls, buf, last = 0, [], [], -1 if buffered else None, -1
-    for kind in kinds:
-        if kind == "i" and buf is not None:
-            ints.append(buf)
-            buf = None
-            continue
-        if kind == "i":
-            ints.append(2 * words)
-            buf = last = 2 * words + 1
-        else:
-            dbls.append(words)
-        words += 1
-    return words, ints, dbls, last
-
-
 def _rejected(m: np.ndarray, bound: np.ndarray) -> np.ndarray:
     """Lemire's test on m = half * k: the draws numpy rejects and makes again."""
     return (m & 0xFFFFFFFF) < (2**32 - bound) % bound
@@ -135,56 +114,39 @@ def _rejected(m: np.ndarray, bound: np.ndarray) -> np.ndarray:
 
 def _draw_layer(rngs, bricks: int, policy: CircuitPolicy):
     """The (k, u) arrays, (G, bricks, 4) and (G, bricks, 5), that ``bricks``
-    consecutive ``_draw_brick`` calls give for each of the G generators, which
-    are left in the state those calls leave them in.  Each generator's draws
-    come from one ``random_raw`` block, decoded as numpy does: a double is
-    (word >> 11) * 2^-53 and ``integers(k)`` is Lemire's (half * k) >> 32.  A
-    generator whose block holds a half that Lemire rejects is rewound and
-    drawn through ``_draw_brick``."""
-    G, (ms, r) = len(rngs), (len(p) for p in policy.pairs)
-    sizes = [s for s in (ms, ms, 0, r, 0, 0, r, 0, 0) if s != 1] * bricks  # 0: a double
-    bound = np.array([s for s in sizes if s], dtype=np.uint64)
-    # an even count of integers per brick: the word count is the same either way
-    layouts = [_layout("".join("i" if s else "d" for s in sizes), b) for b in (False, True)]
-    words = layouts[0][0]
-    raw = np.stack([rng.bit_generator.random_raw(words) for rng in rngs])
-    k, u = np.zeros((G, bricks, 4), dtype=np.int64), np.empty((G, bricks, 5))
-    if not bound.size:  # a single pair: doubles only, and no buffered half to mind
-        u[:] = ((raw >> 11) * 2.0**-53).reshape(u.shape)
-        return k, u
-    states = [rng.bit_generator.state for rng in rngs]  # random_raw leaves the buffer alone
-    flags = [st["has_uint32"] for st in states]
-    _, ints, dbls, last = (np.array(x, dtype=np.int64)[flags] for x in zip(*layouts))
-    halves = np.empty((G, 1 + 2 * words), dtype=np.uint64)
-    halves[:, 0] = [st["uinteger"] for st in states]
-    halves[:, 1::2], halves[:, 2::2] = raw & 0xFFFFFFFF, raw >> 32
-    m = np.take_along_axis(halves, 1 + ints, axis=1) * bound
-    k[:, :, [c for c, s in enumerate((ms, ms, r, r)) if s > 1]] = (m >> 32).reshape(G, bricks, -1)
-    u[:] = ((np.take_along_axis(raw, dbls, axis=1) >> 11) * 2.0**-53).reshape(u.shape)
-    for g, (rng, st, rejected) in enumerate(zip(rngs, states, _rejected(m, bound).any(axis=1))):
-        if not rejected:
-            st["uinteger"] = int(halves[g, 1 + last[g]])
-            rng.bit_generator.state = st
-            continue
-        # rewind: advance() also drops the buffered half, which st still holds
-        st["state"] = rng.bit_generator.advance(-words).state["state"]
+    consecutive ``_draw_brick`` calls give for each of G PCG64-backed generators
+    (``np.random.default_rng``).  One ``random_raw`` block per generator, decoded
+    as numpy does: a double is (word >> 11) * 2^-53; ``integers(k)``, k > 1, is
+    Lemire's (half * k) >> 32 on a fresh word's low half, then its buffered high
+    half.  A generator that starts with a buffered half, or whose block holds a
+    half Lemire rejects, is rewound and drawn through ``_draw_brick``."""
+    (ms, r), G = (len(p) for p in policy.pairs), len(rngs)
+    ints = [0, 2] if ms > 1 else [1] if r > 1 else []  # words giving two integers each
+    raw = np.stack([rng.bit_generator.random_raw((bricks, 5 + len(ints))) for rng in rngs])
+    states = [rng.bit_generator.state for rng in rngs] if ints else []  # buffer as it began
+    u = (raw[:, :, [w for w in range(5 + len(ints)) if w not in ints]] >> 11) * 2.0**-53
+    bound = np.array([ms, ms, r, r][4 - 2 * len(ints):], dtype=np.uint64)
+    m = (raw[:, :, ints, None] >> np.uint64([0, 32]) & 0xFFFFFFFF).reshape(G, bricks, -1) * bound
+    k = np.pad((m >> 32).astype(np.int64), [(0, 0), (0, 0), (4 - len(bound), 0)])  # integers(1): 0
+    for g, (rng, st, rejected) in enumerate(zip(rngs, states, _rejected(m, bound).any((1, 2)))):
+        redraw = st["has_uint32"] or rejected
+        if redraw:  # rewind: advance() drops the buffered half, which st keeps
+            st["state"] = rng.bit_generator.advance(-raw[g].size).state["state"]
+        else:  # as numpy leaves it: the high half last handed out, already used
+            st["uinteger"] = int(raw[g, -1, ints[-1]] >> 32)
         rng.bit_generator.state = st
-        for b in range(bricks):
+        for b in range(bricks if redraw else 0):
             k[g, b], u[g, b] = _draw_brick(rng, *policy.pairs)
     return k, u
 
 
 def _bricks(policy: CircuitPolicy, ion_pairs: list, rng) -> list:
-    """One MS on each ion pair (i, j) followed by a rotation on each ion."""
+    """One MS on each ion pair (i, j) then a rotation on each ion, drawn as ``_draw_layer``."""
     (ms_pairs, r_pairs), (k, u) = policy.pairs, _draw_layer([rng], len(ion_pairs), policy)
     return [g for (i, j), (mi, mj, ki, kj), (J, ti, pi, tj, pj)
             in zip(ion_pairs, k[0].tolist(), (2 * math.pi * u[0]).tolist())
             for g in (MS(i, j, ms_pairs[mi], ms_pairs[mj], J),
                       R(i, *r_pairs[ki], ti, pi), R(j, *r_pairs[kj], tj, pj))]
-
-
-def _brick(policy: CircuitPolicy, i: int, j: int, rng) -> list:
-    return _bricks(policy, [(i, j)], rng)
 
 
 def _layer_pairs(L: int) -> list[tuple[int, int]]:
@@ -195,7 +157,7 @@ def _layer_pairs(L: int) -> list[tuple[int, int]]:
 
 
 def brickwork_layer(policy: CircuitPolicy, L: int, rng) -> list:
-    """One brick on each ion pair of ``_layer_pairs(L)``."""
+    """One brick on each ion pair of ``_layer_pairs(L)``; ``rng`` must be PCG64-backed."""
     return _bricks(policy, _layer_pairs(L), rng)
 
 
@@ -326,11 +288,9 @@ def _step(view: np.ndarray, reg: Register, policy: CircuitPolicy, rngs) -> int:
     """One brickwork layer, or one brick on a drawn ion pair, on every circuit
     of ``view`` (C, *reg.shape_view()), each drawing from its own generator;
     returns the gates added to each circuit."""
-    L = reg.num_ions
-    ions = ([_layer_pairs(L)] * len(rngs) if policy.architecture == BRICKWORK else
-            [[tuple(rng.choice(L, size=2, replace=False).tolist())] for rng in rngs])
+    ions = ([_layer_pairs(reg.num_ions)] * len(rngs) if policy.architecture == BRICKWORK else
+            [[tuple(rng.choice(reg.num_ions, size=2, replace=False).tolist())] for rng in rngs])
     k, u = _draw_layer(rngs, len(ions[0]), policy)
-    u = 2 * math.pi * u
     ms_pairs, r_pairs = (np.array(p) for p in policy.pairs)
     groups: dict[tuple, list] = {}  # circuits that drew the same ion pairs
     for c, row in enumerate(ions):
@@ -338,7 +298,7 @@ def _step(view: np.ndarray, reg: Register, policy: CircuitPolicy, rngs) -> int:
     for group, rows in groups.items():
         sub = view if len(groups) == 1 else view[rows]
         for b, (i, j) in enumerate(group):
-            kb, ub = k[rows, b], u[rows, b]
+            kb, ub = k[rows, b], 2 * math.pi * u[rows, b]
             ax_i, ax_j = 1 + reg.axis(i), 1 + reg.axis(j)
             _apply_ms_nd(sub, ax_i, ax_j, _chosen(ms_pairs, kb[:, 0]), _chosen(ms_pairs, kb[:, 1]),
                          ub[:, 0])

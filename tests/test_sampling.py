@@ -110,7 +110,7 @@ def test_threshold_ordering_lower_bar_later():
 
 
 def _reference_brick(policy, i, j, rng):
-    """The scalar-draw brick that the grouped draws of ``_brick`` replaced."""
+    """The scalar-draw brick that ``_bricks`` reproduces from raw generator words."""
     if policy.ms_fixed():
         pair_i = pair_j = (0, 1)
     else:
@@ -260,7 +260,7 @@ def test_grouped_brick_draws_equal_scalar_draws(n, connectivity, seed, bricks):
     new, old = np.random.default_rng(seed), np.random.default_rng(seed)
     for k in range(bricks):
         i, j = k % 3, (k + 1) % 3
-        assert sampling._brick(policy, i, j, new) == _reference_brick(policy, i, j, old)
+        assert sampling._bricks(policy, [(i, j)], new) == _reference_brick(policy, i, j, old)
         assert new.bit_generator.state == old.bit_generator.state
 
 
@@ -301,20 +301,18 @@ def test_draw_layer_equals_scalar_draws(n, connectivity, seeds, buffered, bricks
 
 @pytest.mark.parametrize("n,connectivity", [(1, ALL_TO_ALL), (2, ALL_TO_ALL), (2, MINIMAL),
                                             (3, MS_LIMITED)])
-def test_draw_layer_decodes_a_buffered_half(n, connectivity):
-    # one integers(3) before the layer: its first integer draw takes the buffered
-    # high half, and every brick after it reads the next word's halves shifted by one
-    policy = CircuitPolicy(n=n, connectivity=connectivity)
+def test_draw_layer_falls_back_on_a_buffered_half(n, connectivity):
+    # one integers(3) before the layer leaves numpy's PCG64 holding a high half,
+    # which the layer's first integer draw would take: drawn through _draw_brick
+    policy, bricks = CircuitPolicy(n=n, connectivity=connectivity), 5
     with mock.patch.object(sampling, "_draw_brick", wraps=sampling._draw_brick) as scalar:
-        new = np.random.default_rng(17)
-        new.integers(3)
-        sampling._draw_layer([new], 5, policy)
-    assert scalar.call_count == 0
-    _assert_layer_equals_scalar_draws(policy, [17, 18, 19], [True, False, True], 5)
+        _assert_layer_equals_scalar_draws(policy, [17, 18, 19], [True, False, True], bricks)
+    # with a single pair a brick draws doubles only, which leave the buffer alone
+    fallback = 0 if len(policy.pairs[1]) == 1 else 2 * bricks
+    assert scalar.call_count == fallback + 3 * bricks  # the reference draws all three
 
 
-@pytest.mark.parametrize("buffered", [False, True])
-def test_draw_layer_falls_back_on_a_lemire_rejection(buffered):
+def test_draw_layer_falls_back_on_a_lemire_rejection():
     # a half that Lemire rejects (probability 4 / 2^32 for k = 6) makes numpy draw
     # again; force one for the second generator only
     policy, bricks = CircuitPolicy(n=2), 4
@@ -327,7 +325,7 @@ def test_draw_layer_falls_back_on_a_lemire_rejection(buffered):
 
     with mock.patch.object(sampling, "_rejected", reject_in_generator_1), \
             mock.patch.object(sampling, "_draw_brick", wraps=sampling._draw_brick) as scalar:
-        _assert_layer_equals_scalar_draws(policy, [5, 6, 7], [buffered] * 3, bricks)
+        _assert_layer_equals_scalar_draws(policy, [5, 6, 7], [False] * 3, bricks)
     # the fallback drew generator 1's bricks, and the reference drew all three generators'
     assert scalar.call_count == bricks + 3 * bricks
 
@@ -341,9 +339,11 @@ def test_rejected_is_lemires_test():
     assert sampling._rejected(m, bound).tolist() == [True, False, True, False]
 
 
-def test_threshold_runs_make_no_scalar_brick_draws():
+def test_brickwork_threshold_runs_make_no_scalar_brick_draws():
+    # brickwork layers never end holding a buffered half; a longrange step starts
+    # with the one rng.choice leaves, so its bricks are drawn through the fallback
     for policy in (CircuitPolicy(n=2), CircuitPolicy(n=3, connectivity=MINIMAL),
-                   CircuitPolicy(n=2, architecture=LONGRANGE)):
+                   CircuitPolicy(n=2, connectivity=MS_LIMITED)):
         with mock.patch.object(sampling, "_draw_brick", side_effect=AssertionError):
             res = gates_to_threshold(policy, 8 if policy.n == 2 else 12, 2.0, circuits=6, seed=3)
         assert res.counts == _reference_gates_to_threshold(policy, 8 if policy.n == 2 else 12,
