@@ -248,16 +248,13 @@ def _cmd_repcode(args):
         raise ConfigError("give --p or --p-grid")
     if not all(0.0 < p / 14.0 <= 0.1 for p in ps):
         raise ConfigError("each p must lie in (0, 1.4] (eps1 = p/14 at most 0.1)")
-    rows = []
-    for k, p in enumerate(ps):
-        r = qec.sample_logical_error(
-            d, args.n, p / 14.0, rounds, args.shots, args.seed + k,
-            pauli_convention=args.pauli_convention,
-        )
-        rows.append(
-            [L, args.n, d, rounds, f"{p:.8g}", f"{r.p_logical:.8g}",
-             f"{r.ci_low:.8g}", f"{r.ci_high:.8g}", r.shots, r.seed]
-        )
+    results = qec.sample_curve(d, args.n, [p / 14.0 for p in ps], rounds, args.shots,
+                               args.seed, pauli_convention=args.pauli_convention)
+    rows = [
+        [L, args.n, d, rounds, f"{p:.8g}", f"{r.p_logical:.8g}",
+         f"{r.ci_low:.8g}", f"{r.ci_high:.8g}", r.shots, r.seed]
+        for p, r in zip(ps, results)
+    ]
     text = _csv_text(
         ["L", "n", "d", "rounds", "p", "p_L", "ci_low", "ci_high", "shots", "seed"], rows
     )

@@ -604,15 +604,12 @@ def sample_measurement(
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"state norm {norm} too far from 1")
     p = state.probabilities()
-    p = p / p.sum()
+    p /= p.sum()
     n_chunks = (shots + chunk_size - 1) // chunk_size
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    total = np.zeros(state.register.dim, dtype=np.int64)
-    left = shots
-    for child in children:
-        m = min(chunk_size, left)
-        left -= m
-        rng = np.random.default_rng(child)
+    sizes = [chunk_size] * (n_chunks - 1) + [shots - chunk_size * (n_chunks - 1)]
+    rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(n_chunks))
+    total = next(rngs).multinomial(sizes[0], p)  # the first chunk starts the running total
+    for rng, m in zip(rngs, sizes[1:]):
         total += rng.multinomial(m, p)
     return {state.register.bitstring(g): int(total[g]) for g in np.flatnonzero(total).tolist()}
 

@@ -5,9 +5,11 @@ flip ZZ syndromes nor the Z-basis logical readout, so only the X part of each
 depolarizing outcome is tracked.  Syndrome extraction is modeled gate by gate
 (CNOT data->ancilla, channel sites between them, perfect ancilla measurement
 and reset), defects are differenced round to round, and each differenced
-round is decoded in closed form: of the two corrections consistent with its
-defects (the prefix XOR and its complement) the lighter one, which for odd d
-is the exact minimum-weight matching on the 1D chain.
+round is decoded in closed form as soon as it is simulated (so memory does
+not grow with the rounds): of the two corrections consistent with its defects
+(the prefix XOR and its complement) the lighter one, which for odd d is the
+exact minimum-weight matching on the 1D chain.  ``sample_curve`` runs a
+curve's points concurrently, one thread per CPU the process may use.
 
 Channel rates follow the independent-error estimate with eps2 = 10 eps1:
 a data-ion/ancilla unit costs one intra plus one MS gate in the paired
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,13 +154,29 @@ def _apply_channel(frames, anc, qubits, lam, rng, convention="uniform_nonidentit
             frames[flip, q] ^= True
 
 
-def simulate_defects(
-    circ: NoisyCircuit,
-    model: ChannelModel,
-    shots: int,
-    seed: int,
-    pauli_convention: str = "uniform_nonidentity",
-):
+def _defect_rounds(circ, model, shots, seed, pauli_convention):
+    """Yield (differenced defects [shots, d-1], frames [shots, nq]) after each
+    of ``rounds`` template repetitions and once more for a perfect final data
+    readout; ``frames`` is one array updated in place."""
+    rng = np.random.default_rng(seed)
+    # shot-last memory layout behind the [shots, ...] views, so per-qubit
+    # columns and the stabiliser-major rows ``decode`` walks are contiguous
+    frames = np.zeros((circ.num_frame_qubits, shots), dtype=bool).T
+    anc = np.zeros(shots, dtype=bool)  # ancilla hits: drawn, then lost at reset
+    rates = {"lam_cnot": model.lam_cnot, "lam_paired": model.lam_paired}
+    sites = circ.channel_sites()
+    last = np.zeros((circ.d - 1, shots), dtype=bool)
+    for r in range(circ.rounds + 1):
+        if r < circ.rounds:  # the last slice reads the data out without noise
+            for _, qubits, key in sites:
+                _apply_channel(frames, anc, qubits, rates[key], rng, pauli_convention)
+        syndrome = frames.T[: circ.d - 1] ^ frames.T[1 : circ.d]
+        yield (syndrome ^ last).T, frames
+        last = syndrome
+
+
+def simulate_defects(circ: NoisyCircuit, model: ChannelModel, shots: int, seed: int,
+                     pauli_convention: str = "uniform_nonidentity"):
     """Propagate X frames through ``rounds`` template repetitions.
 
     The syndrome record follows the error-free-measurement convention: the
@@ -171,25 +190,20 @@ def simulate_defects(
     last defect slice differences a perfect final data readout against the
     last measured syndrome.
     """
-    rng = np.random.default_rng(seed)
-    d = circ.d
-    n_stab = d - 1
-    # shot-last memory layout behind the [shots, ...] views, so per-qubit
-    # columns and the stabiliser-major array ``decode`` walks are contiguous
-    frames = np.zeros((circ.num_frame_qubits, shots), dtype=bool).T
-    syndromes = np.zeros((n_stab, circ.rounds + 1, shots), dtype=bool).transpose(2, 1, 0)
-    anc = np.zeros(shots, dtype=bool)  # ancilla hits: drawn, then lost at reset
-    rates = {"lam_cnot": model.lam_cnot, "lam_paired": model.lam_paired}
-    sites = circ.channel_sites()
-    for r in range(circ.rounds):
-        for _, qubits, key in sites:
-            _apply_channel(frames, anc, qubits, rates[key], rng, pauli_convention)
-        syndromes[:, r, :] = frames[:, : d - 1] ^ frames[:, 1:d]
-    # perfect readout of the data qubits closes the defect record
-    syndromes[:, circ.rounds, :] = frames[:, : d - 1] ^ frames[:, 1:d]
-    defects = syndromes.copy(order="K")
-    defects[:, 1:, :] ^= syndromes[:, :-1, :]
+    defects = np.zeros((circ.d - 1, circ.rounds + 1, shots), dtype=bool).transpose(2, 1, 0)
+    for r, (step, frames) in enumerate(_defect_rounds(circ, model, shots, seed, pauli_convention)):
+        defects[:, r, :] = step
     return defects, frames
+
+
+def decode_streamed(circ: NoisyCircuit, model: ChannelModel, shots: int, seed: int,
+                    pauli_convention: str = "uniform_nonidentity"):
+    """``decode`` of ``simulate_defects``'s record, and its final frames, decoding each
+    round as it is simulated: the same bits, holding one round's defects, not all."""
+    corr = np.zeros((circ.d, shots), dtype=bool).T
+    for step, frames in _defect_rounds(circ, model, shots, seed, pauli_convention):
+        corr ^= decode(step[:, None], circ.d)
+    return corr, frames
 
 
 # ---------------------------------------------------------------------------
@@ -352,18 +366,29 @@ def sample_logical_error(
         raise ValueError("shots must be positive")
     model = ChannelModel(eps1)
     circ = build_repcode_circuit(d, encoding_n, rounds)
-    defects, frames = simulate_defects(
-        circ, model, shots, seed, pauli_convention=pauli_convention
-    )
-    corr = decode(defects, d)
-    residual = frames[:, :d] ^ corr
-    # residual commutes with all ZZ checks, so it is all-zeros or all-ones
-    fails = residual[:, 0]
-    k = int(fails.sum())
+    corr, frames = decode_streamed(circ, model, shots, seed, pauli_convention)
+    # the residual frames ^ corr commutes with all ZZ checks, so it is all-zeros
+    # or all-ones and its first bit tells a logical failure
+    k = int((frames[:, 0] ^ corr[:, 0]).sum())
     lo, hi = _wilson_ci(k, shots)
     return LogicalErrorResult(
         d, encoding_n, rounds, model.p, k / shots, lo, hi, shots, seed
     )
+
+
+def sample_curve(d: int, encoding_n: int, eps1s, rounds: int, shots: int, seed: int,
+                 pauli_convention: str = "uniform_nonidentity") -> list[LogicalErrorResult]:
+    """``sample_logical_error`` at each eps1 of a grid, point k seeded with ``seed + k``,
+    in grid order.  The points run on one thread per CPU the process may use (numpy
+    releases the GIL in its random fills and large ufuncs); each owns its generator, so
+    no result depends on scheduling, and the first failing point raises, as in a loop."""
+    from concurrent.futures import ThreadPoolExecutor  # kept off every CLI call's start-up
+
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    with ThreadPoolExecutor(max(1, min(len(eps1s), cpus))) as pool:
+        return list(pool.map(lambda k: sample_logical_error(
+            d, encoding_n, eps1s[k], rounds, shots, seed + k, pauli_convention), range(len(eps1s))))
 
 
 def matched_distances(L: int) -> tuple[int, int]:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ionvq.cli import main
+from ionvq.sampling import ResourceLimitError
 
 
 def run_cli(args):
@@ -191,6 +192,71 @@ def test_repcode_output_bytes_are_pinned(tmp_path):
     assert main(["repcode", "--d", "5", "--n", "2", "--rounds", "5", "--p-grid", "1e-2:1e-1:3",
                  "--shots", "20000", "--seed", "11", "--out", str(out)]) == 0
     assert out.read_bytes() == REPCODE_GOLDEN.encode()
+
+
+# recorded from the serial point loop and whole-record decode that the thread
+# pool and the streamed round decode replaced: (argv, csv)
+REPCODE_MORE_GOLDEN = [
+    (["repcode", "--L", "7", "--n", "1", "--p-grid", "2e-2:2e-1:4", "--shots", "3000",
+      "--seed", "21"], """\
+L,n,d,rounds,p,p_L,ci_low,ci_high,shots,seed
+7,1,5,5,0.02,0,1.0842022e-19,0.0012788957,3000,21
+7,1,5,5,0.043088694,0.001,0.00034014106,0.0029361968,3000,22
+7,1,5,5,0.092831777,0.016666667,0.012665085,0.021904515,3000,23
+7,1,5,5,0.2,0.13433333,0.12259694,0.14700503,3000,24
+"""),
+    (["repcode", "--d", "5", "--n", "2", "--rounds", "4", "--pauli-convention", "quarter_rate",
+      "--p-grid", "5e-2:5e-1:3", "--shots", "2001", "--seed", "9"], """\
+L,n,d,rounds,p,p_L,ci_low,ci_high,shots,seed
+4,2,5,4,0.05,0.00099950025,0.00027413609,0.0036371954,2001,9
+4,2,5,4,0.15811388,0.0074962519,0.0045480599,0.012331877,2001,10
+4,2,5,4,0.5,0.062968516,0.053140036,0.074471841,2001,11
+"""),
+]
+
+
+@pytest.mark.parametrize("args, golden", REPCODE_MORE_GOLDEN)
+def test_repcode_more_output_bytes_are_pinned(tmp_path, args, golden):
+    out = tmp_path / "rep.csv"
+    assert main([*args, "--out", str(out)]) == 0
+    assert out.read_bytes() == golden.encode()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 5])
+def test_repcode_grid_rows_equal_serial_points(tmp_path, monkeypatch, cpus):
+    from ionvq import qec
+
+    # the pool is as wide as the affinity set; pin it so every width is exercised
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    out = tmp_path / "rep.csv"
+    assert main(["repcode", "--d", "7", "--n", "2", "--rounds", "3", "--p-grid", "1e-2:3e-1:5",
+                 "--shots", "777", "--seed", "40", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 5
+    for k, row in enumerate(rows):
+        r = qec.sample_logical_error(7, 2, float(row[4]) / 14.0, 3, 777, 40 + k)
+        assert row[5:] == [f"{r.p_logical:.8g}", f"{r.ci_low:.8g}", f"{r.ci_high:.8g}",
+                           str(r.shots), str(r.seed)]
+
+
+@pytest.mark.parametrize("exc, code", [(RuntimeError, 3), (ResourceLimitError, 2)])
+def test_repcode_worker_error_reaches_main(tmp_path, monkeypatch, capsys, exc, code):
+    from ionvq import qec
+
+    real = qec.sample_logical_error
+
+    def failing(d, n, eps1, rounds, shots, seed, *args, **kwargs):
+        if seed == 3:  # the grid's second point
+            raise exc("point 2 failed")
+        return real(d, n, eps1, rounds, shots, seed, *args, **kwargs)
+
+    monkeypatch.setattr(qec, "sample_logical_error", failing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    out = tmp_path / "rep.csv"
+    assert main(["repcode", "--d", "3", "--n", "1", "--p-grid", "1e-2:1e-1:3", "--shots", "50",
+                 "--seed", "2", "--out", str(out)]) == code
+    assert "point 2 failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # recorded from the per-circuit stepper that the batched one replaced:

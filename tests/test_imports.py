@@ -43,3 +43,13 @@ code = main(["bv", "--config", {str(config)!r}])
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "jsonschema")]))
 """)
     assert result == [0, []]
+
+
+def test_cli_import_loads_no_thread_pool():
+    # concurrent.futures costs milliseconds of start-up; only a repcode curve needs it
+    result = _fresh("""
+import json, sys
+import ionvq.cli
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "concurrent")))
+""")
+    assert result == []

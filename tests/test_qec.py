@@ -1,10 +1,12 @@
 import itertools
 import math
+import os
+import sys
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ionvq.qec import (
     ChannelModel,
@@ -12,9 +14,11 @@ from ionvq.qec import (
     brute_force_match,
     build_repcode_circuit,
     decode,
+    decode_streamed,
     exhaustive_logical_error,
     match_round,
     matched_distances,
+    sample_curve,
     sample_logical_error,
     simulate_defects,
 )
@@ -273,3 +277,46 @@ def test_quarter_rate_convention_runs_and_differs():
     assert 0 < r2.p_logical < r1.p_logical  # quarter-rate spreads less error
     with pytest.raises(ValueError):
         sample_logical_error(3, 1, 0.01, 1, 10, seed=1, pauli_convention="bogus")
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(0, 5).map(lambda k: 2 * k + 1),
+    st.sampled_from([1, 2]),
+    st.integers(0, 5),
+    st.integers(1, 300),
+    st.floats(0.0, 0.1),
+    st.sampled_from(["uniform_nonidentity", "quarter_rate"]),
+    st.integers(0, 2**32 - 1),
+)
+@example(11, 2, 5, 299, 0.1, "quarter_rate", 7)
+@example(1, 1, 3, 1, 0.05, "uniform_nonidentity", 0)
+def test_streamed_decoding_equals_decode_of_simulated_record(d, n, rounds, shots, eps1,
+                                                             convention, seed):
+    circ, model = build_repcode_circuit(d, n, rounds), ChannelModel(eps1)
+    defects, frames = simulate_defects(circ, model, shots, seed, convention)
+    corr, streamed_frames = decode_streamed(circ, model, shots, seed, convention)
+    expected = decode(defects, d)
+    assert corr.shape == expected.shape == (shots, d)
+    assert np.array_equal(corr, expected)
+    assert np.array_equal(streamed_frames, frames)
+    fails = int((frames[:, :d] ^ expected)[:, 0].sum())
+    r = sample_logical_error(d, n, eps1, rounds, shots, seed, pauli_convention=convention)
+    assert r.p_logical == fails / shots
+
+
+def test_curve_points_equal_serial_points(monkeypatch):
+    # more threads than cores, switching often: points share no state to lose
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    eps1s = [1e-3, 4e-3, 0.02, 0.07, 0.01, 0.05]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        curve = sample_curve(5, 2, eps1s, 4, 2001, 30, "quarter_rate")
+    finally:
+        sys.setswitchinterval(interval)
+    assert curve == [sample_logical_error(5, 2, e, 4, 2001, 30 + k, "quarter_rate")
+                     for k, e in enumerate(eps1s)]
+    assert sample_curve(5, 2, [], 4, 2001, 30) == []
+    with pytest.raises(ValueError, match="eps1"):  # the first failing point's error
+        sample_curve(3, 1, [0.01, 0.2, 0.3], 1, 10, 1)
