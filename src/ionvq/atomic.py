@@ -47,6 +47,12 @@ class LevelModel:
     g_I: float
     raman_excited_J: float
 
+    def __post_init__(self):
+        for key in ("I", "J", "raman_excited_J"):
+            spin = getattr(self, key)
+            if not (spin >= 0 and (2 * spin).is_integer()):
+                raise ValueError(f"{key} = {spin} is not a nonnegative half-integer")
+
     @property
     def dim(self) -> int:
         return int((2 * self.I + 1) * (2 * self.J + 1))
@@ -154,9 +160,6 @@ class LevelStates:
     labels: list                  # (F, m_F) per column
     m_f: np.ndarray
 
-    def index_of(self, F, m_F) -> int:
-        return self.labels.index((F, m_F))
-
 
 @lru_cache(maxsize=32)
 def _operators(I: float, J: float):
@@ -251,7 +254,6 @@ class Transition:
     label_j: tuple
     freq_Hz: float
     sens_Hz_per_T: float        # d(E_j - E_i)/dB
-    m_element: complex = 0.0
 
 
 def transition_table(model: LevelModel, B: float, dB: float = 1e-7) -> list[Transition]:

@@ -2,8 +2,8 @@
 
 Every stochastic subcommand requires an explicit --seed; identical arguments
 produce byte-identical data files (no timestamps in outputs).  Files are
-written atomically (temp file + rename) and partial outputs are removed when
-a run fails.  Exit codes: 0 success, 2 configuration error, 3 runtime error.
+written atomically (temp file + rename), so a run that fails writes no output
+file.  Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .compiler import (
     synthesize_exact,
     synthesize_variational,
 )
-from .core import Circuit, Register, format_circuit, load_register
+from .core import Circuit, Register, format_circuit, is_unitary, load_register
 
 CONFIG_ERROR, RUNTIME_ERROR = 2, 3
 
@@ -265,7 +265,7 @@ def _cmd_manifold(args):
     _resolve(args, "manifold")
     try:
         model = atomic.load_level_model(args.level)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, LookupError, TypeError, ValueError) as exc:
         raise ConfigError(f"--level {args.level}: {exc}") from exc
     params = manifold.CostParams(mechanism=args.mechanism, kappa=args.kappa)
     if args.field_sweep:
@@ -375,15 +375,13 @@ def _cmd_compile(args):
     _resolve(args, "compile", "target", "register")
     try:
         reg = load_register(args.register)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, LookupError, TypeError, ValueError) as exc:
         raise ConfigError(f"{args.register}: {exc}") from exc
     U = _read_unitary(args.target)
     if U.shape[0] != reg.dim:
         raise ConfigError(
             f"target dimension {U.shape[0]} does not match register dim {reg.dim}"
         )
-    from .core import is_unitary
-
     if not is_unitary(U):
         raise ConfigError("target matrix is not unitary")
     if reg.num_ions == 1:
@@ -441,13 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    written = []
     try:
         outputs = COMMANDS[args.command](args)
         chosen = _select_output(outputs, args.format)
         if args.out:
             _atomic_write(args.out, chosen)
-            written.append(args.out)
         else:
             sys.stdout.write(chosen)
         return 0
@@ -455,11 +451,6 @@ def main(argv=None) -> int:
         print(f"ionvq: config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        for path in written:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
         print(f"ionvq: error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
 

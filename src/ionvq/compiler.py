@@ -57,14 +57,8 @@ class PulseSequence:
     gates: list
     composition_order: str = LEFT_FIRST
 
-    def __len__(self):
-        return len(self.gates)
-
     def matrix(self, reg: Register) -> np.ndarray:
         return sequence_matrix(self.gates, reg, self.composition_order == LEFT_FIRST)
-
-    def count_ms(self) -> int:
-        return sum(0 if isinstance(g, R) else 1 for g in self.gates)
 
 
 def distance(U: np.ndarray, V: np.ndarray) -> float:

@@ -364,12 +364,6 @@ class StateVector:
         return StateVector(reg, amps)
 
     @staticmethod
-    def from_levels(reg: Register, levels: Sequence[int]) -> "StateVector":
-        amps = np.zeros(reg.dim, dtype=np.complex128)
-        amps[reg.index_of_levels(levels)] = 1.0
-        return StateVector(reg, amps)
-
-    @staticmethod
     def from_amplitudes(reg: Register, amps: np.ndarray) -> "StateVector":
         amps = np.asarray(amps, dtype=np.complex128).reshape(reg.dim)
         return StateVector(reg, amps.copy())
@@ -402,7 +396,8 @@ def _layout(shape: tuple, axes: tuple, batch: bool, size: int):
 
 def _rotate_pairs(view: np.ndarray, axes: tuple, pairs, c, u, w):
     """For each (la, lb) of ``pairs``, x, y = ``view`` (C-contiguous) at levels la, lb on ``axes``
-    become c x + u y, w x + c y, a block at a time; a batch holds per-circuit (C,) arrays."""
+    become c x + u y, w x + c y, a block at a time; a batch holds per-circuit (C,) arrays, and
+    outside one equal-length index arrays at la, lb move many level tuples at once."""
     batch = isinstance(c, np.ndarray)
     shape, order, blocks = _layout(view.shape, axes, batch, BLOCK_AMPLITUDES)
     view, scratch, t0, t1 = view.reshape(shape).transpose(order), None, None, None
@@ -457,34 +452,20 @@ def _apply_ms_nd(view, axis_i, axis_j, pair_i, pair_j, J):
     _rotate_pairs(view, (axis_i, axis_j), [((ai, aj), (bi, bj)), ((ai, bj), (bi, aj))], c, s, s)
 
 
-def _partner_arrays(reg: Register, per_ion_pairs: dict[int, Sequence[tuple[int, int]]]):
-    """Global partner index under the product of per-ion pair exchanges.
-
-    Returns (support mask, partner index array) over the full basis.
-    """
-    dim = reg.dim
-    idx = np.arange(dim)
-    partner = np.zeros(dim, dtype=np.int64)
-    support = np.ones(dim, dtype=bool)
-    for ion, pairs in per_ion_pairs.items():
-        d = reg.ions[ion].d
-        pmap = np.full(d, -1, dtype=np.int64)
-        for a, b in pairs:
-            a, b = _norm_pair((a, b))
-            pmap[a], pmap[b] = b, a
-        lv = (idx // reg.strides[ion]) % d
-        support &= pmap[lv] >= 0
-        partner += np.where(pmap[lv] >= 0, (pmap[lv] - lv) * reg.strides[ion], 0)
-    return support, idx + partner
-
-
-def _apply_multipair(amps: np.ndarray, reg: Register, per_ion_pairs, J: float):
-    support, partner = _partner_arrays(reg, per_ion_pairs)
-    c = math.cos(J)
+def _apply_multipair_nd(view: np.ndarray, reg: Register, per_ion_pairs: dict, J: float):
+    """exp(-iJ Xt_1 Xt_2 ...) over the ions keyed in ``per_ion_pairs``: the product of pair
+    exchanges swaps level tuples x, y that take one pair on each ion, x holding the lower level
+    of the first ion's pair and either end of every later one; every other amplitude is kept."""
+    ions = sorted(per_ion_pairs, key=reg.axis)  # axes ascending
+    pairs = [np.array([_norm_pair(p) for p in per_ion_pairs[i]], np.intp).reshape(-1, 2)
+             for i in ions]
+    m = len(ions)
+    # every choice of one pair per ion and of an orientation on each ion after the first
+    grid = np.indices([len(p) for p in pairs] + [2] * (m - 1)).reshape(2 * m - 1, -1)
+    ends = list(zip(pairs, grid, [0, *grid[m:]]))  # (pairs, pick, orientation) per ion
+    x, y = (tuple(p[k, o ^ side] for p, k, o in ends) for side in (0, 1))
     s = -1j * math.sin(J)
-    src = amps[support]
-    swapped = amps[partner[support]]
-    amps[support] = c * src + s * swapped
+    _rotate_pairs(view, tuple(map(reg.axis, ions)), [(x, y)], math.cos(J), s, s)
 
 
 def _apply_gate(amps: np.ndarray, reg: Register, gate: NativeGate):
@@ -500,9 +481,10 @@ def _apply_gate(amps: np.ndarray, reg: Register, gate: NativeGate):
         _apply_ms_nd(view, reg.axis(gate.ion_i), reg.axis(gate.ion_j), _norm_pair(gate.pair_i),
                      _norm_pair(gate.pair_j), gate.J)
     elif isinstance(gate, MultiPairMS):
-        _apply_multipair(amps, reg, {gate.ion_i: gate.pairs_i, gate.ion_j: gate.pairs_j}, gate.J)
+        _apply_multipair_nd(view, reg, {gate.ion_i: gate.pairs_i, gate.ion_j: gate.pairs_j},
+                            gate.J)
     elif isinstance(gate, GlobalMS):
-        _apply_multipair(amps, reg, dict(enumerate(gate.pairs)), gate.J)
+        _apply_multipair_nd(view, reg, dict(enumerate(gate.pairs)), gate.J)
 
 
 def apply_native(state: StateVector, gate: NativeGate) -> StateVector:

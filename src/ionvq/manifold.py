@@ -360,17 +360,3 @@ def sphere_moment_oracle(d: int, samples: int = 10**6, seed: int = 0):
     n_off = samples * d * (d - 1)
     n_diag = samples * d
     return off_acc / n_off, diag_acc / n_diag
-
-
-def sphere_surface_area(d: int) -> float:
-    """Product of the sin-power integrals over the positive orthant angles."""
-    total = 1.0
-    for k in range(1, d):
-        n = d - k - 1
-        total *= _sin_power_integral(n)
-    return total
-
-
-def _sin_power_integral(n: int) -> float:
-    # int_0^{pi/2} sin^n = sqrt(pi)/2 * Gamma((n+1)/2) / Gamma(n/2 + 1)
-    return math.sqrt(math.pi) / 2 * math.gamma((n + 1) / 2) / math.gamma(n / 2 + 1)

@@ -51,10 +51,6 @@ class ChannelModel:
         """Reporting axis: approximate error of the plain two-ion CNOT."""
         return 14.0 * self.eps1
 
-    @staticmethod
-    def from_p(p: float) -> "ChannelModel":
-        return ChannelModel(p / 14.0)
-
 
 @dataclass
 class NoisyCircuit:
@@ -70,7 +66,6 @@ class NoisyCircuit:
     rounds: int
     num_frame_qubits: int
     ops: list
-    rate_keys: dict
 
     def channel_sites(self) -> list:
         return [op for op in self.ops if op[0] == "channel"]
@@ -118,7 +113,6 @@ def build_repcode_circuit(d: int, encoding_n: int, rounds: int) -> NoisyCircuit:
         rounds=rounds,
         num_frame_qubits=nq,
         ops=ops,
-        rate_keys={"lam_cnot": None, "lam_paired": None},
     )
 
 

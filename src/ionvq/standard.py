@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .compiler import _adjacency, _bfs, _phase_pair
 from .core import MS, IonSpec, R, Register, build_register, embed_standard, gate_matrix
 
 PAULI = {
@@ -24,6 +25,11 @@ PAULI = {
     "Z": np.diag([1.0, -1.0]).astype(complex),
 }
 HAD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+
+
+def _pauli_on(n: int, factors: dict[int, str]) -> str:
+    """Pauli string on ``n`` qubits with ``factors[q]`` on qubit q and I elsewhere."""
+    return "".join(factors.get(q, "I") for q in range(n))
 
 
 def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -121,20 +127,7 @@ def _route_pair(reg: Register, ion: int, a: int, b: int, chi: float, theta: floa
     """Realize exp(-i theta K_ab) when (a, b) is not drivable: conjugate the
     phase-decorated pair operator through pi-pulses along a graph path."""
     d = reg.ions[ion].d
-    adj = {k: [] for k in range(d)}
-    for x, y in edges:
-        adj[x].append(y)
-        adj[y].append(x)
-    prev = {a: None}
-    queue = [a]
-    while queue:
-        v = queue.pop(0)
-        if v == b:
-            break
-        for w in sorted(adj[v]):
-            if w not in prev:
-                prev[w] = v
-                queue.append(w)
+    prev, _ = _bfs(_adjacency(range(d), edges), a)
     if b not in prev:
         raise ValueError("levels not connected by the coupling graph")
     path = [b]
@@ -216,32 +209,19 @@ def zx_cnot_gates(reg: Register, control: int, target: int) -> list:
     The Z_c factor is a pair of two-pulse phase pairs, the coupling factor is
     conjugated to X_c X_t by a Y_c quarter rotation.
     """
-    from .compiler import _phase_pair  # two-pulse diagonal primitive
-
     n = reg.num_qubits
     ion_c = max(i for i in range(reg.num_ions) if reg.qubit_offsets[i] <= control)
     ion_t = max(i for i in range(reg.num_ions) if reg.qubit_offsets[i] <= target)
     if ion_c == ion_t:
         raise ValueError("zx_cnot_gates is for cross-ion control/target")
-    sx = ["I"] * n
-    sx[control] = "X"
-    x_c = "".join(sx)
-    st = ["I"] * n
-    st[target] = "X"
-    x_t = "".join(st)
-    sxx = list(sx)
-    sxx[target] = "X"
-    x_cx_t = "".join(sxx)
-    sy = ["I"] * n
-    sy[control] = "Y"
-    y_c = "".join(sy)
+    x_t = _pauli_on(n, {target: "X"})
+    x_cx_t = _pauli_on(n, {control: "X", target: "X"})
+    y_c = _pauli_on(n, {control: "Y"})
 
     # exp(-i pi/4 Z_c): +pi/4 phase on control-bit-1 levels of ion_c
     sub = build_register([IonSpec(reg.ions[ion_c].d, reg.ions[ion_c].encoding)], reg.qubit_order)
-    zq = control - reg.qubit_offsets[ion_c]
-    zloc = ["I"] * reg.ions[ion_c].n
-    zloc[zq] = "Z"
-    Zmat = embed_standard(pauli_string("".join(zloc)), list(range(reg.ions[ion_c].n)), sub)
+    z_c = _pauli_on(reg.ions[ion_c].n, {control - reg.qubit_offsets[ion_c]: "Z"})
+    Zmat = embed_standard(pauli_string(z_c), list(range(reg.ions[ion_c].n)), sub)
     diag = np.real(np.diag(Zmat))
     zg = []
     done = set()
@@ -267,15 +247,8 @@ def xbasis_cnot_gates(reg: Register, control: int, targets: Sequence[int]) -> li
     e^{i k pi/4} exp(-i k pi/4 X_c) prod_t exp(-i pi/4 X_t) exp(+i pi/4 X_c X_t).
     """
     n = reg.num_qubits
-    k = len(targets)
-    sx = ["I"] * n
-    sx[control] = "X"
-    gates = pauli_rotation_gates(reg, "".join(sx), k * math.pi / 4)
+    gates = pauli_rotation_gates(reg, _pauli_on(n, {control: "X"}), len(targets) * math.pi / 4)
     for t in targets:
-        st = ["I"] * n
-        st[t] = "X"
-        gates += pauli_rotation_gates(reg, "".join(st), math.pi / 4)
-        sc = list(sx)
-        sc[t] = "X"
-        gates += pauli_rotation_gates(reg, "".join(sc), -math.pi / 4)
+        gates += pauli_rotation_gates(reg, _pauli_on(n, {t: "X"}), math.pi / 4)
+        gates += pauli_rotation_gates(reg, _pauli_on(n, {control: "X", t: "X"}), -math.pi / 4)
     return gates

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MS, IonSpec, R, build_register, embed_standard, m1_map, m2_map
+from .core import MS, IonSpec, R, build_register, embed_standard, format_gate, m1_map, m2_map
 from .compiler import (
     LEFT_FIRST,
     LEFT_LAST,
@@ -372,12 +372,6 @@ def _edges_per_ion(row) -> dict | None:
     return {0: set(FIG1_EDGES)}
 
 
-def _format_gates(gates) -> list[str]:
-    from .core import format_gate
-
-    return [format_gate(g) for g in gates]
-
-
 def _synthesize_alternative(row, max_len: int):
     """Independently construct and verify a replacement sequence."""
     spec = row.get("alt")
@@ -437,7 +431,7 @@ def _synthesize_alternative(row, max_len: int):
         "length": len(gates_repr),
         "method": spec[0],
         "convention": "leftmost_applied_first/msb_first",
-        "gates": _format_gates(gates_repr),
+        "gates": [format_gate(g) for g in gates_repr],
     }
 
 

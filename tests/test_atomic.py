@@ -68,7 +68,7 @@ def test_f3_f4_mixing_onset():
     def mixing(B):
         st = diagonalize_level(BA, B)
         ref = diagonalize_level(BA, 0.0)
-        k = st.index_of(3.0, -1.0)
+        k = st.labels.index((3.0, -1.0))
         v = st.states[:, k]
         overlaps = ref.states.T @ v
         p_other_f = sum(

@@ -428,6 +428,32 @@ def test_compile_round_trip(tmp_path):
     assert distance(U, sequence_matrix(circ.gates, reg)) <= 1e-9
 
 
+@pytest.mark.parametrize("register", [
+    {"ions": 5},
+    [],
+    {"ions": [{"d": 4, "map": 3}]},
+    {"ions": [{"d": 4, "allowed_r": [[0]]}]},
+])
+def test_malformed_register_file_exits_2(tmp_path, capsys, register):
+    reg, target = tmp_path / "reg.json", tmp_path / "t.txt"
+    reg.write_text(json.dumps(register))
+    target.write_text("1 0 0 0\n0 0 1 0\n")
+    assert main(["compile", "--target", str(target), "--register", str(reg)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", [[], {"I": [1]}, {"I": 0.7}])
+def test_malformed_level_file_exits_2(tmp_path, capsys, level):
+    from ionvq.atomic import data_dir
+
+    if isinstance(level, dict):
+        level = {**json.loads((data_dir() / "ba137_d52.json").read_text()), **level}
+    path = tmp_path / "level.json"
+    path.write_text(json.dumps(level))
+    assert main(["manifold", "--level", str(path), "--field", "20"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_compile_rejects_nonunitary(tmp_path):
     reg = tmp_path / "reg.json"
     reg.write_text(json.dumps({"ions": [{"d": 2, "map": [0, 1], "allowed_r": None}]}))

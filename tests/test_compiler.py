@@ -112,7 +112,7 @@ def test_map_relabeling_equivalence():
         [R(0, *sorted((relabel(g.a), relabel(g.b))), g.theta, g.phi) for g in seq1.gates],
         seq1.composition_order,
     )
-    assert len(seq2) == len(seq1)
+    assert len(seq2.gates) == len(seq1.gates)
     assert verify_sequence(seq2, embed_standard(target, [0, 1], reg2), reg2) <= 1e-9
 
 
@@ -175,7 +175,7 @@ def test_cross_ion_xx_needs_two_ms_gates():
           for g in _phase_pair(*pp, math.pi / 4)]
     # applied order W^dag, (CNOT, X_t, Z_c in any order: they commute), W
     seq = PulseSequence(w_dag + cnot + xt + zc + w)
-    assert seq.count_ms() == 2
+    assert sum(not isinstance(g, R) for g in seq.gates) == 2
     assert verify_sequence(seq, T, reg) <= 1e-9
 
 

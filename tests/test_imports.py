@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -53,3 +54,39 @@ import ionvq.cli
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "concurrent")))
 """)
     assert result == []
+
+
+# every ionvq name perfbench/workloads.py reaches, as (module, attribute path)
+BENCHMARK_NAMES = [
+    ("sampling", "CircuitPolicy"),
+    ("sampling", "CircuitPolicy.register"),
+    ("sampling", "DEFAULT_THRESHOLDS"),
+    ("sampling", "brickwork_layer"),
+    ("sampling", "xeb_exact"),
+    ("core", "Register.from_config"),
+    ("core", "parse_circuit"),
+    ("core", "sequence_matrix"),
+    ("compiler", "MSSlot"),
+    ("compiler", "RSlot"),
+    ("compiler", "Template"),
+    ("compiler", "Template.gates"),
+    ("compiler", "Template.n_params"),
+    ("compiler", "LEFT_FIRST"),
+    ("compiler", "distance"),
+    ("manifold", "CostParams"),
+    ("manifold", "precompute_level_data"),
+    ("manifold", "manifold_cost"),
+    ("atomic", "load_level_model"),
+]
+
+
+def test_benchmark_names_resolve():
+    # the benchmark imports these from the checkout it measures: a deletion must fail here first
+    missing = []
+    for module, path in BENCHMARK_NAMES:
+        obj = importlib.import_module("ionvq." + module)
+        for part in path.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(f"ionvq.{module}.{path}")
+    assert missing == []

@@ -5,7 +5,6 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
 
 from ionvq.atomic import load_level_model
 from ionvq.manifold import (
@@ -20,7 +19,6 @@ from ionvq.manifold import (
     precompute_level_data,
     search_top_k,
     sphere_moment_oracle,
-    sphere_surface_area,
 )
 
 BA = load_level_model()
@@ -319,19 +317,6 @@ def test_sphere_moments():
 def test_sphere_moment_d2_value():
     off, _ = sphere_moment_oracle(2, 10**6, seed=4)
     assert off == pytest.approx(1 / 8, rel=0.01)
-
-
-def test_sphere_surface_formula_matches_quadrature():
-    for d in range(2, 7):
-        numeric = 1.0
-        for k in range(1, d):
-            n = d - k - 1
-            v, _ = integrate.quad(lambda t, n=n: math.sin(t) ** n, 0, math.pi / 2)
-            numeric *= v
-        assert abs(sphere_surface_area(d) - numeric) < 1e-6
-    # closed form for even d: (pi/2)^(d/2) / (d-2)!!
-    for d, dfact in ((2, 1), (4, 2), (6, 8)):
-        assert sphere_surface_area(d) == pytest.approx((math.pi / 2) ** (d // 2) / dfact, rel=1e-12)
 
 
 def test_moment_sample_floor():

@@ -30,7 +30,6 @@ def test_channel_model_relations():
     assert m.lam_paired == pytest.approx(0.011)
     assert m.lam_cnot == pytest.approx(0.014)
     assert m.p == pytest.approx(0.014)
-    assert ChannelModel.from_p(0.014).eps1 == pytest.approx(0.001)
 
 
 def test_matched_distances():
