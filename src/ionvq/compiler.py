@@ -480,13 +480,15 @@ def synthesize_variational(
     Each restart runs cyclic coordinate descent in which every coordinate
     jumps to the exact optimum of its trigonometric slice (three overlap
     evaluations per coordinate); the restart's cost is the one the descent
-    reached.  Deterministic for a fixed seed.
+    reached.  Deterministic for a fixed seed: the generator is created at the
+    first random start, so a run seeded by ``init`` alone draws nothing, and
+    the stream of draws is the one ``default_rng(seed)`` gives.
     """
     U_target = np.asarray(U_target, dtype=np.complex128)
     if not is_unitary(U_target):
         raise ValueError("variational target must be unitary")
     budget = budget or VariationalBudget()
-    rng = np.random.default_rng(seed)
+    rng = None
     for g in template.gates(np.zeros(template.n_params), 1):
         validate_gate(g, reg)
     dim = U_target.shape[0]
@@ -500,6 +502,8 @@ def synthesize_variational(
             if init is not None and restart == 0 and npar == len(init):
                 x = np.asarray(init, dtype=float).copy()
             else:
+                if rng is None:
+                    rng = np.random.default_rng(seed)
                 x = rng.uniform(0.0, 2 * math.pi, size=npar)
             if npar:
                 x, val = _coordinate_descent(overlaps, x, budget.iters, dim)

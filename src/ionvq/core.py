@@ -149,6 +149,13 @@ class IonSpec:
         return tuple(sorted(self.allowed_r))
 
 
+def _json_int(value, what: str) -> int:
+    """An integer of a register file as given: a float, string or bool is refused, not rounded."""
+    if type(value) is not int:
+        raise ValueError(f"{what}: {value!r} is not an integer")
+    return value
+
+
 @dataclass
 class Register:
     """Ordered ion chain with mixed-radix indexing and qubit addressing."""
@@ -239,13 +246,14 @@ class Register:
     def from_config(cfg: dict) -> "Register":
         ions = []
         for ic in cfg["ions"]:
-            enc = EncodingMap(tuple(ic["map"])) if ic.get("map") is not None else None
-            allowed = ic.get("allowed_r")
+            perm, allowed = ic.get("map"), ic.get("allowed_r")
             ions.append(
                 IonSpec(
-                    d=int(ic["d"]),
-                    encoding=enc,
-                    allowed_r=None if allowed is None else frozenset(map(tuple, allowed)),
+                    d=_json_int(ic["d"], "d"),
+                    encoding=None if perm is None else EncodingMap(
+                        tuple(_json_int(v, "map") for v in perm)),
+                    allowed_r=None if allowed is None else frozenset(
+                        tuple(_json_int(v, "allowed_r") for v in p) for p in allowed),
                 )
             )
         return Register(tuple(ions), cfg.get("qubit_order", MSB_FIRST))

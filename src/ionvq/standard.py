@@ -10,6 +10,7 @@ exactly one partner, so its exponential splits into two-level rotations
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Sequence
 
@@ -39,8 +40,12 @@ def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=32)
 def pauli_string(s: str) -> np.ndarray:
-    return kron_all([PAULI[c] for c in s])
+    """Dense matrix of a Pauli string; cached, so the array is read-only."""
+    out = kron_all([PAULI[c] for c in s])
+    out.flags.writeable = False
+    return out
 
 
 def pauli_rotation(s: str, angle: float) -> np.ndarray:

@@ -5,7 +5,8 @@ Each row carries the published pulse sequence for a standard-gate target.
 combinations (two composition orders x two qubit orders) and, for rows that
 fail under all of them, attaches an independently synthesized alternative of
 equal or shorter length.  Statuses derive solely from the phase-invariant
-reconstruction distance.
+reconstruction distance.  At each parameter point the four conventions share
+one target, one embedding per qubit order and one set of native gate matrices.
 
 Angles are stored as (pi_coeff, symbol, symbol_coeff) triples:
 angle = pi_coeff * pi + symbol_coeff * value(symbol).  Rows whose printed
@@ -15,13 +16,15 @@ reading encoded here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import MS, IonSpec, R, build_register, embed_standard, format_gate, m1_map, m2_map
+from .core import (MS, IonSpec, R, build_register, embed_standard, format_gate, gate_matrix,
+                   m1_map, m2_map)
 from .compiler import (
     LEFT_FIRST,
     LEFT_LAST,
@@ -382,7 +385,7 @@ def _synthesize_alternative(row, max_len: int):
     edges = _edges_per_ion(row)
     points = _param_points(row["params"])
 
-    def gates_for(point):
+    def gates_for(point, T):
         kind = spec[0]
         if kind == "pauli_rot":
             _, s, ang = spec
@@ -401,12 +404,10 @@ def _synthesize_alternative(row, max_len: int):
         if kind == "xbasis_cnot":
             return standard.xbasis_cnot_gates(reg, spec[1], spec[2])
         if kind == "exact":
-            T = embed_standard(_target_matrix(row["target"], point), list(range(nq)), reg)
             rep = synthesize_exact(T)
             return rep.sequence.gates
         if kind == "template":
             _, shape, init = spec
-            T = embed_standard(_target_matrix(row["target"], point), list(range(nq)), reg)
             tmpl = Template(tuple(RSlot(0, tuple(p)) for p in shape))
             rep = synthesize_variational(
                 T, tmpl, reg, VariationalBudget(1, 1, 30), seed=0, cost_floor=1e-22,
@@ -418,10 +419,10 @@ def _synthesize_alternative(row, max_len: int):
     worst = 0.0
     gates_repr = None
     for point in points:
-        gates = gates_for(point)
+        T = embed_standard(_target_matrix(row["target"], point), list(range(nq)), reg)
+        gates = gates_for(point, T)
         if len(gates) > max_len:
             return {"verified": False, "reason": f"length {len(gates)} exceeds row ({max_len})"}
-        T = embed_standard(_target_matrix(row["target"], point), list(range(nq)), reg)
         d = distance(T, sequence_matrix(gates, reg, True))
         worst = max(worst, d)
         gates_repr = gates
@@ -437,16 +438,21 @@ def _synthesize_alternative(row, max_len: int):
 
 def audit_row(row) -> TableAuditEntry:
     points = _param_points(row["params"])
-    statuses = {}
-    for comp, qo in CONVENTIONS:
-        reg = _REGISTRY[row["register"]](qo)
-        worst = 0.0
-        for point in points:
-            gates = _gates(row["seq"], point)
-            T = embed_standard(_target_matrix(row["target"], point), list(range(reg.num_qubits)), reg)
-            V = sequence_matrix(gates, reg, comp == LEFT_FIRST)
-            worst = max(worst, distance(T, V))
-        statuses[f"{comp}/{qo}"] = worst
+    regs = {qo: _REGISTRY[row["register"]](qo) for qo in ("msb_first", "lsb_first")}
+    reg = regs["msb_first"]
+    eye = np.eye(reg.dim, dtype=np.complex128)
+    statuses = {f"{comp}/{qo}": 0.0 for comp, qo in CONVENTIONS}
+    for point in points:
+        # gate_matrix never reads the qubit order, so one target, one embedding per
+        # qubit order and one matrix per gate serve all four conventions
+        U = _target_matrix(row["target"], point)
+        T = {qo: embed_standard(U, list(range(reg.num_qubits)), r) for qo, r in regs.items()}
+        mats = [gate_matrix(g, reg) for g in _gates(row["seq"], point)]
+        V = {comp: functools.reduce(lambda out, m: m @ out, ms, eye)  # as sequence_matrix
+             for comp, ms in ((LEFT_FIRST, mats), (LEFT_LAST, mats[::-1]))}
+        for comp, qo in CONVENTIONS:
+            key = f"{comp}/{qo}"
+            statuses[key] = max(statuses[key], distance(T[qo], V[comp]))
     best_key = min(statuses, key=statuses.get)
     best = statuses[best_key]
     passed = best <= PASS_TOL

@@ -398,6 +398,22 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     assert main(["compile", "--target", "/nonexistent", "--register", "/nonexistent"]) == 2
 
 
+# sha256 of the tables audit, recorded before its matrices were shared
+# between conventions: (argv, sha256)
+TABLES_GOLDEN = [
+    (["tables"], "8df9a9859a08c8196e27ebac016cb9a283fe958e07f330047883bc0913c868a8"),
+    (["tables", "--tables", "II,IV"],
+     "25ba759feac39204061f7594f9ac2d25ac5334646ee4c61349493cee5b9abf8c"),
+]
+
+
+@pytest.mark.parametrize("argv,sha256", TABLES_GOLDEN)
+def test_tables_output_bytes_are_pinned(tmp_path, argv, sha256):
+    out = tmp_path / "audit.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 def test_tables_json(tmp_path):
     out = tmp_path / "audit.json"
     assert main(["tables", "--tables", "II", "--out", str(out)]) == 0
@@ -433,13 +449,26 @@ def test_compile_round_trip(tmp_path):
     [],
     {"ions": [{"d": 4, "map": 3}]},
     {"ions": [{"d": 4, "allowed_r": [[0]]}]},
+    # integers only: nothing is rounded, parsed or read as a bool
+    {"ions": [{"d": 4.5}]},
+    {"ions": [{"d": "4"}]},
+    {"ions": [{"d": True}]},
+    {"ions": [{"d": 4.0}]},
+    {"ions": [{"d": 4, "map": [0, 1, 2.0, 3]}]},
+    {"ions": [{"d": 4, "map": [0, True, 2, 3]}]},
+    {"ions": [{"d": 4, "allowed_r": [[0, 1.5], [1, 2]]}]},
+    {"ions": [{"d": 4, "allowed_r": [[0, 1], [False, 2]]}]},
 ])
 def test_malformed_register_file_exits_2(tmp_path, capsys, register):
-    reg, target = tmp_path / "reg.json", tmp_path / "t.txt"
+    reg, target, out = tmp_path / "reg.json", tmp_path / "t.txt", tmp_path / "out.txt"
     reg.write_text(json.dumps(register))
-    target.write_text("1 0 0 0\n0 0 1 0\n")
-    assert main(["compile", "--target", str(target), "--register", str(reg)]) == 2
+    # a 4x4 identity, which compiles on a well-formed d=4 ion
+    target.write_text("".join(" ".join("1 0" if i == j else "0 0" for j in range(4)) + "\n"
+                              for i in range(4)))
+    assert main(["compile", "--target", str(target), "--register", str(reg),
+                 "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("level", [[], {"I": [1]}, {"I": 0.7}])

@@ -355,3 +355,18 @@ def test_one_layer_instances_keep_verdict_and_restarts(reg_mixed, k):
                                  seed=1000 + k)
     assert rep.converged and rep.restarts_used == ONE_LAYER_RESTARTS[k]
     assert rep.distance <= 1e-8
+
+
+def test_seeded_init_draws_no_generator(reg_mixed, monkeypatch):
+    # the tables audit starts its templates from init: no numpy.random import, no draw
+    tmpl = Template((RSlot(0, (2, 3)), MSSlot(0, 1, (2, 3), (0, 1))))
+    x = np.array([1.1, 0.4, -0.9])
+    T = sequence_matrix(tmpl.gates(x, 1), reg_mixed)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("default_rng called")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    rep = synthesize_variational(T, tmpl, reg_mixed, VariationalBudget(1, 1, 40), seed=7,
+                                 init=x + 0.01)
+    assert rep.restarts_used == 1 and rep.distance <= 1e-6

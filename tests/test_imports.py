@@ -56,6 +56,17 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "concurrent
     assert result == []
 
 
+def test_tables_run_loads_no_random_module(tmp_path):
+    # numpy 2 imports numpy.random lazily (about 12 ms); the audit draws nothing
+    result = _fresh(f"""
+import json, sys
+from ionvq.cli import main
+code = main(["tables", "--out", {str(tmp_path / "audit.json")!r}])
+print(json.dumps([code, "numpy.random" in sys.modules]))
+""")
+    assert result == [0, False]
+
+
 # every ionvq name perfbench/workloads.py reaches, as (module, attribute path)
 BENCHMARK_NAMES = [
     ("sampling", "CircuitPolicy"),

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ionvq import standard
+from ionvq import standard, tables
+from ionvq.compiler import distance
+from ionvq.core import embed_standard, sequence_matrix
 from ionvq.tables import audit_summary, run_table_suite
 
 
@@ -106,3 +108,44 @@ def test_sum_rotation_needs_no_dense_exponential(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "expm", refuse)
     entries = run_table_suite(("III",))
     assert by_id(entries, "III", "8").passed
+
+
+def test_audit_builds_each_matrix_once_per_point(monkeypatch):
+    # the four conventions share one target, one embedding per qubit order and
+    # one matrix per native gate at each parameter point
+    row = next(r for r in tables.TABLE_ROWS if (r["table"], r["row"]) == ("I", "5"))
+    points = len(row["params"]["theta"])
+    calls = {}
+    for name in ("gate_matrix", "embed_standard", "_target_matrix"):
+        def counted(*args, _f=getattr(tables, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(tables, name, counted)
+    entry = tables.audit_row(row)
+    assert entry.passed and points == 2
+    assert calls == {"gate_matrix": len(row["seq"]) * points, "_target_matrix": points,
+                     "embed_standard": 2 * points}
+
+
+def test_statuses_match_per_convention_sequence_matrix(entries):
+    # reference: each convention rebuilt from scratch through dense sequence_matrix
+    for row, e in zip(tables.TABLE_ROWS, entries):
+        ref = {}
+        for comp, qo in tables.CONVENTIONS:
+            reg = tables._REGISTRY[row["register"]](qo)
+            worst = 0.0
+            for point in tables._param_points(row["params"]):
+                T = embed_standard(tables._target_matrix(row["target"], point),
+                                   list(range(reg.num_qubits)), reg)
+                V = sequence_matrix(tables._gates(row["seq"], point), reg,
+                                    comp == tables.LEFT_FIRST)
+                worst = max(worst, distance(T, V))
+            ref[f"{comp}/{qo}"] = worst
+        assert e.statuses == ref, f"{e.table}.{e.row}"
+
+
+def test_pauli_string_is_cached_and_read_only():
+    P = standard.pauli_string("XYZI")
+    assert standard.pauli_string("XYZI") is P
+    with pytest.raises(ValueError):
+        P[0, 0] = 1.0
