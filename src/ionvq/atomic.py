@@ -209,32 +209,36 @@ def _zero_field_energies(model: LevelModel) -> dict:
     return out
 
 
+@lru_cache(maxsize=8)
+def _mf_blocks(model: LevelModel):
+    """Per block size, the basis indices and eigenstate columns of its m_F
+    blocks (one row per block), and the adiabatic label of every column."""
+    Iz, Jz, _ = _operators(model.I, model.J)
+    mf_basis = np.round(2 * (np.diag(Iz) + np.diag(Jz))) / 2
+    e0 = _zero_field_energies(model)
+    groups: dict = {}
+    labels = []
+    for mf in sorted(set(mf_basis.tolist())):
+        idx = np.flatnonzero(np.abs(mf_basis - mf) < 1e-9)
+        f_here = sorted((F for F in model.f_values() if F >= abs(mf) - 1e-9), key=lambda F: e0[F])
+        groups.setdefault(len(idx), []).append((idx, len(labels) + np.arange(len(idx))))
+        labels += [(F, mf) for F in f_here[: len(idx)]]
+    return [tuple(np.array(part) for part in zip(*blocks)) for blocks in groups.values()], labels
+
+
 def diagonalize_level(model: LevelModel, B: float) -> LevelStates:
-    """Eigensystem at field B; adiabatic labels via the m_F block structure."""
+    """Eigensystem at field B; adiabatic labels via the m_F block structure,
+    whose blocks of one size are diagonalized by one stacked ``eigh``."""
     if B < 0:
         raise ValueError("field must be nonnegative")
     H = hamiltonian(model, B)
-    Iz, Jz, _ = _operators(model.I, model.J)
-    mf_basis = np.round(2 * (np.diag(Iz) + np.diag(Jz))) / 2
-    dim = H.shape[0]
-    energies = np.zeros(dim)
-    states = np.zeros((dim, dim))
-    labels: list = [None] * dim
-    e0 = _zero_field_energies(model)
-    col = 0
-    for mf in sorted(set(mf_basis.tolist())):
-        idx = np.where(np.abs(mf_basis - mf) < 1e-9)[0]
-        sub = H[np.ix_(idx, idx)]
-        vals, vecs = np.linalg.eigh(sub)
-        f_here = sorted(
-            (F for F in model.f_values() if F >= abs(mf) - 1e-9),
-            key=lambda F: e0[F],
-        )
-        for k in range(len(idx)):
-            energies[col] = vals[k]
-            states[idx, col] = vecs[:, k]
-            labels[col] = (f_here[k], mf)
-            col += 1
+    groups, labels = _mf_blocks(model)
+    energies = np.zeros(H.shape[0])
+    states = np.zeros(H.shape)
+    for idx, cols in groups:
+        vals, vecs = np.linalg.eigh(H[idx[:, :, None], idx[:, None, :]])
+        energies[cols] = vals
+        states[idx[:, :, None], cols[:, None, :]] = vecs
     order = np.argsort(energies, kind="stable")
     return LevelStates(
         model,
@@ -256,41 +260,31 @@ class Transition:
     sens_Hz_per_T: float        # d(E_j - E_i)/dB
 
 
-def transition_table(model: LevelModel, B: float, dB: float = 1e-7) -> list[Transition]:
+def transition_table(
+    model: LevelModel, B: float, dB: float = 1e-7, base: LevelStates | None = None
+) -> list[Transition]:
     """All pairwise transitions with central-difference field sensitivities.
 
-    Eigenstates at B +/- dB are matched to those at B by maximal overlap
-    within each m_F block before differencing.
+    ``base`` is the eigensystem at B, if already at hand.  Eigenstates at
+    B +/- dB are matched to those at B by maximal overlap among those of the
+    same m_F (one masked overlap matrix per side) before differencing.
     """
-    base = diagonalize_level(model, B)
+    base = diagonalize_level(model, B) if base is None else base
     lo = diagonalize_level(model, max(B - dB, 0.0))
     hi = diagonalize_level(model, B + dB)
     step = (B + dB) - max(B - dB, 0.0)
 
-    def matched_energy(other: LevelStates, k: int) -> float:
-        mf = base.labels[k][1]
-        cand = [c for c in range(other.energies.size) if other.labels[c][1] == mf]
-        ov = [abs(np.dot(other.states[:, c], base.states[:, k])) for c in cand]
-        return other.energies[cand[int(np.argmax(ov))]]
+    def matched_energies(other: LevelStates) -> np.ndarray:
+        ov = np.abs(other.states.T @ base.states)
+        ov[other.m_f[:, None] != base.m_f[None, :]] = -1.0
+        return other.energies[np.argmax(ov, axis=0)]
 
-    dim = base.energies.size
-    dEdB = np.array(
-        [(matched_energy(hi, k) - matched_energy(lo, k)) / step for k in range(dim)]
-    )
-    out = []
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            out.append(
-                Transition(
-                    a,
-                    b,
-                    base.labels[a],
-                    base.labels[b],
-                    float(base.energies[b] - base.energies[a]),
-                    float(dEdB[b] - dEdB[a]),
-                )
-            )
-    return out
+    dEdB = (matched_energies(hi) - matched_energies(lo)) / step
+    a, b = np.triu_indices(base.energies.size, 1)
+    freq = (base.energies[b] - base.energies[a]).tolist()
+    sens = (dEdB[b] - dEdB[a]).tolist()
+    return [Transition(i, j, base.labels[i], base.labels[j], f, s)
+            for i, j, f, s in zip(a.tolist(), b.tolist(), freq, sens)]
 
 
 # ---------------------------------------------------------------------------

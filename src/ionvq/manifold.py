@@ -19,8 +19,13 @@ rotation time t_R taken as the pi time at the mean Rabi frequency
 
 from __future__ import annotations
 
+import ctypes
+import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -77,7 +82,7 @@ class LevelData:
 
 def precompute_level_data(model: LevelModel, params: CostParams) -> LevelData:
     states = diagonalize_level(model, params.B_T)
-    table = transition_table(model, params.B_T)
+    table = transition_table(model, params.B_T, base=states)
     p1, p2 = params.pols()
     M = matrix_elements(model, states, params.mechanism, p1, p2)
     pairs = [(t.i, t.j) for t in table]
@@ -115,14 +120,9 @@ def precompute_level_data(model: LevelModel, params: CostParams) -> LevelData:
 
 def allowed_graph(state_set, data: LevelData):
     """Admitted internal transitions of a candidate state set."""
-    s = sorted(state_set)
-    edges = []
-    for a_idx in range(len(s)):
-        for b_idx in range(a_idx + 1, len(s)):
-            k = data.pair_index[(s[a_idx], s[b_idx])]
-            if data.drivable[k] and data.resolved[k]:
-                edges.append((s[a_idx], s[b_idx]))
-    return edges
+    admitted = data.drivable & data.resolved
+    pairs = itertools.combinations(sorted(state_set), 2)
+    return [p for p in pairs if admitted[data.pair_index[p]]]
 
 
 @dataclass
@@ -140,9 +140,11 @@ class CostBreakdown:
     mean_element: float
 
 
-# lexicographic subsets per scoring block, of which the connected are scored:
-# temporaries stay under a few MB, and the blocks fix BLAS's rounding
+# lexicographic subsets per block of onehot @ ct, whose rounding BLAS fixes by
+# block; each scoring pass takes whole blocks, about _CHUNK_ROWS candidates
+# (usually all of n=2's), so n=3's temporaries stay at a few MB
 _BLOCK_ROWS = 1024
+_CHUNK_ROWS = 4096
 
 
 def _connected_subsets(size: int, edges, k: int) -> np.ndarray:
@@ -178,13 +180,19 @@ def _scorer(data: LevelData, params: CostParams):
     takes one sorted row of level indices per connected candidate and returns
     a dict of arrays over the rows: states, edge_count, x, eps_memory,
     eps_internal, eps_spectator, cost, t_rotation, t_gate and mean_element.
+    ``block`` labels each row's block of ``onehot @ ct`` (one block if empty).
     """
     if params.rotation_time_mode not in ("inverse_mean", "mean_inverse"):
         raise ValueError("rotation_time_mode must be 'inverse_mean' or 'mean_inverse'")
+    L = len(data.states.labels)
     ends = np.array(data.pairs)
-    pair_of = np.zeros((len(data.states.labels),) * 2, dtype=np.intp)
-    pair_of[ends[:, 0], ends[:, 1]] = np.arange(len(ends))
+    pair_of = np.zeros(L * L, dtype=np.intp)
+    pair_of[ends[:, 0] * L + ends[:, 1]] = np.arange(len(ends))
     admitted = data.drivable & data.resolved
+    # per transition, what an edge adds to its row's sums, zero for non-edges
+    m_adm = np.where(admitted, data.m_abs, 0.0)
+    rabi = TWO_PI * params.D_Hz * m_adm
+    sens2_adm = np.where(admitted, data.sens**2, 0.0)
     # one product over drivable transitions gives both crosstalk sums: g[r, k]
     # sums ct[e, k] over the internal edges e of row r, with the self term
     # ct[e, e] zeroed; internal partners are the other edges, spectators the
@@ -195,35 +203,36 @@ def _scorer(data: LevelData, params: CostParams):
     column = np.cumsum(data.drivable) - 1
     d2 = (TWO_PI * params.D_Hz) ** 2
 
-    def _score(combos):
-        d = combos.shape[1]
+    def _score(combos, block=()):
+        n_rows, d = combos.shape
         a, b = np.triu_indices(d, 1)
-        # row-major: numpy sums each row of it pairwise, but would sum a
-        # column-major array (what the fancy index gives) column by column
-        kp = np.ascontiguousarray(pair_of[combos[:, a], combos[:, b]])
+        # every array reduced along its rows is row-major: numpy sums each row
+        # of it pairwise, but would sum a column-major one column by column
+        kp = pair_of[combos.take(a, axis=1) * L + combos.take(b, axis=1)]
         edge = admitted[kp]
         A = edge.sum(axis=1)
         a_max, a_min = d * (d - 1) // 2, d - 1
         x = (a_max - A) / (a_max - a_min) if a_max > a_min else np.zeros(len(A))
 
-        rows, cols = np.nonzero(edge)
-        onehot = np.zeros((len(kp), len(drv)))
-        onehot[rows, column[kp[rows, cols]]] = 1.0
-        g = onehot @ ct
-        in_set = np.zeros((len(kp), pair_of.shape[0]), dtype=bool)
-        in_set[np.arange(len(kp))[:, None], combos] = True
-        spect = in_set[:, ends[drv, 0]] ^ in_set[:, ends[drv, 1]]
+        base = np.arange(n_rows)[:, None]
+        onehot = np.zeros((n_rows, len(drv)))
+        onehot.ravel()[(base * len(drv) + column[kp])[edge]] = 1.0
+        g = np.empty_like(onehot)
+        for lo, hi in itertools.pairwise([0, *(np.flatnonzero(np.diff(block)) + 1), n_rows]):
+            np.matmul(onehot[lo:hi], ct, out=g[lo:hi])
+        in_set = np.zeros((n_rows, L), dtype=bool)
+        in_set.ravel()[base * L + combos] = True
+        spect = in_set.take(ends[drv, 0], axis=1) ^ in_set.take(ends[drv, 1], axis=1)
         geom = d ** (2 - x)
         eps_int = geom * d2 * ((g * onehot).sum(axis=1) / A)
         eps_spect = geom * d2 * ((g * spect).sum(axis=1) / A)
 
-        m_int = np.where(edge, data.m_abs[kp], 0.0)
-        omega_rabi = TWO_PI * params.D_Hz * m_int
+        omega_rabi = rabi[kp]
         if params.rotation_time_mode == "inverse_mean":
             t_r = math.pi / (omega_rabi.sum(axis=1) / A)
         else:
             t_r = (math.pi / np.where(edge, omega_rabi, np.inf)).sum(axis=1) / A
-        sens2 = np.where(edge, data.sens[kp] ** 2, 0.0).sum(axis=1)
+        sens2 = sens2_adm[kp].sum(axis=1)
         eps_mem = (d ** (4 - 2 * x)) * t_r**2 * (params.dB_rms_T**2) * sens2 / (4 * d * (d + 2))
         return dict(
             states=combos,
@@ -235,7 +244,7 @@ def _scorer(data: LevelData, params: CostParams):
             cost=eps_mem + eps_int + params.kappa * eps_spect,
             t_rotation=t_r,
             t_gate=geom * t_r,
-            mean_element=m_int.sum(axis=1) / A,
+            mean_element=m_adm[kp].sum(axis=1) / A,
         )
 
     return _score
@@ -261,8 +270,8 @@ def search_top_k(
 ) -> list[CostBreakdown]:
     """Rank all connected 2^n-state subsets of the level by cost.
 
-    They are scored in lexicographic blocks; a stable sort on cost over the
-    running winners followed by each block keeps ties in subset order.
+    They are scored in chunks of lexicographic blocks; a stable sort on cost
+    over the running winners followed by each chunk keeps ties in subset order.
     """
     if n not in (2, 3):
         raise ValueError("manifold search supports n in {2, 3}")
@@ -270,18 +279,48 @@ def search_top_k(
     score = _scorer(data, params)
     L, d = len(data.states.labels), 2**n
     combos = _connected_subsets(L, np.array(data.pairs)[data.drivable & data.resolved], d)
-    # BLAS rounds a row of onehot @ ct by the rows beside it, so each subset
-    # is scored with the connected ones of its block of the lexicographic
-    # order, as the all-subsets search scored it; that keeps every cost's
-    # bits.  The rank of c_0 < ... < c_{d-1} is C(L, d) - 1 - sum_i C(L-1-c_i, d-i)
+    # blocks as the all-subsets search scored them, which keeps every cost's
+    # bits: the rank of c_0 < ... < c_{d-1} is C(L, d) - 1 - sum_i C(L-1-c_i, d-i)
     tail = np.array([[math.comb(L - 1 - v, d - i) for i in range(d)] for v in range(L)])
     rank = math.comb(L, d) - 1 - sum(tail[combos[:, i], i] for i in range(d))
+    block = rank // _BLOCK_ROWS
+    seams = np.flatnonzero(np.diff(block)) + 1
+    cuts = seams[np.diff(seams // _CHUNK_ROWS, prepend=0) > 0]
     best = score(combos[:0])
-    for block in np.split(combos, np.flatnonzero(np.diff(rank // _BLOCK_ROWS)) + 1):
-        scores = {key: np.concatenate([best[key], val]) for key, val in score(block).items()}
-        order = np.argsort(scores["cost"], kind="stable")[:k]
-        best = {key: val[order] for key, val in scores.items()}
+    with _one_blas_thread():
+        for lo, hi in itertools.pairwise([0, *cuts, len(combos)]):
+            scores = {key: np.concatenate([best[key], val])
+                      for key, val in score(combos[lo:hi], block[lo:hi]).items()}
+            order = np.argsort(scores["cost"], kind="stable")[:k]
+            best = {key: val[order] for key, val in scores.items()}
     return [_breakdown(best, r, data) for r in range(len(best["cost"]))]
+
+
+@lru_cache(maxsize=1)
+def _blas_threads():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, or None."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the count: a second
+    thread slows the scorer's thin products on a small host, and the count
+    does not change a product's bits.  Without that library, do nothing."""
+    get, put = _blas_threads() or (lambda: None, lambda count: None)
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 @dataclass

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ionvq.atomic import (
     LevelModel,
+    LevelStates,
+    Transition,
+    _operators,
+    _zero_field_energies,
     clebsch_gordan,
     diagonalize_level,
     hamiltonian,
@@ -25,6 +30,68 @@ TABLE_ROWS = [
     ((2.0, -2.0), (3.0, -3.0), 63.1e6, 0.618e10, 71.36e3),
     ((1.0, -1.0), (3.0, -3.0), 143.4e6, 1.413e10, 29.72e3),
 ]
+
+
+def _reference_diagonalize(model, B):
+    """One ``eigh`` per m_F block, columns filled one at a time."""
+    H = hamiltonian(model, B)
+    Iz, Jz, _ = _operators(model.I, model.J)
+    mf_basis = np.round(2 * (np.diag(Iz) + np.diag(Jz))) / 2
+    dim = H.shape[0]
+    energies, states, labels = np.zeros(dim), np.zeros((dim, dim)), [None] * dim
+    e0 = _zero_field_energies(model)
+    col = 0
+    for mf in sorted(set(mf_basis.tolist())):
+        idx = np.where(np.abs(mf_basis - mf) < 1e-9)[0]
+        vals, vecs = np.linalg.eigh(H[np.ix_(idx, idx)])
+        f_here = sorted((F for F in model.f_values() if F >= abs(mf) - 1e-9), key=lambda F: e0[F])
+        for k in range(len(idx)):
+            energies[col], states[idx, col], labels[col] = vals[k], vecs[:, k], (f_here[k], mf)
+            col += 1
+    order = np.argsort(energies, kind="stable")
+    return LevelStates(model, B, energies[order], states[:, order], [labels[k] for k in order],
+                       np.array([labels[k][1] for k in order]))
+
+
+def _reference_transition_table(model, B, dB=1e-7):
+    """Each eigenstate matched by a loop over the same-m_F states."""
+    base = _reference_diagonalize(model, B)
+    lo = _reference_diagonalize(model, max(B - dB, 0.0))
+    hi = _reference_diagonalize(model, B + dB)
+    step = (B + dB) - max(B - dB, 0.0)
+
+    def matched_energy(other, k):
+        mf = base.labels[k][1]
+        cand = [c for c in range(other.energies.size) if other.labels[c][1] == mf]
+        ov = [abs(np.dot(other.states[:, c], base.states[:, k])) for c in cand]
+        return other.energies[cand[int(np.argmax(ov))]]
+
+    dim = base.energies.size
+    dEdB = np.array([(matched_energy(hi, k) - matched_energy(lo, k)) / step for k in range(dim)])
+    return [Transition(a, b, base.labels[a], base.labels[b],
+                       float(base.energies[b] - base.energies[a]), float(dEdB[b] - dEdB[a]))
+            for a in range(dim) for b in range(a + 1, dim)]
+
+
+MODELS = [
+    BA,
+    LevelModel("J-only", 0.0, 2.5, 0.0, 0.0, 1.2, 0.0, 1.5),
+    LevelModel("I=1/2 J=1/2", 0.5, 0.5, 12.6e9, 0.0, 2.0, -0.5, 0.5),
+]
+
+
+@settings(max_examples=40)
+@given(model=st.sampled_from(MODELS), field_G=st.one_of(st.just(0.0), st.floats(0.0, 70.0)))
+def test_eigensystem_and_transitions_equal_per_block_references(model, field_G):
+    # stacked eigh per block size and masked-overlap matching, bit for bit
+    B = field_G * 1e-4
+    got, ref = diagonalize_level(model, B), _reference_diagonalize(model, B)
+    assert np.array_equal(got.energies, ref.energies)
+    assert np.array_equal(got.states, ref.states)
+    assert got.labels == ref.labels and np.array_equal(got.m_f, ref.m_f)
+    table = _reference_transition_table(model, B)
+    assert transition_table(model, B) == table
+    assert transition_table(model, B, base=got) == table
 
 
 def test_angular_momentum_identities():

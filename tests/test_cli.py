@@ -300,7 +300,8 @@ def test_xeb_output_bytes_are_pinned(tmp_path, argv, csv_sha256, summary):
 
 # recorded from the all-subsets search that the connected-subset enumeration
 # replaced; the json prints every bit of each cost, so these hold only where
-# BLAS rounds onehot @ ct as it did there (OpenBLAS on a 2-CPU AVX-512 Xeon)
+# BLAS rounds onehot @ ct as it did there (OpenBLAS 0.3.31 running its
+# SkylakeX kernels, on a 2-CPU AVX-512 Xeon)
 MANIFOLD_GOLDEN = [
     (["manifold", "--field", "20", "--n", "2", "--top-k", "10", "--format", "json"],
      "aa2da2201b7bce76d7074bd18fcd7a94a7cfe4228320e3f1c9514e2b4d58932e"),
@@ -357,6 +358,18 @@ def test_manifold_sweep_csv(tmp_path):
     assert len(lines) == 3
 
 
+def test_manifold_sweep_from_zero_keeps_its_empty_point(tmp_path, capsys):
+    # the sweep clamps 0 G to 0.01 G, where no manifold is connected: that row
+    # reads NaN with no candidates, and the same field alone is refused
+    out = tmp_path / "sweep.csv"
+    assert main(["manifold", "--field-sweep", "0:70:4", "--n", "2", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(r[0], r[1], r[-1]) for r in rows[:1]] == [("0.01", "nan", "0")]
+    assert all(int(r[-1]) == 10 for r in rows[1:]) and len(rows) == 4
+    assert main(["manifold", "--field", "0.01", "--n", "2", "--out", str(out)]) == 2
+    assert "--field 0.01: must be high enough" in capsys.readouterr().err
+
+
 def test_config_error_exit_codes(tmp_path):
     assert main(["bv", "--seed", "1"]) == 2  # missing --s
     assert main(["repcode", "--n", "1", "--seed", "1"]) == 2  # no L or d
@@ -399,7 +412,8 @@ def test_runtime_error_exit_code(tmp_path, capsys):
 
 
 # sha256 of the tables audit, recorded before its matrices were shared
-# between conventions: (argv, sha256)
+# between conventions, with OpenBLAS 0.3.31 running its SkylakeX kernels:
+# (argv, sha256)
 TABLES_GOLDEN = [
     (["tables"], "8df9a9859a08c8196e27ebac016cb9a283fe958e07f330047883bc0913c868a8"),
     (["tables", "--tables", "II,IV"],

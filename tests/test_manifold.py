@@ -1,17 +1,22 @@
 import itertools
 import math
+from contextlib import nullcontext
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ionvq import manifold
 from ionvq.atomic import load_level_model
 from ionvq.manifold import (
     TWO_PI,
     CostBreakdown,
+    _breakdown,
     _connected_subsets,
     _median,
+    _scorer,
     CostParams,
     allowed_graph,
     field_sweep,
@@ -138,6 +143,24 @@ def _reference_top_k(data, params, d, k):
     return results[:k]
 
 
+def _reference_search(model, n, params, k):
+    """The block-by-block search: one ``_score`` call and one top-k merge per
+    1,024-subset block of the lexicographic order."""
+    data = precompute_level_data(model, params)
+    score = _scorer(data, params)
+    L, d = len(data.states.labels), 2**n
+    combos = _connected_subsets(L, np.array(data.pairs)[data.drivable & data.resolved], d)
+    tail = np.array([[math.comb(L - 1 - v, d - i) for i in range(d)] for v in range(L)])
+    rank = math.comb(L, d) - 1 - sum(tail[combos[:, i], i] for i in range(d))
+    best = score(combos[:0])
+    with manifold._one_blas_thread():  # as in the search: two threads can stall here
+        for block in np.split(combos, np.flatnonzero(np.diff(rank // 1024)) + 1):
+            scores = {key: np.concatenate([best[key], val]) for key, val in score(block).items()}
+            order = np.argsort(scores["cost"], kind="stable")[:k]
+            best = {key: val[order] for key, val in scores.items()}
+    return [_breakdown(best, r, data) for r in range(len(best["cost"]))]
+
+
 def _assert_same_breakdown(got, ref):
     for f in fields(CostBreakdown):
         g, r = getattr(got, f.name), getattr(ref, f.name)
@@ -208,6 +231,57 @@ def test_search_matches_reference_loop():
         assert [cb.states for cb in top] == [cb.states for cb in ref]
         for got, want in zip(top, ref):
             _assert_same_breakdown(got, want)
+
+
+@settings(max_examples=30)
+@given(field_G=st.floats(0.5, 70.0), k=st.sampled_from([1, 10, 3000]),
+       chunk=st.sampled_from([1, 300, manifold._CHUNK_ROWS]))
+def test_chunked_search_equals_block_by_block(field_G, k, chunk):
+    # every cost bit and the tie order, whatever the chunks' size (a chunk of
+    # 1 row holds one block)
+    params = replace(PARAMS, B_T=field_G * 1e-4)
+    with mock.patch.object(manifold, "_CHUNK_ROWS", chunk):
+        got = search_top_k(BA, 2, params, k)
+    assert got == _reference_search(BA, 2, params, k)
+
+
+@pytest.mark.parametrize("field_G", [5.0, 20.0, 60.0])
+def test_chunked_n3_search_equals_block_by_block(monkeypatch, field_G):
+    monkeypatch.setattr(manifold, "_CHUNK_ROWS", 1000)  # of about 10^5 candidates
+    params = replace(PARAMS, B_T=field_G * 1e-4)
+    assert search_top_k(BA, 3, params, 3000) == _reference_search(BA, 3, params, 3000)
+
+
+def test_search_below_any_resolved_manifold_is_empty():
+    # a sweep from 0 G starts here, where no transition is admitted
+    params = replace(PARAMS, B_T=1e-6)
+    data = precompute_level_data(BA, params)
+    assert not (data.drivable & data.resolved).any()
+    assert search_top_k(BA, 2, params, 10) == []
+
+
+def test_one_blas_thread_pins_and_restores():
+    calls = manifold._blas_threads()
+    if calls is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread-count calls")
+    get, put = calls
+    start = get()
+    try:
+        put(2)
+        with manifold._one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+        with pytest.raises(RuntimeError), manifold._one_blas_thread():
+            assert get() == 1
+            raise RuntimeError("scoring failed")
+        assert get() == 2
+        # the thread count does not change a product's bits
+        params = replace(PARAMS, B_T=33.3e-4)
+        pinned = search_top_k(BA, 2, params, 3000)
+        with mock.patch.object(manifold, "_one_blas_thread", nullcontext):
+            assert search_top_k(BA, 2, params, 3000) == pinned
+    finally:
+        put(start)
 
 
 @st.composite
