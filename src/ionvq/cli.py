@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import atomic, manifold, qec, sampling, tables
+from . import atomic, core, manifold, qec, sampling, tables
 from .compiler import (
     MSSlot,
     RSlot,
@@ -161,14 +161,22 @@ def _cmd_xeb(args) -> list[tuple[str, str]]:
     header = ["N", "n", "policy", "gate_count", "statistic", "stderr", "seed"]
     if args.layers is not None:
         # fixed-depth cross-entropy values, one circuit per row
-        rows, vals = [], []
-        for k in range(args.circuits):
-            circ = sampling.build_brickwork(policy, args.qubits, args.layers, seed=args.seed + k)
-            r = sampling.estimate_xeb(circ, args.mode, shots=args.shots,
-                                      seed=args.seed + 10_000 + k)
-            vals.append(r.value)
-            rows.append([args.qubits, args.n, policy.connectivity, len(circ.gates),
-                         f"{r.value:.8g}", "", args.seed + k])
+        reg = policy.register(args.qubits)
+
+        def xeb(k, amps):
+            probs = np.abs(amps) ** 2
+            if args.mode == "exact":
+                return sampling.xeb_exact(probs)
+            counts = core.sample_measurement(core.StateVector(reg, amps), args.shots,
+                                             args.seed + 10_000 + k)
+            mean_p = sum(c * probs[reg.index_of_bits(b)] for b, c in counts.items()) / args.shots
+            return float(reg.dim * mean_p - 1.0)
+
+        # map holds no row once xeb returns, so each chunk is freed as it is used up
+        vals = list(map(xeb, range(args.circuits), sampling.fixed_depth_amplitudes(
+            policy, args.qubits, args.layers, args.circuits, args.seed)))
+        rows = [[args.qubits, args.n, policy.connectivity, 3 * ions * args.layers, f"{v:.8g}", "",
+                 args.seed + k] for k, v in enumerate(vals)]
         summary = {
             "mean_statistic": float(np.mean(vals)),
             "stderr": float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0,
@@ -220,7 +228,8 @@ def _cmd_bv(args):
 
 
 def _cmd_repcode(args):
-    _resolve(args, "repcode", "n", "seed")
+    if {"p", "p_grid"} <= _resolve(args, "repcode", "n", "seed"):
+        raise ConfigError(f"--p {args.p}: not read with --p-grid")
     if (args.L is None) == (args.d is None):
         raise ConfigError("give exactly one of --L (matched layout) or --d")
     if args.L is not None:
@@ -262,7 +271,8 @@ def _cmd_repcode(args):
 
 
 def _cmd_manifold(args):
-    _resolve(args, "manifold")
+    if {"field", "field_sweep"} <= _resolve(args, "manifold"):
+        raise ConfigError(f"--field {args.field}: not read with --field-sweep")
     try:
         model = atomic.load_level_model(args.level)
     except (OSError, LookupError, TypeError, ValueError) as exc:

@@ -409,8 +409,9 @@ def _rotate_pairs(view: np.ndarray, axes: tuple, pairs, c, u, w):
     batch = isinstance(c, np.ndarray)
     shape, order, blocks = _layout(view.shape, axes, batch, BLOCK_AMPLITUDES)
     view, scratch, t0, t1 = view.reshape(shape).transpose(order), None, None, None
-    if batch:  # coefficients broadcast over each circuit's rows
-        c, u, w = (x.reshape((-1,) + (1,) * (len(shape) - len(axes) - 1)) for x in (c, u, w))
+    if batch:  # coefficients broadcast over each circuit's rows, complex so no block casts c
+        c, u, w = (x.astype(complex).reshape((-1,) + (1,) * (len(shape) - len(axes) - 1))
+                   for x in (c, u, w))
         gather = any(isinstance(lv, np.ndarray) for la, lb in pairs for lv in la + lb)
     for blk in blocks:
         bc, bu, bw, bpairs = c, u, w, pairs

@@ -161,23 +161,6 @@ def brickwork_layer(policy: CircuitPolicy, L: int, rng) -> list:
     return _bricks(policy, _layer_pairs(L), rng)
 
 
-def build_brickwork(policy: CircuitPolicy, num_qubits: int, layers: int, seed: int) -> Circuit:
-    reg = policy.register(num_qubits)
-    rng = np.random.default_rng(seed)
-    circ = Circuit(reg, meta={"policy": policy.connectivity, "n": policy.n,
-                              "architecture": BRICKWORK, "seed": seed, "layers": layers})
-    for _ in range(layers):
-        circ.extend(brickwork_layer(policy, reg.num_ions, rng))
-    return circ
-
-
-@dataclass
-class XebResult:
-    value: float
-    mode: str
-    shots: int = 0
-
-
 def xeb_exact(probs: np.ndarray):
     """2^N sum_x p(x)^2 - 1 from the full output distribution (the last
     axis: one value per row of a batch)."""
@@ -190,27 +173,6 @@ def second_moment(probs: np.ndarray):
     0, 1 in the Porter-Thomas limit."""
     dim = probs.shape[-1]
     return dim**2 * (np.mean(probs**2, axis=-1) - np.mean(probs, axis=-1) ** 2)
-
-
-def estimate_xeb(circ: Circuit, mode: str = "exact", shots: int = 500, seed: int = 0) -> XebResult:
-    """Linear cross-entropy fidelity of one circuit from |0...0>."""
-    reg = circ.register
-    check_qubits(reg.num_qubits)
-    state = circ.run()
-    probs = state.probabilities()
-    if mode == "exact":
-        return XebResult(xeb_exact(probs), "exact")
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
-    counts = sample_measurement(state, shots, seed)
-    mean_p = sum(c * probs[reg.index_of_bits(bits)] for bits, c in counts.items()) / shots
-    return XebResult(float(reg.dim * mean_p - 1.0), "sampled", shots=shots)
-
-
-def estimate_second_moment(circ: Circuit) -> float:
-    check_qubits(circ.register.num_qubits)
-    state = circ.run()
-    return second_moment(state.probabilities())
 
 
 STATISTICS = {"xeb": xeb_exact, "moment": second_moment}
@@ -282,6 +244,23 @@ def gates_to_threshold(
     arr = np.asarray(counts, dtype=float)
     stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return ThresholdResult(float(arr.mean()), stderr, counts, statistic, threshold)
+
+
+def fixed_depth_amplitudes(policy: CircuitPolicy, num_qubits: int, layers: int, circuits: int,
+                           seed: int):
+    """Amplitudes of circuits k = 0, 1, ... after ``layers`` steps of ``_step``,
+    circuit k drawing from ``default_rng(seed + k)``; yielded in order as each
+    chunk of up to CHUNK_AMPLITUDES / 2^N circuits is stepped."""
+    check_qubits(num_qubits)
+    reg = policy.register(num_qubits)
+    size = max(1, CHUNK_AMPLITUDES // reg.dim)
+    for start in range(0, circuits, size):
+        rngs = [np.random.default_rng(seed + k) for k in range(start, min(start + size, circuits))]
+        psi = np.zeros((len(rngs), reg.dim), dtype=np.complex128)
+        psi[:, 0] = 1.0
+        for _ in range(layers):
+            _step(psi.reshape((len(rngs),) + reg.shape_view()), reg, policy, rngs)
+        yield from psi
 
 
 def _step(view: np.ndarray, reg: Register, policy: CircuitPolicy, rngs) -> int:

@@ -139,20 +139,22 @@ def test_criterion_3_table_audit():
 
 
 # ------------------------------------------------------------------ 4
+def _fixed_depth_probs(n, num_qubits, layers, circuits, seed):
+    """Output distributions of circuits seed, seed + 1, ... of ``layers`` brickwork layers."""
+    amplitudes = sampling.fixed_depth_amplitudes(sampling.CircuitPolicy(n=n), num_qubits, layers,
+                                                 circuits, seed)
+    return [np.abs(amps) ** 2 for amps in amplitudes]
+
+
 def test_criterion_4_xeb_endpoints():
     ok = True
     details = []
     for N in (8, 12, 16):
-        circ = sampling.build_brickwork(sampling.CircuitPolicy(n=2), N, 0, seed=1)
-        v = sampling.estimate_xeb(circ).value
+        [probs] = _fixed_depth_probs(2, N, 0, 1, seed=1)
+        v = sampling.xeb_exact(probs)
         ok &= v == 2**N - 1
         details.append(f"N={N} depth0={v:.0f}")
-    deep = [
-        sampling.estimate_xeb(
-            sampling.build_brickwork(sampling.CircuitPolicy(n=2), 8, 14, seed=s)
-        ).value
-        for s in range(10)
-    ]
+    deep = [sampling.xeb_exact(probs) for probs in _fixed_depth_probs(2, 8, 14, 10, seed=0)]
     mean_deep = float(np.mean(deep))
     ok &= 0.9 <= mean_deep <= 1.1
     assert _report(4, ok, f"{'; '.join(details)}; deep N=8 mean {mean_deep:.3f} in [0.9, 1.1]")
@@ -190,14 +192,9 @@ def test_criterion_5_xeb_ordering():
 
 # ------------------------------------------------------------------ 6
 def test_criterion_6_second_moment():
-    circ0 = sampling.build_brickwork(sampling.CircuitPolicy(n=1), 8, 0, seed=2)
-    v0 = sampling.estimate_second_moment(circ0)
-    deep = [
-        sampling.estimate_second_moment(
-            sampling.build_brickwork(sampling.CircuitPolicy(n=2), 8, 14, seed=s)
-        )
-        for s in range(10)
-    ]
+    [probs0] = _fixed_depth_probs(1, 8, 0, 1, seed=2)
+    v0 = sampling.second_moment(probs0)
+    deep = [sampling.second_moment(probs) for probs in _fixed_depth_probs(2, 8, 14, 10, seed=0)]
     mean_deep = float(np.mean(deep))
     ok = v0 == 2**8 - 1 and abs(mean_deep - 1.0) <= 0.15
     assert _report(6, ok, f"depth0 = {v0:.0f} (= 255); Porter-Thomas mean {mean_deep:.3f} (1 +- 0.15)")

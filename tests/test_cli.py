@@ -280,7 +280,8 @@ XEB_GOLDEN = [
      "adf67c00258896590c8bc44312802a18783869243ccef0a11f3b69ba9b9e0741",
      {"circuits": 20, "mean_gates": 106.8, "statistic": "xeb", "stderr": 6.8493564814897985,
       "threshold": 2.0}),
-    # fixed depth: build_brickwork's circuits, XEB estimated from 200 shots
+    # fixed depth: per-circuit gate lists that the ensemble stepper replaced, XEB estimated
+    # from 200 shots
     (["xeb", "--qubits", "8", "--n", "2", "--layers", "4", "--mode", "sampled", "--shots", "200",
       "--circuits", "2", "--seed", "5"],
      "cf337844b9e3976009310b7d81c8c11f1ba881998a0c34516648eb859326341a",
@@ -332,10 +333,16 @@ def test_manifold_output_bytes_are_pinned(tmp_path, argv, sha256):
         ("threshold", 3, "2"),
         ("mode", "sampled", None),  # gates to threshold
         ("shots", 50, None),
+        ("p", 0.5, None),  # repcode with --p-grid
+        ("field", 30, None),  # manifold with --field-sweep
     ],
 )
 def test_xeb_rejects_flags_its_mode_never_reads(tmp_path, capsys, key, value, layers, how):
-    args = ["xeb", "--qubits", "4", "--n", "1", "--circuits", "2", "--seed", "1"]
+    args = {
+        "p": ["repcode", "--d", "3", "--n", "1", "--p-grid", "1e-2:1e-1:2", "--shots", "20",
+              "--seed", "1"],
+        "field": ["manifold", "--n", "2", "--field-sweep", "5:10:2"],
+    }.get(key, ["xeb", "--qubits", "4", "--n", "1", "--circuits", "2", "--seed", "1"])
     args += ["--layers", layers] if layers else []
     out = tmp_path / "out.csv"
     assert main([*args, "--out", str(out)]) == 0

@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ionvq import sampling
-from ionvq.core import MS, Circuit, R, StateVector, apply_circuit
+from ionvq.cli import main
+from ionvq.core import MS, Circuit, R, StateVector, apply_circuit, sample_measurement
 from ionvq.sampling import (
     ALL_TO_ALL,
     BRICKWORK,
@@ -16,11 +19,10 @@ from ionvq.sampling import (
     MAX_QUBITS,
     CircuitPolicy,
     ResourceLimitError,
+    brickwork_layer,
     build_bv,
-    build_brickwork,
     check_qubits,
-    estimate_second_moment,
-    estimate_xeb,
+    fixed_depth_amplitudes,
     gates_to_threshold,
     run_bv,
     second_moment,
@@ -28,24 +30,42 @@ from ionvq.sampling import (
 )
 
 
+def _layers(policy, L, layers, seed):
+    """``layers`` brickwork layers on L ions, all drawn from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    return [g for _ in range(layers) for g in brickwork_layer(policy, L, rng)]
+
+
+def _fixed_depth_probs(policy, num_qubits, layers, circuits, seed):
+    return [np.abs(amps) ** 2 for amps in
+            fixed_depth_amplitudes(policy, num_qubits, layers, circuits, seed)]
+
+
+def _sampled_xeb(state, shots, seed):
+    """2^N <p(x)> - 1 over ``shots`` outcomes x drawn from ``state``."""
+    reg, probs = state.register, state.probabilities()
+    counts = sample_measurement(state, shots, seed)
+    mean_p = sum(c * probs[reg.index_of_bits(bits)] for bits, c in counts.items()) / shots
+    return float(reg.dim * mean_p - 1.0)
+
+
 def test_brickwork_counts_per_layer():
     for L, n in ((8, 1), (4, 2)):
-        circ = build_brickwork(CircuitPolicy(n=n), L * n, 1, seed=5)
-        c = circ.counts()
+        gates = _layers(CircuitPolicy(n=n), L, 1, seed=5)
+        c = Circuit(CircuitPolicy(n=n).register(L * n), gates).counts()
         assert c["MS"] == L and c["R"] == 2 * L
 
 
 def test_brickwork_deterministic_per_seed():
-    a = build_brickwork(CircuitPolicy(n=2), 8, 3, seed=9)
-    b = build_brickwork(CircuitPolicy(n=2), 8, 3, seed=9)
-    assert a.gates == b.gates
-    c = build_brickwork(CircuitPolicy(n=2), 8, 3, seed=10)
-    assert a.gates != c.gates
+    a = _layers(CircuitPolicy(n=2), 4, 3, seed=9)
+    b = _layers(CircuitPolicy(n=2), 4, 3, seed=9)
+    assert a == b
+    c = _layers(CircuitPolicy(n=2), 4, 3, seed=10)
+    assert a != c
 
 
 def test_minimal_policy_gate_set():
-    circ = build_brickwork(CircuitPolicy(n=2, connectivity=MINIMAL), 8, 3, seed=2)
-    for g in circ.gates:
+    for g in _layers(CircuitPolicy(n=2, connectivity=MINIMAL), 4, 3, seed=2):
         if isinstance(g, R):
             assert (g.a, g.b) in {(0, 1), (1, 2), (2, 3)}
         else:
@@ -53,40 +73,41 @@ def test_minimal_policy_gate_set():
 
 
 def test_ms_limited_policy():
-    circ = build_brickwork(CircuitPolicy(n=2, connectivity=MS_LIMITED), 8, 2, seed=2)
-    rs = {(g.a, g.b) for g in circ.gates if isinstance(g, R)}
-    assert all(isinstance(g, R) or g.pair_i == (0, 1) for g in circ.gates)
+    gates = _layers(CircuitPolicy(n=2, connectivity=MS_LIMITED), 4, 2, seed=2)
+    rs = {(g.a, g.b) for g in gates if isinstance(g, R)}
+    assert all(isinstance(g, R) or g.pair_i == (0, 1) for g in gates)
     assert len(rs) > 3, "rotations range over all pairs"
 
 
 def test_xeb_depth0_and_uniform():
-    circ = build_brickwork(CircuitPolicy(n=1), 8, 0, seed=1)
-    assert estimate_xeb(circ).value == 2**8 - 1
+    [probs] = _fixed_depth_probs(CircuitPolicy(n=1), 8, 0, 1, seed=1)
+    assert xeb_exact(probs) == 2**8 - 1
     assert second_moment(np.full(256, 1 / 256)) == pytest.approx(0.0, abs=1e-9)
     assert xeb_exact(np.full(256, 1 / 256)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_xeb_porter_thomas_limit():
-    circ = build_brickwork(CircuitPolicy(n=2), 8, 14, seed=21)
-    val = estimate_xeb(circ).value
+    [probs] = _fixed_depth_probs(CircuitPolicy(n=2), 8, 14, 1, seed=21)
+    val = xeb_exact(probs)
     assert 0.8 < val < 1.2
 
 
 def test_second_moment_depth0_closed_form():
     for N in (4, 8):
-        circ = build_brickwork(CircuitPolicy(n=1), N, 0, seed=1)
-        assert estimate_second_moment(circ) == pytest.approx(2**N - 1, rel=1e-12)
+        [probs] = _fixed_depth_probs(CircuitPolicy(n=1), N, 0, 1, seed=1)
+        assert second_moment(probs) == pytest.approx(2**N - 1, rel=1e-12)
 
 
 def test_exact_vs_sampled_xeb():
     shots = 10**4
     diffs = []
+    reg = CircuitPolicy(n=1).register(8)
     for seed in range(4):
-        circ = build_brickwork(CircuitPolicy(n=1), 8, 6, seed=seed)
-        exact = estimate_xeb(circ, "exact").value
-        sampled = estimate_xeb(circ, "sampled", shots=shots, seed=seed + 50).value
+        [amps] = fixed_depth_amplitudes(CircuitPolicy(n=1), 8, 6, 1, seed)
+        state = StateVector(reg, amps)
+        exact = xeb_exact(state.probabilities())
+        sampled = _sampled_xeb(state, shots, seed + 50)
         # stderr of the sampled estimator ~ 2^N std(p)/sqrt(shots)
-        state = circ.run()
         p = state.probabilities()
         se = 256 * p.std() * math.sqrt(256 / shots)
         diffs.append(abs(exact - sampled) / max(se, 1e-9))
@@ -366,6 +387,86 @@ def test_threshold_at_or_above_the_depth_0_value_is_refused(statistic):
 
 
 # ---------------------------------------------------------------------------
+# fixed depth on the ensemble stepper against one gate list per circuit
+
+
+def _reference_fixed_depth(policy, num_qubits, layers, circuits, seed):
+    """Circuit k as ``layers`` brickwork_layer gate lists drawn from
+    default_rng(seed + k), applied one gate at a time from |0...0>."""
+    reg = policy.register(num_qubits)
+    states = []
+    for k in range(circuits):
+        rng = np.random.default_rng(seed + k)
+        states.append(StateVector.zero(reg))
+        for _ in range(layers):
+            apply_circuit(states[-1], brickwork_layer(policy, reg.num_ions, rng))
+    return states
+
+
+# (n, qubits) of 4-12 qubits with an even ion count, as brickwork needs
+FIXED_DEPTH_REGISTERS = [(1, 4), (1, 6), (1, 8), (1, 10), (1, 12), (2, 4), (2, 8), (2, 12),
+                         (3, 6), (3, 12)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    reg=st.sampled_from(FIXED_DEPTH_REGISTERS),
+    connectivity=st.sampled_from([ALL_TO_ALL, MINIMAL, MS_LIMITED]),
+    layers=st.integers(0, 6),
+    circuits=st.integers(1, 9),
+    per_chunk=st.integers(1, 4),
+    mode=st.sampled_from(["exact", "sampled"]),
+    seed=st.integers(0, 2**31),
+)
+def test_fixed_depth_equals_gate_list_reference(tmp_path_factory, reg, connectivity, layers,
+                                                circuits, per_chunk, mode, seed):
+    n, N = reg
+    policy = CircuitPolicy(n=n, connectivity=connectivity)
+    states = _reference_fixed_depth(policy, N, layers, circuits, seed)
+    shots = 300
+    vals = [xeb_exact(s.probabilities()) if mode == "exact"
+            else _sampled_xeb(s, shots, seed + 10_000 + k) for k, s in enumerate(states)]
+    rows = [f"{N},{n},{connectivity},{3 * (N // n) * layers},{v:.8g},,{seed + k}"
+            for k, v in enumerate(vals)]
+    summary = {"circuits": circuits, "layers": layers, "mean_statistic": float(np.mean(vals)),
+               "mode": mode, "stderr": float(np.std(vals, ddof=1) / math.sqrt(circuits))
+               if circuits > 1 else 0.0}
+    out = tmp_path_factory.mktemp("xeb")
+    argv = ["xeb", "--qubits", str(N), "--n", str(n), "--policy", connectivity, "--layers",
+            str(layers), "--mode", mode, "--circuits", str(circuits), "--seed", str(seed)]
+    argv += ["--shots", str(shots)] if mode == "sampled" else []
+    # chunks of 1-4 circuits, so that nine circuits span several chunks
+    with mock.patch.object(sampling, "CHUNK_AMPLITUDES", per_chunk * 2**N):
+        amps = list(fixed_depth_amplitudes(policy, N, layers, circuits, seed))
+        assert main([*argv, "--out", str(out / "x.csv")]) == 0
+        assert main([*argv, "--format", "json", "--out", str(out / "x.json")]) == 0
+    assert len(amps) == circuits
+    assert all(np.array_equal(a, s.amps) for a, s in zip(amps, states))
+    header = "N,n,policy,gate_count,statistic,stderr,seed"
+    assert (out / "x.csv").read_text().splitlines() == [header, *rows]
+    assert (out / "x.json").read_text() == json.dumps(summary, indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_fixed_depth_peak_memory_does_not_grow_with_circuits(tmp_path, mode):
+    # at 16 qubits each chunk is one circuit: a row is used and dropped before
+    # the next is stepped, so eight circuits peak where one does
+    def peak(circuits):
+        argv = ["xeb", "--qubits", "16", "--n", "2", "--layers", "1", "--mode", mode,
+                "--circuits", str(circuits), "--seed", "1", "--out", str(tmp_path / "x.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # caches filled on a first run are not the path's
+    state_bytes = 16 * 2**16
+    assert peak(8) - peak(1) < state_bytes / 4
+
+
+# ---------------------------------------------------------------------------
 # Bernstein-Vazirani
 
 
@@ -423,10 +524,9 @@ def test_statevector_cap_refuses_before_allocating():
     big = MAX_QUBITS + 2
     with pytest.raises(ResourceLimitError):
         gates_to_threshold(CircuitPolicy(n=1), big, 2.0, circuits=1)
-    with pytest.raises(ResourceLimitError):
-        estimate_xeb(build_brickwork(CircuitPolicy(n=2), big, 1, seed=1))
-    with pytest.raises(ResourceLimitError):
-        estimate_second_moment(build_brickwork(CircuitPolicy(n=2), big, 1, seed=1))
+    with mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")):
+        with pytest.raises(ResourceLimitError):
+            next(fixed_depth_amplitudes(CircuitPolicy(n=2), big, 1, 1, seed=1))
     with pytest.raises(ResourceLimitError):
         run_bv("1" * big, "n2")
     check_qubits(MAX_QUBITS)  # the cap itself is allowed
