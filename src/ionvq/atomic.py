@@ -270,6 +270,13 @@ def transition_table(
     same m_F (one masked overlap matrix per side) before differencing.
     """
     base = diagonalize_level(model, B) if base is None else base
+    return [Transition(i, j, base.labels[i], base.labels[j], f, s)
+            for i, j, f, s in zip(*(v.tolist() for v in _transitions(model, B, base, dB)))]
+
+
+def _transitions(model: LevelModel, B: float, base: LevelStates, dB: float = 1e-7):
+    """``transition_table`` as arrays (i, j, freq_Hz, sens_Hz_per_T), i < j
+    in ``np.triu_indices`` order."""
     lo = diagonalize_level(model, max(B - dB, 0.0))
     hi = diagonalize_level(model, B + dB)
     step = (B + dB) - max(B - dB, 0.0)
@@ -281,10 +288,7 @@ def transition_table(
 
     dEdB = (matched_energies(hi) - matched_energies(lo)) / step
     a, b = np.triu_indices(base.energies.size, 1)
-    freq = (base.energies[b] - base.energies[a]).tolist()
-    sens = (dEdB[b] - dEdB[a]).tolist()
-    return [Transition(i, j, base.labels[i], base.labels[j], f, s)
-            for i, j, f, s in zip(a.tolist(), b.tolist(), freq, sens)]
+    return a, b, base.energies[b] - base.energies[a], dEdB[b] - dEdB[a]
 
 
 # ---------------------------------------------------------------------------

@@ -167,9 +167,10 @@ def _cmd_xeb(args) -> list[tuple[str, str]]:
             probs = np.abs(amps) ** 2
             if args.mode == "exact":
                 return sampling.xeb_exact(probs)
-            counts = core.sample_measurement(core.StateVector(reg, amps), args.shots,
-                                             args.seed + 10_000 + k)
-            mean_p = sum(c * probs[reg.index_of_bits(b)] for b, c in counts.items()) / args.shots
+            counts = core.sample_counts(core.StateVector(reg, amps), args.shots,
+                                        args.seed + 10_000 + k)
+            drawn = np.flatnonzero(counts)  # summed in order; np.sum's pairwise order moves bits
+            mean_p = np.cumsum(counts[drawn] * probs[drawn])[-1] / args.shots
             return float(reg.dim * mean_p - 1.0)
 
         # map holds no row once xeb returns, so each chunk is freed as it is used up

@@ -209,14 +209,6 @@ class Register:
             for ion, lv in zip(self.ions, self.levels_of_index(g))
         )
 
-    def index_of_bits(self, bits: str) -> int:
-        if len(bits) != self.num_qubits:
-            raise ValueError("bit string length does not match register")
-        levels = []
-        for ion, off in zip(self.ions, self.qubit_offsets):
-            levels.append(ion.encoding.level_of_bits(bits[off : off + ion.n], self.qubit_order))
-        return self.index_of_levels(levels)
-
     def bit_table(self) -> np.ndarray:
         """bit_table[g, Q] = value of global qubit Q in basis state g."""
         g = np.arange(self.dim)
@@ -579,10 +571,8 @@ def embed_standard(U: np.ndarray, targets: Sequence[int], reg: Register) -> np.n
 # measurement sampling
 
 
-def sample_measurement(
-    state: StateVector, shots: int, seed: int, chunk_size: int = 65536
-) -> dict[str, int]:
-    """Sample Z-basis outcomes; counts keyed by encoded bit labels.
+def sample_counts(state: StateVector, shots: int, seed: int, chunk_size: int = 65536) -> np.ndarray:
+    """Sample Z-basis outcomes; the count of every basis index.
 
     Each chunk of ``chunk_size`` shots is one multinomial draw from its own
     generator, seeded by ``SeedSequence(seed).spawn``, so for one state and
@@ -602,6 +592,13 @@ def sample_measurement(
     total = next(rngs).multinomial(sizes[0], p)  # the first chunk starts the running total
     for rng, m in zip(rngs, sizes[1:]):
         total += rng.multinomial(m, p)
+    return total
+
+
+def sample_measurement(state: StateVector, shots: int, seed: int,
+                       chunk_size: int = 65536) -> dict[str, int]:
+    """``sample_counts`` keyed by encoded bit labels, of the outcomes drawn."""
+    total = sample_counts(state, shots, seed, chunk_size)
     return {state.register.bitstring(g): int(total[g]) for g in np.flatnonzero(total).tolist()}
 
 

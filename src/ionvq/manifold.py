@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import LevelModel, LevelStates, diagonalize_level, matrix_elements, transition_table
+from .atomic import LevelModel, LevelStates, _transitions, diagonalize_level, matrix_elements
 
 TWO_PI = 2 * math.pi
 
@@ -70,59 +70,58 @@ class LevelData:
     """Precomputed pairwise data for one (model, field, params) point."""
 
     states: LevelStates
-    pairs: list                      # (i, j) eigenstate indices, i < j
-    pair_index: dict
+    pairs: np.ndarray                # [T, 2] eigenstate indices i < j
+    pair_index: np.ndarray           # [i, j] -> row of pairs, for i < j
     omega: np.ndarray                # angular transition frequencies
     sens: np.ndarray                 # angular sensitivities d w / dB
     m_abs: np.ndarray                # |matrix element| per pair
-    drivable: np.ndarray             # above Rabi threshold
-    resolved: np.ndarray             # passes the off-resonant admission rule
-    crosstalk: np.ndarray            # [T, T'] crosstalk kernel (unscaled by D^2)
+    drivable: np.ndarray             # above Rabi threshold (and in band)
+    admitted: np.ndarray             # drivable and passes the off-resonant admission rule
+    crosstalk: np.ndarray            # [T, T'] kernel over drivable T, T' (unscaled by D^2)
 
 
 def precompute_level_data(model: LevelModel, params: CostParams) -> LevelData:
     states = diagonalize_level(model, params.B_T)
-    table = transition_table(model, params.B_T, base=states)
-    p1, p2 = params.pols()
-    M = matrix_elements(model, states, params.mechanism, p1, p2)
-    pairs = [(t.i, t.j) for t in table]
-    pair_index = {p: k for k, p in enumerate(pairs)}
-    omega = TWO_PI * np.array([t.freq_Hz for t in table])
-    sens = TWO_PI * np.array([t.sens_Hz_per_T for t in table])
-    m_abs = np.array([abs(M[j, i]) for i, j in pairs])
-    rabi = TWO_PI * params.D_Hz * m_abs
+    i, j, freq, sens = _transitions(model, params.B_T, states)
+    M = matrix_elements(model, states, params.mechanism, *params.pols())
+    pairs = np.stack([i, j], axis=1)
+    pair_index = np.zeros((len(states.labels),) * 2, dtype=np.intp)
+    pair_index[i, j] = np.arange(len(pairs))
+    omega, sens = TWO_PI * freq, TWO_PI * sens
+    m_abs = np.abs(M[j, i])
     drivable = params.D_Hz * m_abs >= params.rabi_threshold_Hz
     if params.bandwidth_Hz is not None:
         drivable &= omega <= TWO_PI * params.bandwidth_Hz
+    drv = np.flatnonzero(drivable)
 
-    # admission: driving T must not excite any other level transition beyond
-    # the resolution bound ("all"); the "endpoint" scope restricts the veto
-    # to transitions sharing one of T's endpoints
+    # admission, over drivable rows T: driving T must not excite any other
+    # level transition beyond the resolution bound ("all"); the "endpoint"
+    # scope restricts the veto to transitions sharing one of T's endpoints
     dmin = TWO_PI * params.delta_min_Hz
-    delta = np.abs(omega[:, None] - omega[None, :])
+    delta = np.abs(omega[drv, None] - omega[None, :])
     main = np.maximum(delta, dmin) ** 2
     if params.resolution_scope == "all":
         veto = np.ones(main.shape, dtype=bool)
     elif params.resolution_scope == "endpoint":
-        ends = np.array(pairs)
-        veto = (ends[:, None, :, None] == ends[None, :, None, :]).any(axis=(2, 3))
+        veto = (pairs[drv, None, :, None] == pairs[None, :, None, :]).any(axis=(2, 3))
     else:
         raise ValueError("resolution_scope must be 'all' or 'endpoint'")
     veto &= m_abs >= 1e-12
-    np.fill_diagonal(veto, False)
-    resolved = ~(veto & (rabi**2 / main > params.resolution)).any(axis=1)
+    veto[np.arange(len(drv)), drv] = False
+    rabi = TWO_PI * params.D_Hz * m_abs
+    admitted = np.zeros_like(drivable)
+    admitted[drv] = ~(veto & (rabi**2 / main > params.resolution)).any(axis=1)
 
-    side = np.maximum(np.abs(delta - TWO_PI * params.omega_M_Hz), dmin) ** 2
-    m2 = m_abs[None, :] ** 2
-    crosstalk = m2 / main + (params.eta**2) * m2 / side
-    return LevelData(states, pairs, pair_index, omega, sens, m_abs, drivable, resolved, crosstalk)
+    side = np.maximum(np.abs(delta[:, drv] - TWO_PI * params.omega_M_Hz), dmin) ** 2
+    m2 = m_abs[drv] ** 2
+    crosstalk = m2 / main[:, drv] + (params.eta**2) * m2 / side
+    return LevelData(states, pairs, pair_index, omega, sens, m_abs, drivable, admitted, crosstalk)
 
 
 def allowed_graph(state_set, data: LevelData):
     """Admitted internal transitions of a candidate state set."""
-    admitted = data.drivable & data.resolved
     pairs = itertools.combinations(sorted(state_set), 2)
-    return [p for p in pairs if admitted[data.pair_index[p]]]
+    return [p for p in pairs if data.admitted[data.pair_index[p]]]
 
 
 @dataclass
@@ -167,10 +166,10 @@ def _connected_subsets(size: int, edges, k: int) -> np.ndarray:
     # and the vertices after its least member (bit - 1: those after each vertex)
     sub, ext, near, low = bit, nb & (bit - 1), bit | nb, bit - 1
     for _ in range(k - 1):
-        picks = [np.flatnonzero(ext & b) for b in bit]
-        sub, ext, near, low = (np.concatenate(parts) for parts in zip(*[
-            (sub[i] | b, ext[i] & a | n & ~near[i] & low[i], near[i] | n, low[i])
-            for i, b, n, a in zip(picks, bit, nb, bit - 1)]))
+        # every (set, vertex of its extension) pair at once, one child each
+        i, v = np.nonzero(ext[:, None] & bit != 0)
+        sub, ext, near, low = (sub[i] | bit[v], ext[i] & (bit[v] - 1) | nb[v] & ~near[i] & low[i],
+                               near[i] | nb[v], low[i])
     sets = np.sort(sub)[::-1]
     return (np.flatnonzero(np.stack([sets & b != 0 for b in bit], axis=1)) % size).reshape(-1, k)
 
@@ -185,10 +184,7 @@ def _scorer(data: LevelData, params: CostParams):
     if params.rotation_time_mode not in ("inverse_mean", "mean_inverse"):
         raise ValueError("rotation_time_mode must be 'inverse_mean' or 'mean_inverse'")
     L = len(data.states.labels)
-    ends = np.array(data.pairs)
-    pair_of = np.zeros(L * L, dtype=np.intp)
-    pair_of[ends[:, 0] * L + ends[:, 1]] = np.arange(len(ends))
-    admitted = data.drivable & data.resolved
+    ends, pair_of, admitted = data.pairs, data.pair_index.ravel(), data.admitted
     # per transition, what an edge adds to its row's sums, zero for non-edges
     m_adm = np.where(admitted, data.m_abs, 0.0)
     rabi = TWO_PI * params.D_Hz * m_adm
@@ -198,7 +194,7 @@ def _scorer(data: LevelData, params: CostParams):
     # ct[e, e] zeroed; internal partners are the other edges, spectators the
     # drivable transitions with exactly one endpoint in the set
     drv = np.flatnonzero(data.drivable)
-    ct = data.crosstalk[np.ix_(drv, drv)]
+    ct = data.crosstalk.copy()
     np.fill_diagonal(ct, 0.0)
     column = np.cumsum(data.drivable) - 1
     d2 = (TWO_PI * params.D_Hz) ** 2
@@ -278,7 +274,7 @@ def search_top_k(
     data = precompute_level_data(model, params)
     score = _scorer(data, params)
     L, d = len(data.states.labels), 2**n
-    combos = _connected_subsets(L, np.array(data.pairs)[data.drivable & data.resolved], d)
+    combos = _connected_subsets(L, data.pairs[data.admitted], d)
     # blocks as the all-subsets search scored them, which keeps every cost's
     # bits: the rank of c_0 < ... < c_{d-1} is C(L, d) - 1 - sum_i C(L-1-c_i, d-i)
     tail = np.array([[math.comb(L - 1 - v, d - i) for i in range(d)] for v in range(L)])
@@ -286,11 +282,12 @@ def search_top_k(
     block = rank // _BLOCK_ROWS
     seams = np.flatnonzero(np.diff(block)) + 1
     cuts = seams[np.diff(seams // _CHUNK_ROWS, prepend=0) > 0]
-    best = score(combos[:0])
+    best = {}
     with _one_blas_thread():
         for lo, hi in itertools.pairwise([0, *cuts, len(combos)]):
-            scores = {key: np.concatenate([best[key], val])
-                      for key, val in score(combos[lo:hi], block[lo:hi]).items()}
+            scores = score(combos[lo:hi], block[lo:hi])
+            if best:
+                scores = {key: np.concatenate([best[key], val]) for key, val in scores.items()}
             order = np.argsort(scores["cost"], kind="stable")[:k]
             best = {key: val[order] for key, val in scores.items()}
     return [_breakdown(best, r, data) for r in range(len(best["cost"]))]

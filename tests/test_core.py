@@ -208,10 +208,10 @@ def test_embed_standard_x_and_cnot(reg_n2):
     # exactly like the standard gate (the level basis keeps ion 0 fastest)
     reg2 = build_register([IonSpec(2), IonSpec(2)])
     V = embed_standard(cnot_on(2, 0, 1), [0, 1], reg2)
-    for g in range(4):
-        bits = reg2.bitstring(g)
+    labels = [reg2.bitstring(g) for g in range(4)]
+    for g, bits in enumerate(labels):
         out = bits if bits[0] == "0" else bits[0] + str(1 - int(bits[1]))
-        assert V[reg2.index_of_bits(out), g] == 1
+        assert V[labels.index(out), g] == 1
     assert np.allclose(V @ V, np.eye(4))
     assert np.allclose(embed_standard(np.eye(4), [0, 1], reg_n2), np.eye(4))
 

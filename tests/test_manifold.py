@@ -6,10 +6,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ionvq import manifold
-from ionvq.atomic import load_level_model
+from ionvq.atomic import (
+    _transitions,
+    diagonalize_level,
+    load_level_model,
+    matrix_elements,
+    transition_table,
+)
 from ionvq.manifold import (
     TWO_PI,
     CostBreakdown,
@@ -100,12 +106,14 @@ def _reference_cost(state_set, data, params) -> CostBreakdown:
     x = (a_max - A) / (a_max - a_min) if a_max > a_min else 0.0
     d2 = (TWO_PI * params.D_Hz) ** 2
     ct = data.crosstalk
+    column = np.cumsum(data.drivable) - 1  # crosstalk rows and columns are drivable transitions
     raw_int = 0.0
     if A > 1:
-        block = ct[np.ix_(int_idx, int_idx)].copy()
+        block = ct[np.ix_(column[int_idx], column[int_idx])].copy()
         np.fill_diagonal(block, 0.0)
         raw_int = float(block.sum()) / A
-    raw_spect = float(ct[np.ix_(int_idx, spect_idx)].sum()) / A if spect_idx.size else 0.0
+    raw_spect = (float(ct[np.ix_(column[int_idx], column[spect_idx])].sum()) / A
+                 if spect_idx.size else 0.0)
     geom = d ** (2 - x)
     eps_int = geom * d2 * raw_int
     eps_spect = geom * d2 * raw_spect
@@ -149,7 +157,7 @@ def _reference_search(model, n, params, k):
     data = precompute_level_data(model, params)
     score = _scorer(data, params)
     L, d = len(data.states.labels), 2**n
-    combos = _connected_subsets(L, np.array(data.pairs)[data.drivable & data.resolved], d)
+    combos = _connected_subsets(L, data.pairs[data.admitted], d)
     tail = np.array([[math.comb(L - 1 - v, d - i) for i in range(d)] for v in range(L)])
     rank = math.comb(L, d) - 1 - sum(tail[combos[:, i], i] for i in range(d))
     best = score(combos[:0])
@@ -187,7 +195,8 @@ def test_allowed_graph_rejects_weak_and_unresolved(data20):
     assert not d2.drivable.any()
     tight = replace(PARAMS, resolution=1e-12)
     d3 = precompute_level_data(BA, tight)
-    assert d3.resolved.sum() < data20.resolved.sum()
+    # admission is decided for drivable transitions only
+    assert d3.admitted[d3.drivable].sum() < data20.admitted[data20.drivable].sum()
 
 
 @pytest.mark.parametrize("scope", ["all", "endpoint"])
@@ -197,7 +206,74 @@ def test_admission_matches_loop_reference(scope):
             params = replace(PARAMS, B_T=field_G * 1e-4, resolution=resolution,
                              resolution_scope=scope)
             data = precompute_level_data(BA, params)
-            assert np.array_equal(data.resolved, _reference_resolved(data, params))
+            # every transition: a non-drivable one reads as not admitted
+            assert np.array_equal(data.admitted, data.drivable & _reference_resolved(data, params))
+
+
+def _full_matrix_level_data(model, params):
+    """The level data from arrays over every pair of transitions (276 x 276
+    for the D5/2 level), as the search built them before it kept only the
+    drivable rows: (pairs, omega, sens, m_abs, drivable, resolved, crosstalk)."""
+    states = diagonalize_level(model, params.B_T)
+    table = transition_table(model, params.B_T, base=states)
+    M = matrix_elements(model, states, params.mechanism, *params.pols())
+    pairs = [(t.i, t.j) for t in table]
+    omega = TWO_PI * np.array([t.freq_Hz for t in table])
+    sens = TWO_PI * np.array([t.sens_Hz_per_T for t in table])
+    m_abs = np.array([abs(M[j, i]) for i, j in pairs])
+    rabi = TWO_PI * params.D_Hz * m_abs
+    drivable = params.D_Hz * m_abs >= params.rabi_threshold_Hz
+    if params.bandwidth_Hz is not None:
+        drivable &= omega <= TWO_PI * params.bandwidth_Hz
+    dmin = TWO_PI * params.delta_min_Hz
+    delta = np.abs(omega[:, None] - omega[None, :])
+    main = np.maximum(delta, dmin) ** 2
+    if params.resolution_scope == "all":
+        veto = np.ones(main.shape, dtype=bool)
+    else:
+        ends = np.array(pairs)
+        veto = (ends[:, None, :, None] == ends[None, :, None, :]).any(axis=(2, 3))
+    veto &= m_abs >= 1e-12
+    np.fill_diagonal(veto, False)
+    resolved = ~(veto & (rabi**2 / main > params.resolution)).any(axis=1)
+    side = np.maximum(np.abs(delta - TWO_PI * params.omega_M_Hz), dmin) ** 2
+    m2 = m_abs[None, :] ** 2
+    crosstalk = m2 / main + (params.eta**2) * m2 / side
+    return pairs, omega, sens, m_abs, drivable, resolved, crosstalk
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40)
+@given(
+    field_G=st.floats(0.5, 70.0),
+    scope=st.sampled_from(["all", "endpoint"]),
+    resolution=st.floats(1e-3, 1.0),
+    bandwidth_Hz=st.one_of(st.none(), st.floats(0.0, 7e8)),
+    mechanism=st.sampled_from(["raman", "m1"]),
+)
+@example(field_G=0.01, scope="all", resolution=0.05, bandwidth_Hz=None, mechanism="raman")
+@example(field_G=0.01, scope="endpoint", resolution=0.05, bandwidth_Hz=None, mechanism="m1")
+def test_level_data_equals_full_matrix_reference(field_G, scope, resolution, bandwidth_Hz,
+                                                 mechanism):
+    # drivable rows only, bit for bit; at 0.01 G (1e-6 T) nothing is admitted
+    params = replace(PARAMS, B_T=field_G * 1e-4, resolution_scope=scope, resolution=resolution,
+                     bandwidth_Hz=bandwidth_Hz, mechanism=mechanism)
+    data = precompute_level_data(BA, params)
+    pairs, omega, sens, m_abs, drivable, resolved, crosstalk = _full_matrix_level_data(BA, params)
+    assert data.pairs.tolist() == [list(p) for p in pairs]
+    assert all(data.pair_index[p] == k for k, p in enumerate(pairs))
+    for got, want in ((data.omega, omega), (data.sens, sens), (data.m_abs, m_abs),
+                      (data.drivable, drivable), (data.admitted, drivable & resolved)):
+        assert _same_bits(got, want)
+    drv = np.flatnonzero(drivable)
+    assert _same_bits(data.crosstalk, crosstalk[np.ix_(drv, drv)])
+    # the table is a list view of the arrays
+    i, j, freq, sens_T = _transitions(BA, params.B_T, data.states)
+    assert [(t.i, t.j, t.freq_Hz, t.sens_Hz_per_T) for t in transition_table(BA, params.B_T)] == \
+        list(zip(i.tolist(), j.tolist(), freq.tolist(), sens_T.tolist()))
 
 
 @settings(max_examples=40)
@@ -256,7 +332,7 @@ def test_search_below_any_resolved_manifold_is_empty():
     # a sweep from 0 G starts here, where no transition is admitted
     params = replace(PARAMS, B_T=1e-6)
     data = precompute_level_data(BA, params)
-    assert not (data.drivable & data.resolved).any()
+    assert not data.admitted.any()
     assert search_top_k(BA, 2, params, 10) == []
 
 
@@ -311,6 +387,54 @@ def test_connected_subsets_past_64_vertices():
     # a path on 70 vertices, whose subset bitmasks no longer fit 64 bits
     rows = _connected_subsets(70, [(v, v + 1) for v in range(69)], 3)
     assert rows.tolist() == [[v, v + 1, v + 2] for v in range(68)]
+
+
+def _connected_oracle(size, edges, k):
+    """Rows of ``itertools.combinations(range(size), k)`` whose subgraph a
+    breadth-first search from the least vertex covers; the search runs its
+    k - 1 levels on 20,000 rows at a time."""
+    adj = np.eye(size, dtype=bool)
+    for i, j in edges:
+        adj[i, j] = adj[j, i] = True
+    combos = itertools.combinations(range(size), k)
+    rows = []
+    while len(c := np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, 20_000)),
+                               np.intp).reshape(-1, k)):
+        sub = adj[c[:, :, None], c[:, None, :]]
+        seen = sub[:, 0]  # the least vertex and its neighbours in the set
+        for _ in range(k - 2):  # one level each: those next to a vertex seen (boolean or-and)
+            seen = np.matmul(seen[:, None, :], sub)[:, 0]
+        rows += c[seen.all(axis=1)].tolist()
+    return rows
+
+
+@st.composite
+def _small_graphs(draw):
+    """(size, edges) on 1-12 vertices, with no edges about one time in four."""
+    size = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(size), 2))
+    if not pairs or draw(st.integers(0, 3)) == 0:
+        return size, []
+    return size, sorted(draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))))
+
+
+@settings(max_examples=150)
+@given(graph=_small_graphs(), k=st.integers(1, 5))
+def test_connected_subsets_equal_bfs_oracle(graph, k):
+    # same rows in the same order: a dropped or a repeated set fails
+    size, edges = graph
+    got = _connected_subsets(size, edges, k)
+    want = _connected_oracle(size, edges, k)
+    assert got.shape == (len(want), k) and got.dtype.kind == "i"
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("n, field_G", [(2, 1.0), (2, 20.0), (2, 60.0), (3, 20.0)])
+def test_connected_subsets_of_level_graphs_equal_bfs_oracle(n, field_G):
+    data = precompute_level_data(BA, replace(PARAMS, B_T=field_G * 1e-4))
+    edges = data.pairs[data.admitted].tolist()
+    got = _connected_subsets(len(data.states.labels), edges, 2**n)
+    assert got.tolist() == _connected_oracle(len(data.states.labels), edges, 2**n)
 
 
 def test_disconnected_candidate_rejected(data20):

@@ -41,11 +41,18 @@ def _fixed_depth_probs(policy, num_qubits, layers, circuits, seed):
             fixed_depth_amplitudes(policy, num_qubits, layers, circuits, seed)]
 
 
+def _index_of_bits(reg, bits):
+    """Basis index of a measurement label, read ion by ion."""
+    return reg.index_of_levels([ion.encoding.level_of_bits(bits[off:off + ion.n], reg.qubit_order)
+                                for ion, off in zip(reg.ions, reg.qubit_offsets)])
+
+
 def _sampled_xeb(state, shots, seed):
-    """2^N <p(x)> - 1 over ``shots`` outcomes x drawn from ``state``."""
+    """2^N <p(x)> - 1 over ``shots`` outcomes x drawn from ``state``, looked
+    up by their labels."""
     reg, probs = state.register, state.probabilities()
     counts = sample_measurement(state, shots, seed)
-    mean_p = sum(c * probs[reg.index_of_bits(bits)] for bits, c in counts.items()) / shots
+    mean_p = sum(c * probs[_index_of_bits(reg, bits)] for bits, c in counts.items()) / shots
     return float(reg.dim * mean_p - 1.0)
 
 
