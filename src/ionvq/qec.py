@@ -8,7 +8,9 @@ and reset), defects are differenced round to round, and each differenced
 round is decoded in closed form as soon as it is simulated (so memory does
 not grow with the rounds): of the two corrections consistent with its defects
 (the prefix XOR and its complement) the lighter one, which for odd d is the
-exact minimum-weight matching on the 1D chain.  ``sample_curve`` runs a
+exact minimum-weight matching on the 1D chain.  Each channel site draws only
+the shots it hits (a binomial count, then that many distinct shots), so the
+sampling work grows with the hits, not the shots.  ``sample_curve`` runs a
 curve's points concurrently, one thread per CPU the process may use.
 
 Channel rates follow the independent-error estimate with eps2 = 10 eps1:
@@ -123,29 +125,31 @@ def _apply_channel(frames, anc, qubits, lam, rng, convention="uniform_nonidentit
     random non-identity Pauli product on the site and keep its X part.
     "quarter_rate": with probability lam/4 apply a uniformly random Pauli
     product including the identity (the alternative reading of the source
-    error model).
+    error model).  A rate >= 1 hits every shot.
+
+    The hits are drawn directly: a Binomial(shots, rate) count, that many
+    distinct shots, and one Pauli product for each.  ``anc`` may be None to
+    drop ancilla hits; the draws do not depend on it.
     """
     shots = frames.shape[0]
     k = len(qubits)
     if convention == "uniform_nonidentity":
-        hit, lo = rng.random(shots) < lam, 1
+        rate, lo = lam, 1
     elif convention == "quarter_rate":
-        hit, lo = rng.random(shots) < lam / 4.0, 0
+        rate, lo = lam / 4.0, 0
     else:
         raise ValueError(f"unknown pauli convention {convention!r}")
-    idx = np.flatnonzero(hit)
-    if idx.size == 0:
+    hits = rng.binomial(shots, min(rate, 1.0))
+    if hits == 0:
         return
-    # the draw covers every shot so the generator stream does not depend on
-    # how many shots were hit; only the hit entries are used
-    draw = rng.integers(lo, 4**k, size=shots)[idx]
+    # distinct shots, since a fancy ``^=`` flips a repeated index only once
+    idx = np.sort(rng.choice(shots, hits, replace=False)) if hits < shots else np.arange(shots)
+    draw = rng.integers(lo, 4**k, size=hits)
+    xbits = draw ^ (draw >> 1)  # bit 2*pos set where the Pauli at pos is X or Y
     for pos, q in enumerate(qubits):
-        pauli = (draw >> (2 * pos)) & 3
-        flip = idx[(pauli == 1) | (pauli == 2)]  # X or Y component
-        if q == "anc":
-            anc[flip] ^= True
-        else:
-            frames[flip, q] ^= True
+        target = anc if q == "anc" else frames[:, q]
+        if target is not None:
+            target[idx[xbits & (1 << 2 * pos) != 0]] ^= True
 
 
 def _defect_rounds(circ, model, shots, seed, pauli_convention):
@@ -156,14 +160,14 @@ def _defect_rounds(circ, model, shots, seed, pauli_convention):
     # shot-last memory layout behind the [shots, ...] views, so per-qubit
     # columns and the stabiliser-major rows ``decode`` walks are contiguous
     frames = np.zeros((circ.num_frame_qubits, shots), dtype=bool).T
-    anc = np.zeros(shots, dtype=bool)  # ancilla hits: drawn, then lost at reset
     rates = {"lam_cnot": model.lam_cnot, "lam_paired": model.lam_paired}
     sites = circ.channel_sites()
     last = np.zeros((circ.d - 1, shots), dtype=bool)
     for r in range(circ.rounds + 1):
         if r < circ.rounds:  # the last slice reads the data out without noise
             for _, qubits, key in sites:
-                _apply_channel(frames, anc, qubits, rates[key], rng, pauli_convention)
+                # ancilla hits are lost at reset, so none is recorded
+                _apply_channel(frames, None, qubits, rates[key], rng, pauli_convention)
         syndrome = frames.T[: circ.d - 1] ^ frames.T[1 : circ.d]
         yield (syndrome ^ last).T, frames
         last = syndrome
@@ -341,7 +345,8 @@ def _wilson_ci(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
     denom = 1 + z**2 / n
     center = (ph + z**2 / (2 * n)) / denom
     half = z * math.sqrt(ph * (1 - ph) / n + z**2 / (4 * n**2)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    # the ends are exact: at k = 0 or n the subtraction leaves rounding residue
+    return (max(0.0, center - half) if k else 0.0), (min(1.0, center + half) if k < n else 1.0)
 
 
 def sample_logical_error(
@@ -406,7 +411,7 @@ def exhaustive_logical_error(d: int, encoding_n: int, eps1: float, rounds: int =
     total = 0.0
 
     def site_outcomes(op):
-        qubits, lam = op[1], rates[op[2]]
+        qubits, lam = op[1], min(rates[op[2]], 1.0)  # a rate >= 1 hits every shot
         k = len(qubits)
         outs = [(1.0 - lam, ())]
         per = lam / (4**k - 1)

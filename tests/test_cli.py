@@ -179,11 +179,13 @@ def test_statevector_cap_exits_2(tmp_path, args, capsys):
     assert "22-qubit statevector limit" in capsys.readouterr().err
 
 
+# the repcode pins are recorded from the channel sampler that draws a Binomial
+# hit count, that many distinct shots and a Pauli product per hit shot
 REPCODE_GOLDEN = """\
 L,n,d,rounds,p,p_L,ci_low,ci_high,shots,seed
-4,2,5,5,0.01,0.00095,0.00060828595,0.0014833923,20000,11
-4,2,5,5,0.031622777,0.00775,0.0066256255,0.009063441,20000,12
-4,2,5,5,0.1,0.0695,0.066057591,0.073107758,20000,13
+4,2,5,5,0.01,0.0006,0.00034326663,0.001048546,20000,11
+4,2,5,5,0.031622777,0.0066,0.0055686557,0.0078208524,20000,12
+4,2,5,5,0.1,0.0675,0.064105299,0.071060818,20000,13
 """
 
 
@@ -194,23 +196,22 @@ def test_repcode_output_bytes_are_pinned(tmp_path):
     assert out.read_bytes() == REPCODE_GOLDEN.encode()
 
 
-# recorded from the serial point loop and whole-record decode that the thread
-# pool and the streamed round decode replaced: (argv, csv)
+# (argv, csv), recorded with the same sampler as REPCODE_GOLDEN
 REPCODE_MORE_GOLDEN = [
     (["repcode", "--L", "7", "--n", "1", "--p-grid", "2e-2:2e-1:4", "--shots", "3000",
       "--seed", "21"], """\
 L,n,d,rounds,p,p_L,ci_low,ci_high,shots,seed
-7,1,5,5,0.02,0,1.0842022e-19,0.0012788957,3000,21
-7,1,5,5,0.043088694,0.001,0.00034014106,0.0029361968,3000,22
-7,1,5,5,0.092831777,0.016666667,0.012665085,0.021904515,3000,23
-7,1,5,5,0.2,0.13433333,0.12259694,0.14700503,3000,24
+7,1,5,5,0.02,0,0,0.0012788957,3000,21
+7,1,5,5,0.043088694,0.0023333333,0.0011307177,0.0048088765,3000,22
+7,1,5,5,0.092831777,0.014333333,0.010658652,0.019250249,3000,23
+7,1,5,5,0.2,0.13266667,0.1209965,0.1452764,3000,24
 """),
     (["repcode", "--d", "5", "--n", "2", "--rounds", "4", "--pauli-convention", "quarter_rate",
       "--p-grid", "5e-2:5e-1:3", "--shots", "2001", "--seed", "9"], """\
 L,n,d,rounds,p,p_L,ci_low,ci_high,shots,seed
-4,2,5,4,0.05,0.00099950025,0.00027413609,0.0036371954,2001,9
-4,2,5,4,0.15811388,0.0074962519,0.0045480599,0.012331877,2001,10
-4,2,5,4,0.5,0.062968516,0.053140036,0.074471841,2001,11
+4,2,5,4,0.05,0,0,0.0019161614,2001,9
+4,2,5,4,0.15811388,0.0094952524,0.0060871436,0.014783134,2001,10
+4,2,5,4,0.5,0.090954523,0.079126976,0.10434966,2001,11
 """),
 ]
 

@@ -3,14 +3,17 @@ import math
 import os
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ionvq import qec
 from ionvq.qec import (
     ChannelModel,
     _apply_channel,
+    _wilson_ci,
     brute_force_match,
     build_repcode_circuit,
     decode,
@@ -146,7 +149,8 @@ def test_large_distance_needs_no_table():
 
 
 def _reference_apply_channel(frames, anc, qubits, lam, rng, convention):
-    """Dense form of the channel site: flips computed over every shot."""
+    """The dense sampler ``_apply_channel`` replaced: a uniform and a Pauli draw
+    for every shot.  Same channel law, different random stream."""
     shots = frames.shape[0]
     k = len(qubits)
     if convention == "uniform_nonidentity":
@@ -162,31 +166,100 @@ def _reference_apply_channel(frames, anc, qubits, lam, rng, convention):
     for pos, q in enumerate(qubits):
         pauli = (draw >> (2 * pos)) & 3
         flip = hit & ((pauli == 1) | (pauli == 2))
-        if q == "anc":
-            anc ^= flip
-        else:
+        if q != "anc":
             frames[:, q] ^= flip
+        elif anc is not None:
+            anc ^= flip
 
 
-@pytest.mark.parametrize("convention", ["uniform_nonidentity", "quarter_rate"])
+def _flip_law(qubits, lam, convention):
+    """Exact probability of each joint X-flip pattern of a site (bit pos set:
+    qubit pos flipped), enumerating the 4^k Pauli products as
+    ``exhaustive_logical_error``'s ``site_outcomes`` does."""
+    k = len(qubits)
+    if convention == "uniform_nonidentity":
+        rate, draws = min(lam, 1.0), range(1, 4**k)
+    else:
+        rate, draws = min(lam / 4.0, 1.0), range(4**k)
+    law = np.zeros(2**k)
+    law[0] = 1.0 - rate
+    for draw in draws:
+        law[sum(1 << pos for pos in range(k) if (draw >> 2 * pos) & 3 in (1, 2))] += rate / len(draws)
+    return law
+
+
+def _law_z(apply, qubits, lam, convention, shots=200_000, seed=0):
+    """Largest |count - expected| / sigma over a site's flip patterns after one
+    application to clear frames; pattern 0 counts the shots left unflipped, and a
+    pattern of probability 0 or 1 must match exactly (inf otherwise)."""
+    frames, anc = np.zeros((4, shots), dtype=bool).T, np.zeros(shots, dtype=bool)
+    apply(frames, anc, qubits, lam, np.random.default_rng(seed), convention)
+    pattern = sum((anc if q == "anc" else frames[:, q]).astype(np.int64) << pos
+                  for pos, q in enumerate(qubits))
+    law = _flip_law(qubits, lam, convention)
+    dev = np.abs(np.bincount(pattern, minlength=law.size) - shots * law)
+    sigma = np.sqrt(shots * law * (1.0 - law))
+    z = np.divide(dev, sigma, out=np.zeros_like(dev), where=sigma > 0)
+    z[(sigma == 0) & (dev > 1e-6)] = np.inf
+    return z.max()
+
+
+CONVENTIONS = ["uniform_nonidentity", "quarter_rate"]
+LAMS = [0.0, 1e-3, 0.08, 0.5, 1.0, 1.4]
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("qubits", [(0, 2), (1, "anc"), (0, 1, 3), (2, 3, "anc")])
-@pytest.mark.parametrize("lam", [0.0, 1e-3, 0.08, 1.0])
+@pytest.mark.parametrize("lam", LAMS)
 def test_apply_channel_matches_dense_reference(convention, qubits, lam):
+    # layout: the shot-last frames simulate_defects uses (F) draw and flip as C-order ones
     init = np.random.default_rng(5).random((3000, 5)) < 0.3
 
-    def run(apply, order):
+    def run(order):
         frames, anc = np.array(init[:, :4], order=order), init[:, 4].copy()
         rng = np.random.default_rng(99)
         for _ in range(3):
-            apply(frames, anc, qubits, lam, rng, convention)
+            _apply_channel(frames, anc, qubits, lam, rng, convention)
         return frames, anc, rng.bit_generator.state
 
-    ref_frames, ref_anc, ref_state = run(_reference_apply_channel, "C")
-    for order in ("C", "F"):  # F: the shot-last layout simulate_defects uses
-        frames, anc, state = run(_apply_channel, order)
-        assert np.array_equal(frames, ref_frames)
-        assert np.array_equal(anc, ref_anc)
-        assert state == ref_state
+    c_frames, c_anc, c_state = run("C")
+    f_frames, f_anc, f_state = run("F")
+    assert np.array_equal(f_frames, c_frames) and np.array_equal(f_anc, c_anc)
+    assert f_state == c_state
+    # law: the sparse draw and the dense reference both follow the exact site law;
+    # at rate 0 nothing flips, and a canonical rate >= 1 leaves no shot unhit
+    assert _law_z(_apply_channel, qubits, lam, convention) < 5
+    assert _law_z(_reference_apply_channel, qubits, lam, convention) < 5
+
+
+@pytest.mark.parametrize("qubits", [(1, "anc"), (0, 1, 3)])
+def test_channel_law_check_rejects_wrong_samplers(qubits):
+    def half_rate(frames, anc, qubits, lam, rng, convention):
+        _apply_channel(frames, anc, qubits, lam / 2, rng, convention)
+
+    def with_identity(frames, anc, qubits, lam, rng, convention):
+        # hits at rate lam, but drawn over all 4^k products
+        _apply_channel(frames, anc, qubits, 4 * lam, rng, "quarter_rate")
+
+    # each wrong sampler fails the law check at some rate of the grid above
+    for convention in CONVENTIONS:
+        assert max(_law_z(half_rate, qubits, lam, convention) for lam in LAMS) > 5
+    assert max(_law_z(with_identity, qubits, lam, "uniform_nonidentity") for lam in LAMS) > 5
+
+
+@pytest.mark.parametrize("lam", [1e-300, 5e-324])
+def test_apply_channel_tiny_rates_allocate_nothing(lam):
+    shots = 10**7
+    frames, anc = np.zeros((2, shots), dtype=bool).T, np.zeros(shots, dtype=bool)
+    tracemalloc.start()
+    try:
+        for convention in CONVENTIONS:
+            _apply_channel(frames, anc, (0, 1, "anc"), lam, np.random.default_rng(2), convention)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    assert not frames.any() and not anc.any()
 
 
 def test_residual_is_logical_class_only():
@@ -202,6 +275,39 @@ def test_exhaustive_matches_monte_carlo():
         mc = sample_logical_error(3, enc, 0.004, 1, shots, seed=23)
         sigma = math.sqrt(max(exact * (1 - exact) / shots, 1e-12))
         assert abs(mc.p_logical - exact) < 3 * sigma
+
+
+@settings(max_examples=12, derandomize=True)
+@given(st.sampled_from([1, 2]), st.sampled_from(CONVENTIONS), st.floats(1e-3, 0.08),
+       st.integers(0, 2**32 - 1))
+@example(1, "uniform_nonidentity", 1e-3, 1)
+@example(2, "quarter_rate", 0.08, 2)
+def test_sampler_matches_exhaustive_oracle(n, convention, eps1, seed):
+    shots = 200_000
+    oracle_eps1 = eps1
+    if convention == "quarter_rate":
+        # every site of a d=3 circuit has k = n + 1 qubits; quarter_rate puts lam/4
+        # uniformly on all 4^k products, the canonical channel at the rate of the
+        # non-identity ones
+        oracle_eps1 = eps1 / 4 * (1 - 4.0 ** -(n + 1))
+    exact = exhaustive_logical_error(3, n, oracle_eps1, rounds=1)
+    r = sample_logical_error(3, n, eps1, 1, shots, seed, convention)
+    assert abs(r.p_logical - exact) <= 5 * math.sqrt(exact * (1 - exact) / shots)
+
+
+@pytest.mark.parametrize("n, d", [(1, 9), (2, 19)])
+def test_curve_point_agrees_with_dense_sampler(monkeypatch, n, d):
+    # the repcode benchmark's matched L=11 curves at their highest p
+    eps1, shots, seeds = 0.1 / 14, 20_000, range(5)
+
+    def mean_p_logical():
+        return np.mean([sample_logical_error(d, n, eps1, 9, shots, s).p_logical for s in seeds])
+
+    sparse = mean_p_logical()
+    monkeypatch.setattr(qec, "_apply_channel", _reference_apply_channel)
+    dense = mean_p_logical()
+    se = [math.sqrt(m * (1 - m) / (shots * len(seeds))) for m in (sparse, dense)]
+    assert 0 < sparse and abs(sparse - dense) < 4 * math.hypot(*se)
 
 
 def test_distance_scaling_subthreshold():
@@ -319,3 +425,17 @@ def test_curve_points_equal_serial_points(monkeypatch):
     assert sample_curve(5, 2, [], 4, 2001, 30) == []
     with pytest.raises(ValueError, match="eps1"):  # the first failing point's error
         sample_curve(3, 1, [0.01, 0.2, 0.3], 1, 10, 1)
+
+
+def test_wilson_interval_ends_are_exact():
+    for n in range(1, 20_001):
+        assert _wilson_ci(0, n)[0] == 0.0 and _wilson_ci(n, n)[1] == 1.0
+
+
+@given(st.integers(1, 10**7).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+@example((0, 3000))
+@example((6, 6))
+def test_wilson_interval_holds_the_estimate(kn):
+    k, n = kn
+    lo, hi = _wilson_ci(k, n)
+    assert 0.0 <= lo <= k / n <= hi <= 1.0
