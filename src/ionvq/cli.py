@@ -258,6 +258,11 @@ def _cmd_repcode(args):
         raise ConfigError("give --p or --p-grid")
     if not all(0.0 < p / 14.0 <= 0.1 for p in ps):
         raise ConfigError("each p must lie in (0, 1.4] (eps1 = p/14 at most 0.1)")
+    # above a site rate of 1 every p runs one saturated channel (quarter_rate's p/4 never does)
+    pmax = 14 / {1: 14, 2: 11}[args.n]
+    if args.pauli_convention == "uniform_nonidentity" and max(ps) > pmax:
+        raise ConfigError(f"p {max(ps):.8g}: site rate {max(ps) / pmax:.10g} exceeds 1 with --n "
+                          f"{args.n} under uniform_nonidentity; p may be at most {pmax:.15g}")
     results = qec.sample_curve(d, args.n, [p / 14.0 for p in ps], rounds, args.shots,
                                args.seed, pauli_convention=args.pauli_convention)
     rows = [

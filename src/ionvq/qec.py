@@ -2,16 +2,16 @@
 
 The simulation is a Pauli frame restricted to X components: Z errors neither
 flip ZZ syndromes nor the Z-basis logical readout, so only the X part of each
-depolarizing outcome is tracked.  Syndrome extraction is modeled gate by gate
-(CNOT data->ancilla, channel sites between them, perfect ancilla measurement
-and reset), defects are differenced round to round, and each differenced
-round is decoded in closed form as soon as it is simulated (so memory does
-not grow with the rounds): of the two corrections consistent with its defects
-(the prefix XOR and its complement) the lighter one, which for odd d is the
-exact minimum-weight matching on the 1D chain.  Each channel site draws only
-the shots it hits (a binomial count, then that many distinct shots), so the
-sampling work grows with the hits, not the shots.  ``sample_curve`` runs a
-curve's points concurrently, one thread per CPU the process may use.
+depolarizing outcome is tracked.  Each channel site draws only the shots it
+hits (a binomial count, then that many distinct shots), so the sampling work
+grows with the hits, not the shots.  ``simulate_defects`` records the defects
+of perfect parity measurements, differenced round to round, and ``decode``
+corrects each differenced round by the lighter of its two consistent
+corrections, the exact minimum-weight matching on the 1D chain for odd d.
+``sample_logical_error`` gets the same failures from the same draws without
+that record: a round fails when its flips, bit-packed per shot, hit more than
+half the data qubits.  ``sample_curve`` runs a curve's points concurrently,
+one thread per CPU the process may use.
 
 Channel rates follow the independent-error estimate with eps2 = 10 eps1:
 a data-ion/ancilla unit costs one intra plus one MS gate in the paired
@@ -118,21 +118,12 @@ def build_repcode_circuit(d: int, encoding_n: int, rounds: int) -> NoisyCircuit:
     )
 
 
-def _apply_channel(frames, anc, qubits, lam, rng, convention="uniform_nonidentity"):
-    """Depolarizing site on the X frame.
-
-    "uniform_nonidentity" (canonical): with probability lam apply a uniformly
-    random non-identity Pauli product on the site and keep its X part.
-    "quarter_rate": with probability lam/4 apply a uniformly random Pauli
-    product including the identity (the alternative reading of the source
-    error model).  A rate >= 1 hits every shot.
-
-    The hits are drawn directly: a Binomial(shots, rate) count, that many
-    distinct shots, and one Pauli product for each.  ``anc`` may be None to
-    drop ancilla hits; the draws do not depend on it.
-    """
-    shots = frames.shape[0]
-    k = len(qubits)
+def _draw_hits(shots, k, lam, rng, convention):
+    """One depolarizing site's draws for ``shots`` frames: a Binomial(shots, rate)
+    count, that many distinct shots (sorted) and a Pauli product on k qubits for
+    each (bits 2*pos, 2*pos+1 code the Pauli at pos); both empty if none is hit.
+    "uniform_nonidentity" (canonical): rate lam, non-identity products; "quarter_rate":
+    rate lam/4, any product (the source model's other reading).  Rate >= 1 hits all."""
     if convention == "uniform_nonidentity":
         rate, lo = lam, 1
     elif convention == "quarter_rate":
@@ -140,11 +131,17 @@ def _apply_channel(frames, anc, qubits, lam, rng, convention="uniform_nonidentit
     else:
         raise ValueError(f"unknown pauli convention {convention!r}")
     hits = rng.binomial(shots, min(rate, 1.0))
-    if hits == 0:
-        return
+    if hits == 0:  # nothing more is drawn
+        return np.empty(0, np.intp), np.empty(0, np.int64)
     # distinct shots, since a fancy ``^=`` flips a repeated index only once
     idx = np.sort(rng.choice(shots, hits, replace=False)) if hits < shots else np.arange(shots)
-    draw = rng.integers(lo, 4**k, size=hits)
+    return idx, rng.integers(lo, 4**k, size=hits)
+
+
+def _apply_channel(frames, anc, qubits, lam, rng, convention="uniform_nonidentity"):
+    """Depolarizing site on the X frame: the X parts of ``_draw_hits``'s Paulis.
+    ``anc`` may be None to drop ancilla hits; the draws do not depend on it."""
+    idx, draw = _draw_hits(frames.shape[0], len(qubits), lam, rng, convention)
     xbits = draw ^ (draw >> 1)  # bit 2*pos set where the Pauli at pos is X or Y
     for pos, q in enumerate(qubits):
         target = anc if q == "anc" else frames[:, q]
@@ -160,14 +157,12 @@ def _defect_rounds(circ, model, shots, seed, pauli_convention):
     # shot-last memory layout behind the [shots, ...] views, so per-qubit
     # columns and the stabiliser-major rows ``decode`` walks are contiguous
     frames = np.zeros((circ.num_frame_qubits, shots), dtype=bool).T
-    rates = {"lam_cnot": model.lam_cnot, "lam_paired": model.lam_paired}
-    sites = circ.channel_sites()
     last = np.zeros((circ.d - 1, shots), dtype=bool)
     for r in range(circ.rounds + 1):
         if r < circ.rounds:  # the last slice reads the data out without noise
-            for _, qubits, key in sites:
+            for _, qubits, key in circ.channel_sites():
                 # ancilla hits are lost at reset, so none is recorded
-                _apply_channel(frames, None, qubits, rates[key], rng, pauli_convention)
+                _apply_channel(frames, None, qubits, getattr(model, key), rng, pauli_convention)
         syndrome = frames.T[: circ.d - 1] ^ frames.T[1 : circ.d]
         yield (syndrome ^ last).T, frames
         last = syndrome
@@ -194,14 +189,38 @@ def simulate_defects(circ: NoisyCircuit, model: ChannelModel, shots: int, seed: 
     return defects, frames
 
 
-def decode_streamed(circ: NoisyCircuit, model: ChannelModel, shots: int, seed: int,
-                    pauli_convention: str = "uniform_nonidentity"):
-    """``decode`` of ``simulate_defects``'s record, and its final frames, decoding each
-    round as it is simulated: the same bits, holding one round's defects, not all."""
-    corr = np.zeros((circ.d, shots), dtype=bool).T
-    for step, frames in _defect_rounds(circ, model, shots, seed, pauli_convention):
-        corr ^= decode(step[:, None], circ.d)
-    return corr, frames
+def _logical_failures(circ: NoisyCircuit, model: ChannelModel, shots: int, seed: int,
+                      pauli_convention: str = "uniform_nonidentity") -> np.ndarray:
+    """Per-shot logical failures, ``(frames[:, :d] ^ decode(defects, d))[:, 0]``
+    for ``simulate_defects``'s record of the same draws, without the record.
+
+    Frames are linear, so a round's differenced defects are the adjacent parities
+    of the data flips f drawn in it, and ``decode`` corrects it by the lighter of
+    f and its complement: with perfect parities, minimum-weight decoding of a
+    repetition-code round is a majority vote (Dennis et al., J. Math. Phys. 43,
+    4452 (2002)), and the round fails when f flips more than d // 2 data qubits.
+    A shot fails when an odd number of its rounds fail (the readout adds no flips).
+    Flips are packed in a uint64 word per shot per 64 data qubits; a site's data
+    qubits (q, or 2a and 2a + 1) share a word, which takes a lookup of each hit's
+    X part on them."""
+    rng = np.random.default_rng(seed)
+    masks = np.zeros((-(-circ.d // 64), shots), dtype=np.uint64)
+    sites = []
+    for _, qubits, key in circ.channel_sites():
+        xbits = np.arange(4 ** len(qubits), dtype=np.uint64)
+        xbits ^= xbits >> 1  # bit 2*pos set where the Pauli at pos is X or Y
+        data = [(pos, q) for pos, q in enumerate(qubits) if q != "anc" and q < circ.d]
+        lut = sum(((xbits >> 2 * pos) & 1) << (q % 64) for pos, q in data)
+        sites.append((len(qubits), getattr(model, key), masks[data[0][1] // 64], lut))
+    fail = np.zeros(shots, dtype=bool)
+    for _ in range(circ.rounds):
+        for k, lam, word, lut in sites:
+            idx, draw = _draw_hits(shots, k, lam, rng, pauli_convention)
+            word[idx] ^= lut[draw]
+        # only data bits are set, so a round's count fits the type that holds d
+        fail ^= np.bitwise_count(masks).sum(axis=0, dtype=np.min_scalar_type(circ.d)) > circ.d // 2
+        masks[:] = 0
+    return fail
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +323,7 @@ def decode(defects: np.ndarray, d: int) -> np.ndarray:
     only corrections consistent with a round's defects are its prefix XOR e
     (qubit 0 untouched) and the complement of e; for odd d exactly one of
     them is lighter, which is the minimum-weight matching of ``match_round``.
-    The round corrections are XORed together.
+    The round corrections are XORed together (the reference for ``_logical_failures``).
     """
     if d < 1 or d % 2 == 0:
         raise ValueError("code distance must be odd")
@@ -365,10 +384,7 @@ def sample_logical_error(
         raise ValueError("shots must be positive")
     model = ChannelModel(eps1)
     circ = build_repcode_circuit(d, encoding_n, rounds)
-    corr, frames = decode_streamed(circ, model, shots, seed, pauli_convention)
-    # the residual frames ^ corr commutes with all ZZ checks, so it is all-zeros
-    # or all-ones and its first bit tells a logical failure
-    k = int((frames[:, 0] ^ corr[:, 0]).sum())
+    k = int(np.count_nonzero(_logical_failures(circ, model, shots, seed, pauli_convention)))
     lo, hi = _wilson_ci(k, shots)
     return LogicalErrorResult(
         d, encoding_n, rounds, model.p, k / shots, lo, hi, shots, seed
@@ -405,13 +421,12 @@ def exhaustive_logical_error(d: int, encoding_n: int, eps1: float, rounds: int =
     """Exact p_L by enumerating the joint channel outcomes (small d only)."""
     model = ChannelModel(eps1)
     circ = build_repcode_circuit(d, encoding_n, rounds)
-    sites = [op for op in circ.ops if op[0] == "channel"]
-    rates = {"lam_cnot": model.lam_cnot, "lam_paired": model.lam_paired}
+    sites = circ.channel_sites()
     n_stab = d - 1
     total = 0.0
 
     def site_outcomes(op):
-        qubits, lam = op[1], min(rates[op[2]], 1.0)  # a rate >= 1 hits every shot
+        qubits, lam = op[1], min(getattr(model, op[2]), 1.0)  # a rate >= 1 hits every shot
         k = len(qubits)
         outs = [(1.0 - lam, ())]
         per = lam / (4**k - 1)

@@ -62,6 +62,33 @@ def test_repcode_config_errors_exit_2(tmp_path, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("convention", ["uniform_nonidentity", "quarter_rate"])
+@pytest.mark.parametrize("n, pmax, over", [(1, 1.0, 1.0000001), (2, 14 / 11, 1.2727273)])
+def test_repcode_refuses_saturated_site_rates(tmp_path, capsys, how, convention, n, pmax, over):
+    # the canonical site rate is p for n=1 and 11p/14 for n=2; above 1 every p ran the
+    # same saturated channel under its own label.  quarter_rate's p/4 keeps (0, 1.4].
+    out, cfg = tmp_path / "rep.csv", tmp_path / "cfg.json"
+    for key, value in [("p", pmax), ("p", over), ("p", 1.4), ("p_grid", f"0.5:{over!r}:2")]:
+        opts = {"n": n, "pauli_convention": convention, key: value}
+        if how == "flag":
+            extra = [x for k, v in opts.items() for x in (f"--{k.replace('_', '-')}", str(v))]
+        else:
+            cfg.write_text(json.dumps(opts))
+            extra = ["--config", str(cfg)]
+        code = main(["repcode", "--d", "3", "--shots", "20", "--seed", "1", *extra,
+                     "--out", str(out)])
+        top = value if key == "p" else over
+        if convention == "uniform_nonidentity" and top > pmax:
+            assert code == 2 and not out.exists()
+            err = capsys.readouterr().err
+            assert f"site rate {top / pmax:.10g} exceeds 1" in err
+            assert f"p may be at most {pmax:.15g}" in err
+        else:
+            assert code == 0
+            out.unlink()
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -13,11 +13,11 @@ from ionvq import qec
 from ionvq.qec import (
     ChannelModel,
     _apply_channel,
+    _logical_failures,
     _wilson_ci,
     brute_force_match,
     build_repcode_circuit,
     decode,
-    decode_streamed,
     exhaustive_logical_error,
     match_round,
     matched_distances,
@@ -297,15 +297,18 @@ def test_sampler_matches_exhaustive_oracle(n, convention, eps1, seed):
 
 @pytest.mark.parametrize("n, d", [(1, 9), (2, 19)])
 def test_curve_point_agrees_with_dense_sampler(monkeypatch, n, d):
-    # the repcode benchmark's matched L=11 curves at their highest p
+    # the repcode benchmark's matched L=11 curves at their highest p; the dense
+    # sampler runs under the reference record and decoder, which call _apply_channel
     eps1, shots, seeds = 0.1 / 14, 20_000, range(5)
-
-    def mean_p_logical():
-        return np.mean([sample_logical_error(d, n, eps1, 9, shots, s).p_logical for s in seeds])
-
-    sparse = mean_p_logical()
+    circ, model = build_repcode_circuit(d, n, 9), ChannelModel(eps1)
+    sparse = np.mean([sample_logical_error(d, n, eps1, 9, shots, s).p_logical for s in seeds])
     monkeypatch.setattr(qec, "_apply_channel", _reference_apply_channel)
-    dense = mean_p_logical()
+
+    def dense_p_logical(seed):
+        defects, frames = simulate_defects(circ, model, shots, seed)
+        return np.mean((frames[:, :d] ^ decode(defects, d))[:, 0])
+
+    dense = np.mean([dense_p_logical(s) for s in seeds])
     se = [math.sqrt(m * (1 - m) / (shots * len(seeds))) for m in (sparse, dense)]
     assert 0 < sparse and abs(sparse - dense) < 4 * math.hypot(*se)
 
@@ -386,28 +389,43 @@ def test_quarter_rate_convention_runs_and_differs():
 
 @settings(max_examples=60)
 @given(
-    st.integers(0, 5).map(lambda k: 2 * k + 1),
+    st.integers(0, 67).map(lambda k: 2 * k + 1),
     st.sampled_from([1, 2]),
-    st.integers(0, 5),
+    st.integers(0, 6),
     st.integers(1, 300),
     st.floats(0.0, 0.1),
-    st.sampled_from(["uniform_nonidentity", "quarter_rate"]),
+    st.sampled_from(CONVENTIONS),
     st.integers(0, 2**32 - 1),
 )
 @example(11, 2, 5, 299, 0.1, "quarter_rate", 7)
 @example(1, 1, 3, 1, 0.05, "uniform_nonidentity", 0)
+# more than 64 frame qubits, at the eps1 where the n=1 rate reaches 1 and at 0.1,
+# where the n=2 rate 11 eps1 is above 1 too
+@example(65, 1, 4, 300, 1 / 14, "uniform_nonidentity", 3)
+@example(67, 1, 6, 257, 0.1, "uniform_nonidentity", 4)
+@example(63, 2, 5, 300, 0.1, "uniform_nonidentity", 5)
+@example(65, 2, 6, 211, 1 / 14, "uniform_nonidentity", 6)
+@example(65, 2, 3, 300, 0.1, "quarter_rate", 8)
 def test_streamed_decoding_equals_decode_of_simulated_record(d, n, rounds, shots, eps1,
                                                              convention, seed):
+    # the per-round majority vote against decode of the full record, from the same draws
     circ, model = build_repcode_circuit(d, n, rounds), ChannelModel(eps1)
-    defects, frames = simulate_defects(circ, model, shots, seed, convention)
-    corr, streamed_frames = decode_streamed(circ, model, shots, seed, convention)
-    expected = decode(defects, d)
-    assert corr.shape == expected.shape == (shots, d)
-    assert np.array_equal(corr, expected)
-    assert np.array_equal(streamed_frames, frames)
-    fails = int((frames[:, :d] ^ expected)[:, 0].sum())
+    default_rng, generators = np.random.default_rng, []
+
+    def recorded_rng(seed):
+        generators.append(default_rng(seed))
+        return generators[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", recorded_rng)
+        defects, frames = simulate_defects(circ, model, shots, seed, convention)
+        fails = _logical_failures(circ, model, shots, seed, convention)
+    expected = (frames[:, :d] ^ decode(defects, d))[:, 0]
+    assert fails.dtype == bool and np.array_equal(fails, expected)
+    reference, fast = generators
+    assert fast.bit_generator.state == reference.bit_generator.state
     r = sample_logical_error(d, n, eps1, rounds, shots, seed, pauli_convention=convention)
-    assert r.p_logical == fails / shots
+    assert r.p_logical == int(expected.sum()) / shots
 
 
 def test_curve_points_equal_serial_points(monkeypatch):
