@@ -571,13 +571,12 @@ def embed_standard(U: np.ndarray, targets: Sequence[int], reg: Register) -> np.n
 # measurement sampling
 
 
-def sample_counts(state: StateVector, shots: int, seed: int, chunk_size: int = 65536) -> np.ndarray:
+def sample_counts(state: StateVector, shots: int, seed: int) -> np.ndarray:
     """Sample Z-basis outcomes; the count of every basis index.
 
-    Each chunk of ``chunk_size`` shots is one multinomial draw from its own
-    generator, seeded by ``SeedSequence(seed).spawn``, so for one state and
-    shot count the counts are fixed by ``seed`` and ``chunk_size``; another
-    ``chunk_size`` gives other counts.
+    The counts are one multinomial draw from the generator of
+    ``SeedSequence(seed).spawn(1)[0]``, so they are fixed by ``seed`` for one
+    state and shot count.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
@@ -586,19 +585,12 @@ def sample_counts(state: StateVector, shots: int, seed: int, chunk_size: int = 6
         raise ValueError(f"state norm {norm} too far from 1")
     p = state.probabilities()
     p /= p.sum()
-    n_chunks = (shots + chunk_size - 1) // chunk_size
-    sizes = [chunk_size] * (n_chunks - 1) + [shots - chunk_size * (n_chunks - 1)]
-    rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(n_chunks))
-    total = next(rngs).multinomial(sizes[0], p)  # the first chunk starts the running total
-    for rng, m in zip(rngs, sizes[1:]):
-        total += rng.multinomial(m, p)
-    return total
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]).multinomial(shots, p)
 
 
-def sample_measurement(state: StateVector, shots: int, seed: int,
-                       chunk_size: int = 65536) -> dict[str, int]:
+def sample_measurement(state: StateVector, shots: int, seed: int) -> dict[str, int]:
     """``sample_counts`` keyed by encoded bit labels, of the outcomes drawn."""
-    total = sample_counts(state, shots, seed, chunk_size)
+    total = sample_counts(state, shots, seed)
     return {state.register.bitstring(g): int(total[g]) for g in np.flatnonzero(total).tolist()}
 
 

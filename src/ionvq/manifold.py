@@ -23,7 +23,7 @@ import ctypes
 import itertools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -139,10 +139,9 @@ class CostBreakdown:
     mean_element: float
 
 
-# lexicographic subsets per block of onehot @ ct, whose rounding BLAS fixes by
-# block; each scoring pass takes whole blocks, about _CHUNK_ROWS candidates
-# (usually all of n=2's), so n=3's temporaries stay at a few MB
-_BLOCK_ROWS = 1024
+# candidates per scoring pass: all of n=2's at the default settings, while n=3's
+# temporaries stay at a few MB.  BLAS rounds a row of onehot @ ct according to
+# the rows beside it, so a cost's last bits depend on the slice that scores it
 _CHUNK_ROWS = 4096
 
 
@@ -179,7 +178,6 @@ def _scorer(data: LevelData, params: CostParams):
     takes one sorted row of level indices per connected candidate and returns
     a dict of arrays over the rows: states, edge_count, x, eps_memory,
     eps_internal, eps_spectator, cost, t_rotation, t_gate and mean_element.
-    ``block`` labels each row's block of ``onehot @ ct`` (one block if empty).
     """
     if params.rotation_time_mode not in ("inverse_mean", "mean_inverse"):
         raise ValueError("rotation_time_mode must be 'inverse_mean' or 'mean_inverse'")
@@ -199,7 +197,7 @@ def _scorer(data: LevelData, params: CostParams):
     column = np.cumsum(data.drivable) - 1
     d2 = (TWO_PI * params.D_Hz) ** 2
 
-    def _score(combos, block=()):
+    def _score(combos):
         n_rows, d = combos.shape
         a, b = np.triu_indices(d, 1)
         # every array reduced along its rows is row-major: numpy sums each row
@@ -213,9 +211,7 @@ def _scorer(data: LevelData, params: CostParams):
         base = np.arange(n_rows)[:, None]
         onehot = np.zeros((n_rows, len(drv)))
         onehot.ravel()[(base * len(drv) + column[kp])[edge]] = 1.0
-        g = np.empty_like(onehot)
-        for lo, hi in itertools.pairwise([0, *(np.flatnonzero(np.diff(block)) + 1), n_rows]):
-            np.matmul(onehot[lo:hi], ct, out=g[lo:hi])
+        g = onehot @ ct
         in_set = np.zeros((n_rows, L), dtype=bool)
         in_set.ravel()[base * L + combos] = True
         spect = in_set.take(ends[drv, 0], axis=1) ^ in_set.take(ends[drv, 1], axis=1)
@@ -254,7 +250,9 @@ def _breakdown(scores: dict, row: int, data: LevelData) -> CostBreakdown:
 
 
 def manifold_cost(state_set, data: LevelData, params: CostParams) -> CostBreakdown:
-    """Evaluate the heuristic cost of one connected candidate."""
+    """Evaluate the heuristic cost of one connected candidate.  Scored alone, its
+    cost can differ in the last bits from the one ``search_top_k`` reports,
+    which shares ``onehot @ ct`` with the rest of its slice."""
     s = sorted(state_set)
     if not len(_connected_subsets(len(data.states.labels), allowed_graph(s, data), len(s))):
         raise ValueError("candidate graph is not connected")
@@ -266,26 +264,18 @@ def search_top_k(
 ) -> list[CostBreakdown]:
     """Rank all connected 2^n-state subsets of the level by cost.
 
-    They are scored in chunks of lexicographic blocks; a stable sort on cost
-    over the running winners followed by each chunk keeps ties in subset order.
+    They are scored in slices of ``_CHUNK_ROWS``; a stable sort on cost over
+    the running winners followed by each slice keeps ties in subset order.
     """
     if n not in (2, 3):
         raise ValueError("manifold search supports n in {2, 3}")
     data = precompute_level_data(model, params)
     score = _scorer(data, params)
-    L, d = len(data.states.labels), 2**n
-    combos = _connected_subsets(L, data.pairs[data.admitted], d)
-    # blocks as the all-subsets search scored them, which keeps every cost's
-    # bits: the rank of c_0 < ... < c_{d-1} is C(L, d) - 1 - sum_i C(L-1-c_i, d-i)
-    tail = np.array([[math.comb(L - 1 - v, d - i) for i in range(d)] for v in range(L)])
-    rank = math.comb(L, d) - 1 - sum(tail[combos[:, i], i] for i in range(d))
-    block = rank // _BLOCK_ROWS
-    seams = np.flatnonzero(np.diff(block)) + 1
-    cuts = seams[np.diff(seams // _CHUNK_ROWS, prepend=0) > 0]
+    combos = _connected_subsets(len(data.states.labels), data.pairs[data.admitted], 2**n)
     best = {}
     with _one_blas_thread():
-        for lo, hi in itertools.pairwise([0, *cuts, len(combos)]):
-            scores = score(combos[lo:hi], block[lo:hi])
+        for lo in range(0, max(len(combos), 1), _CHUNK_ROWS):  # one empty slice if none
+            scores = score(combos[lo:lo + _CHUNK_ROWS])
             if best:
                 scores = {key: np.concatenate([best[key], val]) for key, val in scores.items()}
             order = np.argsort(scores["cost"], kind="stable")[:k]

@@ -10,8 +10,8 @@ corrects each differenced round by the lighter of its two consistent
 corrections, the exact minimum-weight matching on the 1D chain for odd d.
 ``sample_logical_error`` gets the same failures from the same draws without
 that record: a round fails when its flips, bit-packed per shot, hit more than
-half the data qubits.  ``sample_curve`` runs a curve's points concurrently,
-one thread per CPU the process may use.
+half the data qubits.  ``sample_curve`` runs a curve's points in grid order,
+each on its own seed.
 
 Channel rates follow the independent-error estimate with eps2 = 10 eps1:
 a data-ion/ancilla unit costs one intra plus one MS gate in the paired
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -394,16 +393,9 @@ def sample_logical_error(
 def sample_curve(d: int, encoding_n: int, eps1s, rounds: int, shots: int, seed: int,
                  pauli_convention: str = "uniform_nonidentity") -> list[LogicalErrorResult]:
     """``sample_logical_error`` at each eps1 of a grid, point k seeded with ``seed + k``,
-    in grid order.  The points run on one thread per CPU the process may use (numpy
-    releases the GIL in its random fills and large ufuncs); each owns its generator, so
-    no result depends on scheduling, and the first failing point raises, as in a loop."""
-    from concurrent.futures import ThreadPoolExecutor  # kept off every CLI call's start-up
-
-    affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    with ThreadPoolExecutor(max(1, min(len(eps1s), cpus))) as pool:
-        return list(pool.map(lambda k: sample_logical_error(
-            d, encoding_n, eps1s[k], rounds, shots, seed + k, pauli_convention), range(len(eps1s))))
+    in grid order; the first failing point raises."""
+    return [sample_logical_error(d, encoding_n, eps1, rounds, shots, seed + k, pauli_convention)
+            for k, eps1 in enumerate(eps1s)]
 
 
 def matched_distances(L: int) -> tuple[int, int]:

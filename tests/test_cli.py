@@ -279,7 +279,6 @@ def test_repcode_worker_error_reaches_main(tmp_path, monkeypatch, capsys, exc, c
         return real(d, n, eps1, rounds, shots, seed, *args, **kwargs)
 
     monkeypatch.setattr(qec, "sample_logical_error", failing)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     out = tmp_path / "rep.csv"
     assert main(["repcode", "--d", "3", "--n", "1", "--p-grid", "1e-2:1e-1:3", "--shots", "50",
                  "--seed", "2", "--out", str(out)]) == code
@@ -327,10 +326,10 @@ def test_xeb_output_bytes_are_pinned(tmp_path, argv, csv_sha256, summary):
     assert json_out.read_text() == json.dumps(summary, indent=1, sort_keys=True) + "\n"
 
 
-# recorded from the all-subsets search that the connected-subset enumeration
-# replaced; the json prints every bit of each cost, so these hold only where
-# BLAS rounds onehot @ ct as it did there (OpenBLAS 0.3.31 running its
-# SkylakeX kernels, on a 2-CPU AVX-512 Xeon)
+# the json prints every bit of each cost, and BLAS rounds a row of onehot @ ct
+# according to the rows scored with it, so these hold only for the search's
+# _CHUNK_ROWS slices and where BLAS runs the kernels they were recorded with
+# (OpenBLAS 0.3.31 running its SkylakeX kernels, on a 2-CPU AVX-512 Xeon)
 MANIFOLD_GOLDEN = [
     (["manifold", "--field", "20", "--n", "2", "--top-k", "10", "--format", "json"],
      "aa2da2201b7bce76d7074bd18fcd7a94a7cfe4228320e3f1c9514e2b4d58932e"),
@@ -338,10 +337,9 @@ MANIFOLD_GOLDEN = [
      "91cea00528d3de351ee8f5f18c7cfad06732aaf5516c0ec82bb16d6cf0048679"),
     (["manifold", "--field", "20", "--n", "3", "--top-k", "5", "--format", "json"],
      "2d92aff1b105c4e38ce367538df0dc4af2a51a328611c8b5c42c3237fad62a06"),
-    # all 968 connected candidates: scored in blocks other than the
-    # all-subsets search's, 5 of their costs move in the last bit
+    # all 968 connected candidates, scored in one slice
     (["manifold", "--field", "42.1", "--n", "2", "--top-k", "1000", "--format", "json"],
-     "303ec954a9268cc52667b2294884d556d12d0e2624038611e26fb634d2cad938"),
+     "ff0b8b8c5114248e9d7d379cc628b99f6395e603691120c9ae72cfad4007c5ca"),
 ]
 
 

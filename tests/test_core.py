@@ -239,15 +239,6 @@ def test_sampling_ghz_binomial():
     assert abs(counts.get("00", 0) - shots / 2) < 4 * sigma
 
 
-def test_sampling_chunks_aggregate_identically():
-    reg = build_register([IonSpec(4, m2_map())])
-    st_ = StateVector.zero(reg)
-    apply_native(st_, R(0, 0, 1, math.pi / 4, -math.pi / 2))
-    a = sample_measurement(st_, 3000, seed=5, chunk_size=512)
-    b = sample_measurement(st_, 3000, seed=5, chunk_size=512)
-    assert a == b
-
-
 def test_sampling_rejects_zero_shots(reg_n2):
     with pytest.raises(ValueError):
         sample_measurement(StateVector.zero(reg_n2), 0, seed=1)
@@ -433,17 +424,11 @@ def test_kernels_allocate_no_state_sized_temporaries():
         assert peak < st_.amps.nbytes / 4, gate
 
 
-def _reference_sample_measurement(state, shots, seed, chunk_size=65536):
+def _reference_sample_measurement(state, shots, seed):
     """sample_measurement as it was: every basis count visited in Python."""
     p = state.probabilities()
     p = p / p.sum()
-    n_chunks = (shots + chunk_size - 1) // chunk_size
-    total = np.zeros(state.register.dim, dtype=np.int64)
-    left = shots
-    for child in np.random.SeedSequence(seed).spawn(n_chunks):
-        m = min(chunk_size, left)
-        left -= m
-        total += np.random.default_rng(child).multinomial(m, p)
+    total = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]).multinomial(shots, p)
     reg = state.register
     return {reg.bitstring(g): int(c) for g, c in enumerate(total) if c}
 
@@ -461,6 +446,7 @@ def test_sample_measurement_equals_all_basis_labelling(ions, support, shots):
     got = sample_measurement(st_, shots, seed=support)
     expect = _reference_sample_measurement(st_, shots, seed=support)
     assert list(got.items()) == list(expect.items())
+    assert sum(got.values()) == shots  # one draw, past 65,536 shots too
 
 
 def _reference_embed(U, targets, reg):

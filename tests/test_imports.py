@@ -47,13 +47,17 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "jso
 
 
 def test_cli_import_loads_no_thread_pool():
-    # concurrent.futures costs milliseconds of start-up; only a repcode curve needs it
+    # concurrent.futures costs milliseconds of start-up; a repcode curve runs on the main thread
     result = _fresh("""
-import json, sys
+import json, sys, threading
 import ionvq.cli
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "concurrent")))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "concurrent")
+code = ionvq.cli.main(["repcode", "--L", "5", "--n", "2", "--p-grid", "1e-3:1e-1:3",
+                       "--shots", "1000", "--seed", "1"])
+print(json.dumps([loaded, code, sorted(m for m in sys.modules if m.split(".")[0] == "concurrent"),
+                  threading.active_count()]))
 """)
-    assert result == []
+    assert result == [[], 0, [], 1]
 
 
 def test_tables_run_loads_no_random_module(tmp_path):

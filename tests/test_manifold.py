@@ -152,21 +152,18 @@ def _reference_top_k(data, params, d, k):
 
 
 def _reference_search(model, n, params, k):
-    """The block-by-block search: one ``_score`` call and one top-k merge per
-    1,024-subset block of the lexicographic order."""
+    """The search with one merge: every ``_CHUNK_ROWS`` slice scored as the
+    search scores it, then one stable sort on cost over all of them."""
     data = precompute_level_data(model, params)
     score = _scorer(data, params)
-    L, d = len(data.states.labels), 2**n
-    combos = _connected_subsets(L, data.pairs[data.admitted], d)
-    tail = np.array([[math.comb(L - 1 - v, d - i) for i in range(d)] for v in range(L)])
-    rank = math.comb(L, d) - 1 - sum(tail[combos[:, i], i] for i in range(d))
-    best = score(combos[:0])
+    combos = _connected_subsets(len(data.states.labels), data.pairs[data.admitted], 2**n)
+    rows = manifold._CHUNK_ROWS
     with manifold._one_blas_thread():  # as in the search: two threads can stall here
-        for block in np.split(combos, np.flatnonzero(np.diff(rank // 1024)) + 1):
-            scores = {key: np.concatenate([best[key], val]) for key, val in score(block).items()}
-            order = np.argsort(scores["cost"], kind="stable")[:k]
-            best = {key: val[order] for key, val in scores.items()}
-    return [_breakdown(best, r, data) for r in range(len(best["cost"]))]
+        parts = [score(combos[:0])] + [score(combos[lo:lo + rows])
+                                       for lo in range(0, len(combos), rows)]
+    scores = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+    order = np.argsort(scores["cost"], kind="stable")[:k]
+    return [_breakdown(scores, r, data) for r in order]
 
 
 def _assert_same_breakdown(got, ref):
@@ -299,26 +296,47 @@ def test_vectorised_cost_matches_reference(field_G, scope, mode, kappa, subsets)
         _assert_same_breakdown(manifold_cost(subset, data, params), ref)
 
 
-def test_search_matches_reference_loop():
-    for field_G in (1.0, 6.6, 20.0, 42.1, 70.0):
-        params = replace(PARAMS, B_T=field_G * 1e-4)
-        top = search_top_k(BA, 2, params, 10)
-        ref = _reference_top_k(precompute_level_data(BA, params), params, 4, 10)
-        assert [cb.states for cb in top] == [cb.states for cb in ref]
-        for got, want in zip(top, ref):
-            _assert_same_breakdown(got, want)
+@settings(max_examples=5)
+@given(field_G=st.floats(0.5, 70.0))
+@example(field_G=1.0)
+@example(field_G=6.6)
+@example(field_G=20.0)
+@example(field_G=42.1)
+@example(field_G=70.0)
+def test_search_matches_reference_loop(field_G):
+    params = replace(PARAMS, B_T=field_G * 1e-4)
+    top = search_top_k(BA, 2, params, 10)
+    ref = _reference_top_k(precompute_level_data(BA, params), params, 4, 10)
+    assert [cb.states for cb in top] == [cb.states for cb in ref]
+    for got, want in zip(top, ref):
+        _assert_same_breakdown(got, want)
 
 
 @settings(max_examples=30)
 @given(field_G=st.floats(0.5, 70.0), k=st.sampled_from([1, 10, 3000]),
        chunk=st.sampled_from([1, 300, manifold._CHUNK_ROWS]))
-def test_chunked_search_equals_block_by_block(field_G, k, chunk):
-    # every cost bit and the tie order, whatever the chunks' size (a chunk of
-    # 1 row holds one block)
+def test_chunked_search_equals_one_merge(field_G, k, chunk):
+    # every cost bit and the tie order, whatever the slices' size
     params = replace(PARAMS, B_T=field_G * 1e-4)
     with mock.patch.object(manifold, "_CHUNK_ROWS", chunk):
-        got = search_top_k(BA, 2, params, k)
-    assert got == _reference_search(BA, 2, params, k)
+        assert search_top_k(BA, 2, params, k) == _reference_search(BA, 2, params, k)
+
+
+def test_chunked_search_keeps_ties_in_subset_order(monkeypatch):
+    # every cost tied: the winners are the first k subsets, across slices too
+    real = manifold._scorer
+
+    def tied(data, params):
+        score = real(data, params)
+        return lambda combos: {**score(combos), "cost": np.zeros(len(combos))}
+
+    monkeypatch.setattr(manifold, "_scorer", tied)
+    monkeypatch.setattr(manifold, "_CHUNK_ROWS", 300)
+    params = replace(PARAMS, B_T=20e-4)
+    data = precompute_level_data(BA, params)
+    combos = _connected_subsets(len(data.states.labels), data.pairs[data.admitted], 4)
+    assert [cb.states for cb in search_top_k(BA, 2, params, 1000)] == [
+        tuple(c) for c in combos[:1000].tolist()]
 
 
 @pytest.mark.parametrize("field_G", [5.0, 20.0, 60.0])

