@@ -164,13 +164,12 @@ def _cmd_xeb(args) -> list[tuple[str, str]]:
         reg = policy.register(args.qubits)
 
         def xeb(k, amps):
-            probs = np.abs(amps) ** 2
             if args.mode == "exact":
-                return sampling.xeb_exact(probs)
-            counts = core.sample_counts(core.StateVector(reg, amps), args.shots,
-                                        args.seed + 10_000 + k)
-            drawn = np.flatnonzero(counts)  # summed in order; np.sum's pairwise order moves bits
-            mean_p = np.cumsum(counts[drawn] * probs[drawn])[-1] / args.shots
+                return sampling.xeb_exact(np.abs(amps) ** 2)
+            drawn, counts = core.sample_counts(core.StateVector(reg, amps), args.shots,
+                                               args.seed + 10_000 + k)
+            # |amp|^2 of the drawn outcomes, summed in order: np.sum's order moves bits
+            mean_p = np.cumsum(counts * np.abs(amps[drawn]) ** 2)[-1] / args.shots
             return float(reg.dim * mean_p - 1.0)
 
         # map holds no row once xeb returns, so each chunk is freed as it is used up

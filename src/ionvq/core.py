@@ -571,27 +571,40 @@ def embed_standard(U: np.ndarray, targets: Sequence[int], reg: Register) -> np.n
 # measurement sampling
 
 
-def sample_counts(state: StateVector, shots: int, seed: int) -> np.ndarray:
-    """Sample Z-basis outcomes; the count of every basis index.
+def sample_counts(state: StateVector, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Z-basis outcomes drawn by inverse CDF: the ascending distinct basis indices and counts.
 
-    The counts are one multinomial draw from the generator of
-    ``SeedSequence(seed).spawn(1)[0]``, so they are fixed by ``seed`` for one
-    state and shot count.
-    """
+    The running sum c of |amp|^2 (bit for bit ``np.cumsum(state.probabilities())``) is walked
+    ``BLOCK_AMPLITUDES`` at a time, so no array of the state's size is made. Shot u of
+    ``np.sort(default_rng(seed).random(shots)) * c[-1]`` goes to the first index with c > u, or
+    with c = c[-1] if u rounds up to it, so a flat step of c (probability 0) is never drawn."""
     if shots <= 0:
         raise ValueError("shots must be positive")
-    norm = state.norm()
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"state norm {norm} too far from 1")
-    p = state.probabilities()
-    p /= p.sum()
-    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]).multinomial(shots, p)
+    amps, size = state.amps, BLOCK_AMPLITUDES
+
+    def running(lo, carry):  # c over the block at lo, given c just before it
+        c = np.abs(amps[lo:lo + size]) ** 2
+        c[0] += carry
+        return np.cumsum(c, out=c)
+
+    ends = [0.0]
+    for lo in range(0, amps.size, size):
+        ends.append(running(lo, ends[-1])[-1])
+    if not abs(math.sqrt(ends[-1]) - 1.0) <= 1e-9:
+        raise ValueError(f"state norm {math.sqrt(ends[-1])} too far from 1")
+    u = np.minimum(np.sort(np.random.default_rng(seed).random(shots)) * ends[-1],
+                   np.nextafter(ends[-1], 0.0))
+    idx, bounds = np.empty(shots, dtype=np.int64), np.searchsorted(u, ends)
+    for k in np.flatnonzero(np.diff(bounds)).tolist():  # the blocks that shots land in
+        shot = slice(bounds[k], bounds[k + 1])
+        idx[shot] = k * size + np.searchsorted(running(k * size, ends[k]), u[shot], side="right")
+    return np.unique(idx, return_counts=True)
 
 
 def sample_measurement(state: StateVector, shots: int, seed: int) -> dict[str, int]:
-    """``sample_counts`` keyed by encoded bit labels, of the outcomes drawn."""
-    total = sample_counts(state, shots, seed)
-    return {state.register.bitstring(g): int(total[g]) for g in np.flatnonzero(total).tolist()}
+    """``sample_counts`` keyed by encoded bit labels, in ascending basis-index order."""
+    idx, counts = sample_counts(state, shots, seed)
+    return {state.register.bitstring(g): c for g, c in zip(idx.tolist(), counts.tolist())}
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,25 @@ def test_bv_deterministic_outputs(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+# (argv, sha256 of the json), recorded from the multinomial sampler and the np.kron
+# preparation: the data-qubit counts hold all the shots, so new draws leave them as they are
+BV_GOLDEN = [
+    (["bv", "--s", "00011111011000110100", "--layout", "n2", "--seed", "1767258088"],
+     "d3137df473e7aa6809426e77be244c02760fc82d587440ab6285ccdb87d7e391"),
+    (["bv", "--s", "1011001110101", "--layout", "n1", "--seed", "2"],
+     "6672c5c9f862dce96319e2684331d90d5a07ec19a41ab72569eb2912ec698c7a"),
+    (["bv", "--s", "110110", "--shots", "1000", "--seed", "4"],
+     "18a7d0fa8b6e2efb7cfa9f1612054f8feea16c1aef9bab19a3d7ab628f86291b"),
+]
+
+
+@pytest.mark.parametrize("argv,sha256", BV_GOLDEN)
+def test_bv_output_bytes_are_pinned(tmp_path, argv, sha256):
+    out = tmp_path / "bv.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 def test_xeb_csv_header_and_determinism(tmp_path):
     args = ["xeb", "--qubits", "8", "--n", "2", "--policy", "all_to_all",
             "--circuits", "3", "--seed", "7"]
@@ -250,17 +269,15 @@ def test_repcode_more_output_bytes_are_pinned(tmp_path, args, golden):
     assert out.read_bytes() == golden.encode()
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 5])
-def test_repcode_grid_rows_equal_serial_points(tmp_path, monkeypatch, cpus):
+@pytest.mark.parametrize("points", [1, 2, 5])
+def test_repcode_grid_rows_equal_serial_points(tmp_path, points):
     from ionvq import qec
 
-    # the pool is as wide as the affinity set; pin it so every width is exercised
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     out = tmp_path / "rep.csv"
-    assert main(["repcode", "--d", "7", "--n", "2", "--rounds", "3", "--p-grid", "1e-2:3e-1:5",
-                 "--shots", "777", "--seed", "40", "--out", str(out)]) == 0
+    assert main(["repcode", "--d", "7", "--n", "2", "--rounds", "3", "--p-grid",
+                 f"1e-2:3e-1:{points}", "--shots", "777", "--seed", "40", "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert len(rows) == 5
+    assert len(rows) == points
     for k, row in enumerate(rows):
         r = qec.sample_logical_error(7, 2, float(row[4]) / 14.0, 3, 777, 40 + k)
         assert row[5:] == [f"{r.p_logical:.8g}", f"{r.ci_low:.8g}", f"{r.ci_high:.8g}",
@@ -308,12 +325,12 @@ XEB_GOLDEN = [
      {"circuits": 20, "mean_gates": 106.8, "statistic": "xeb", "stderr": 6.8493564814897985,
       "threshold": 2.0}),
     # fixed depth: per-circuit gate lists that the ensemble stepper replaced, XEB estimated
-    # from 200 shots
+    # from 200 shots drawn by the streamed inverse CDF
     (["xeb", "--qubits", "8", "--n", "2", "--layers", "4", "--mode", "sampled", "--shots", "200",
       "--circuits", "2", "--seed", "5"],
-     "cf337844b9e3976009310b7d81c8c11f1ba881998a0c34516648eb859326341a",
-     {"circuits": 2, "layers": 4, "mean_statistic": 4.130497405637853, "mode": "sampled",
-      "stderr": 2.091830321455009}),
+     "20f9914d0314e87959fbe622b5d2d16ebd98546bf0dd37eab755a5e90443f56b",
+     {"circuits": 2, "layers": 4, "mean_statistic": 3.939257031472589, "mode": "sampled",
+      "stderr": 1.6099277617140235}),
 ]
 
 

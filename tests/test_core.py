@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -424,13 +425,21 @@ def test_kernels_allocate_no_state_sized_temporaries():
         assert peak < st_.amps.nbytes / 4, gate
 
 
+def _reference_sample_counts(state, shots, seed):
+    """sample_counts on full arrays: one search of the whole running sum of probabilities()."""
+    c = np.cumsum(state.probabilities())
+    u = np.sort(np.random.default_rng(seed).random(shots)) * c[-1]
+    idx = np.searchsorted(c, u, side="right")
+    idx[idx == c.size] = np.flatnonzero(np.diff(c, prepend=0.0))[-1]  # c's last step
+    return np.unique(idx, return_counts=True)
+
+
 def _reference_sample_measurement(state, shots, seed):
-    """sample_measurement as it was: every basis count visited in Python."""
-    p = state.probabilities()
-    p = p / p.sum()
-    total = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]).multinomial(shots, p)
-    reg = state.register
-    return {reg.bitstring(g): int(c) for g, c in enumerate(total) if c}
+    """sample_measurement as it was: every basis index labelled in Python."""
+    idx, counts = _reference_sample_counts(state, shots, seed)
+    total = np.zeros(state.register.dim, dtype=np.int64)
+    total[idx] = counts
+    return {state.register.bitstring(g): int(c) for g, c in enumerate(total) if c}
 
 
 @pytest.mark.parametrize("ions,support,shots", [(3, 5, 1000), (3, 64, 70_000), (8, 2**16, 5000)])
@@ -446,7 +455,84 @@ def test_sample_measurement_equals_all_basis_labelling(ions, support, shots):
     got = sample_measurement(st_, shots, seed=support)
     expect = _reference_sample_measurement(st_, shots, seed=support)
     assert list(got.items()) == list(expect.items())
-    assert sum(got.values()) == shots  # one draw, past 65,536 shots too
+    assert sum(got.values()) == shots
+
+
+@st.composite
+def _sampled_state(draw, max_ions, levels=(2, 4)):
+    """A normalised state on 1..max_ions ions of ``levels`` levels: magnitudes in [1, 2] on a
+    random support, zero off it and on a run of outcomes at the end."""
+    reg = build_register([IonSpec(draw(st.sampled_from(levels)))
+                          for _ in range(draw(st.integers(1, max_ions)))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tail = draw(st.integers(0, reg.dim - 1))
+    keep = rng.random(reg.dim) < draw(st.floats(0.05, 1.0))
+    keep[rng.integers(reg.dim - tail)] = True
+    keep[reg.dim - tail:] = False
+    amps = rng.uniform(1, 2, reg.dim) * np.exp(2j * np.pi * rng.random(reg.dim)) * keep
+    return StateVector(reg, amps / np.linalg.norm(amps))
+
+
+def _check_drawn(state, shots, idx, counts):
+    """Ascending distinct indices, every shot counted, no outcome of probability 0."""
+    assert np.all(np.diff(idx) > 0) and counts.sum() == shots and np.all(counts > 0)
+    assert np.all(state.probabilities()[idx] > 0)
+
+
+@settings(max_examples=300)
+@given(_sampled_state(4), st.integers(1, 3000), st.integers(0, 2**32 - 1), st.integers(1, 64))
+def test_streamed_sample_counts_equal_full_array_oracle(state, shots, seed, block):
+    # blocks of 1-64 amplitudes, so that small registers take many blocks
+    with mock.patch.object(core, "BLOCK_AMPLITUDES", block):
+        idx, counts = core.sample_counts(state, shots, seed)
+    expect_idx, expect_counts = _reference_sample_counts(state, shots, seed)
+    assert np.array_equal(idx, expect_idx) and np.array_equal(counts, expect_counts)
+    _check_drawn(state, shots, idx, counts)
+
+
+@given(_sampled_state(4), st.integers(1, 64))
+def test_sample_counts_put_edge_uniforms_where_the_oracle_does(state, block):
+    # uniforms 0, those landing exactly on a value of the running sum c (so one ulp of c moves
+    # the outcome), and 1, which random() never returns (u = c[-1])
+    c = np.cumsum(state.probabilities())
+    r = c / c[-1]
+    r = np.concatenate([[0.0], r[(r * c[-1] == c) & (r < 1)], [1.0]])
+    rng = SimpleNamespace(random=lambda shots: r)
+    with mock.patch.object(np.random, "default_rng", lambda seed: rng):
+        with mock.patch.object(core, "BLOCK_AMPLITUDES", block):
+            idx, counts = core.sample_counts(state, r.size, 0)
+        expect_idx, expect_counts = _reference_sample_counts(state, r.size, 0)
+    assert np.array_equal(idx, expect_idx) and np.array_equal(counts, expect_counts)
+    drawable = np.flatnonzero(state.probabilities())
+    assert idx[0] == drawable[0] and idx[-1] == drawable[-1]
+
+
+# fixed examples: a 5-sigma bound checked on up to 256 outcomes would fail now and then
+@settings(max_examples=60, derandomize=True)
+@given(_sampled_state(8, (2,)), st.integers(0, 2**32 - 1))
+def test_sample_counts_follow_the_born_rule(state, seed):
+    shots = 20_000
+    idx, counts = core.sample_counts(state, shots, seed)
+    _check_drawn(state, shots, idx, counts)
+    total = np.zeros(state.register.dim)
+    total[idx] = counts
+    p = state.probabilities()  # a certain outcome's p can round past 1
+    assert np.all(np.abs(total - shots * p) <= 5 * np.sqrt(shots * p * np.maximum(1 - p, 0)) + 1e-6)
+
+
+def test_sample_counts_allocate_no_state_sized_temporaries():
+    # 2^18 amplitudes (4 MiB), as for the kernels
+    reg = build_register([IonSpec(4) for _ in range(9)])
+    rng = np.random.default_rng(3)
+    amps = rng.standard_normal(reg.dim) + 1j * rng.standard_normal(reg.dim)
+    st_ = StateVector(reg, amps / np.linalg.norm(amps))
+    tracemalloc.start()
+    try:
+        core.sample_counts(st_, 10_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < st_.amps.nbytes / 4
 
 
 def _reference_embed(U, targets, reg):

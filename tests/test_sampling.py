@@ -527,6 +527,47 @@ def test_bv_layout_validation():
         build_bv("10", "n5")
 
 
+def _reference_bv_prep(reg, s):
+    """The BV input state as it was built: one np.kron per ion, ion 0 fastest-varying."""
+    plus = np.array([1.0, 1.0]) / math.sqrt(2)
+    minus = np.array([1.0, -1.0]) / math.sqrt(2)
+    zero = np.array([1.0, 0.0])
+    amps = np.ones(1, dtype=np.complex128)
+    for ion_idx, ion in enumerate(reg.ions):
+        off = reg.qubit_offsets[ion_idx]
+        qubits = ([minus] if ion_idx == reg.num_ions - 1 else
+                  [plus if s[off + q] == "1" else zero for q in range(ion.n)])
+        label_amps = qubits[0]
+        for q in qubits[1:]:
+            label_amps = np.kron(label_amps, q)
+        lvl = np.zeros(ion.d, dtype=np.complex128)
+        for label in range(ion.d):
+            lvl[ion.encoding.level(label)] = label_amps[label]
+        amps = np.kron(lvl, amps)
+    return amps
+
+
+@given(st.sampled_from(["n1", "n2"]), st.lists(st.sampled_from("01"), min_size=1, max_size=12))
+def test_bv_prep_in_place_equals_kron_chain(layout, bits):
+    s = "".join(bits) + "0" * (layout == "n2" and len(bits) % 2)  # n2 packs qubit pairs
+    reg = build_bv(s, layout).circuit.register
+    got = sampling._bv_prep(reg, s, layout).amps
+    assert np.array_equal(got.view(np.float64), _reference_bv_prep(reg, s).view(np.float64))
+
+
+@pytest.mark.parametrize("s,layout", [("1" * 17, "n1"), ("01" * 9, "n2")])
+def test_bv_prep_allocates_only_its_state(s, layout):
+    # 2^18 and 2^19 amplitudes; the last np.kron alone held a state and a half
+    reg = build_bv(s, layout).circuit.register
+    tracemalloc.start()
+    try:
+        state = sampling._bv_prep(reg, s, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - state.amps.nbytes < state.amps.nbytes / 4
+
+
 def test_statevector_cap_refuses_before_allocating():
     big = MAX_QUBITS + 2
     with pytest.raises(ResourceLimitError):
