@@ -4,14 +4,15 @@ The simulation is a Pauli frame restricted to X components: Z errors neither
 flip ZZ syndromes nor the Z-basis logical readout, so only the X part of each
 depolarizing outcome is tracked.  Each channel site draws only the shots it
 hits (a binomial count, then that many distinct shots), so the sampling work
-grows with the hits, not the shots.  ``simulate_defects`` records the defects
-of perfect parity measurements, differenced round to round, and ``decode``
-corrects each differenced round by the lighter of its two consistent
-corrections, the exact minimum-weight matching on the 1D chain for odd d.
-``sample_logical_error`` gets the same failures from the same draws without
-that record: a round fails when its flips, bit-packed per shot, hit more than
-half the data qubits.  ``sample_curve`` runs a curve's points in grid order,
-each on its own seed.
+grows with the hits, not the shots.  Parities are measured perfectly, so
+minimum-weight decoding of each differenced round is a majority vote on that
+round's data flips: ``sample_logical_error`` fails a round when its flips,
+bit-packed per shot, hit more than half the data qubits.  ``sample_curve`` runs
+a curve's points in grid order, each on its own seed.  ``exact_logical_error``
+is the closed form of the same law (a popcount DP over the data units), the
+reference the sampler is tested against; ``match_round`` and
+``brute_force_match`` are the matching oracles the majority vote is tested
+against.
 
 Channel rates follow the independent-error estimate with eps2 = 10 eps1:
 a data-ion/ancilla unit costs one intra plus one MS gate in the paired
@@ -22,7 +23,6 @@ rate is p = 14 eps1 in both cases.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -86,6 +86,8 @@ def build_repcode_circuit(d: int, encoding_n: int, rounds: int) -> NoisyCircuit:
         raise ValueError("code distance must be odd")
     if encoding_n not in (1, 2):
         raise ValueError("encoding_n must be 1 or 2")
+    if rounds < 0:
+        raise ValueError("rounds must be non-negative")
     ops: list = []
     if encoding_n == 1:
         nq = d
@@ -137,71 +139,19 @@ def _draw_hits(shots, k, lam, rng, convention):
     return idx, rng.integers(lo, 4**k, size=hits)
 
 
-def _apply_channel(frames, anc, qubits, lam, rng, convention="uniform_nonidentity"):
-    """Depolarizing site on the X frame: the X parts of ``_draw_hits``'s Paulis.
-    ``anc`` may be None to drop ancilla hits; the draws do not depend on it."""
-    idx, draw = _draw_hits(frames.shape[0], len(qubits), lam, rng, convention)
-    xbits = draw ^ (draw >> 1)  # bit 2*pos set where the Pauli at pos is X or Y
-    for pos, q in enumerate(qubits):
-        target = anc if q == "anc" else frames[:, q]
-        if target is not None:
-            target[idx[xbits & (1 << 2 * pos) != 0]] ^= True
-
-
-def _defect_rounds(circ, model, shots, seed, pauli_convention):
-    """Yield (differenced defects [shots, d-1], frames [shots, nq]) after each
-    of ``rounds`` template repetitions and once more for a perfect final data
-    readout; ``frames`` is one array updated in place."""
-    rng = np.random.default_rng(seed)
-    # shot-last memory layout behind the [shots, ...] views, so per-qubit
-    # columns and the stabiliser-major rows ``decode`` walks are contiguous
-    frames = np.zeros((circ.num_frame_qubits, shots), dtype=bool).T
-    last = np.zeros((circ.d - 1, shots), dtype=bool)
-    for r in range(circ.rounds + 1):
-        if r < circ.rounds:  # the last slice reads the data out without noise
-            for _, qubits, key in circ.channel_sites():
-                # ancilla hits are lost at reset, so none is recorded
-                _apply_channel(frames, None, qubits, getattr(model, key), rng, pauli_convention)
-        syndrome = frames.T[: circ.d - 1] ^ frames.T[1 : circ.d]
-        yield (syndrome ^ last).T, frames
-        last = syndrome
-
-
-def simulate_defects(circ: NoisyCircuit, model: ChannelModel, shots: int, seed: int,
-                     pauli_convention: str = "uniform_nonidentity"):
-    """Propagate X frames through ``rounds`` template repetitions.
-
-    The syndrome record follows the error-free-measurement convention: the
-    round-r syndrome equals the true ZZ parity of the data frame at the end
-    of round r.  Channel X components falling on the ancilla perturb a qubit
-    that is immediately measured and reset, so they leave no trace in this
-    record, and the per-round matching in ``decode`` is then an exact
-    minimum-weight decoder.
-
-    Returns (defects[shots, rounds+1, d-1], final_frames[shots, nq]); the
-    last defect slice differences a perfect final data readout against the
-    last measured syndrome.
-    """
-    defects = np.zeros((circ.d - 1, circ.rounds + 1, shots), dtype=bool).transpose(2, 1, 0)
-    for r, (step, frames) in enumerate(_defect_rounds(circ, model, shots, seed, pauli_convention)):
-        defects[:, r, :] = step
-    return defects, frames
-
-
 def _logical_failures(circ: NoisyCircuit, model: ChannelModel, shots: int, seed: int,
                       pauli_convention: str = "uniform_nonidentity") -> np.ndarray:
-    """Per-shot logical failures, ``(frames[:, :d] ^ decode(defects, d))[:, 0]``
-    for ``simulate_defects``'s record of the same draws, without the record.
+    """Per-shot logical failures of the memory experiment, decoded round by round.
 
     Frames are linear, so a round's differenced defects are the adjacent parities
-    of the data flips f drawn in it, and ``decode`` corrects it by the lighter of
-    f and its complement: with perfect parities, minimum-weight decoding of a
-    repetition-code round is a majority vote (Dennis et al., J. Math. Phys. 43,
-    4452 (2002)), and the round fails when f flips more than d // 2 data qubits.
-    A shot fails when an odd number of its rounds fail (the readout adds no flips).
-    Flips are packed in a uint64 word per shot per 64 data qubits; a site's data
-    qubits (q, or 2a and 2a + 1) share a word, which takes a lookup of each hit's
-    X part on them."""
+    of the data flips f drawn in it, and the only corrections consistent with them
+    are f and its complement.  With perfect parities, minimum-weight decoding of a
+    repetition-code round (``match_round``) takes the lighter of the two, a
+    majority vote (Dennis et al., J. Math. Phys. 43, 4452 (2002)), and the round
+    fails when f flips more than d // 2 data qubits.  A shot fails when an odd
+    number of its rounds fail (the readout adds no flips).  Flips are packed in a
+    uint64 word per shot per 64 data qubits; a site's data qubits (q, or 2a and
+    2a + 1) share a word, which takes a lookup of each hit's X part on them."""
     rng = np.random.default_rng(seed)
     masks = np.zeros((-(-circ.d // 64), shots), dtype=np.uint64)
     sites = []
@@ -222,6 +172,47 @@ def _logical_failures(circ: NoisyCircuit, model: ChannelModel, shots: int, seed:
     return fail
 
 
+def exact_logical_error(d: int, encoding_n: int, eps1: float, rounds: int,
+                        pauli_convention: str = "uniform_nonidentity") -> float:
+    """Exact p_L of ``_logical_failures``' law, from the sites of the same circuit.
+
+    A site flips the data of one unit only (qubit q for n=1, ion (2a, 2a + 1) for
+    n=2; the spare qubit d of an odd-d n=2 chain does not count), so units flip
+    independently.  On its m counted qubits a site with hit rate r (capped at 1, as
+    ``_draw_hits`` caps it) leaves the pattern alone with weight 1 - s and draws it
+    uniformly with weight s, where s = r 4^k / (4^k - 1) for non-identity products
+    on k qubits and s = r for "quarter_rate"; so the XOR-convolution of a unit's
+    site laws keeps that form with 1 - s = prod(1 - s_i).  A DP over the units gives
+    a round's popcount law, a round fails with q = P(popcount > d // 2), and the
+    rounds are independent, so p_L = (1 - (1 - 2q)^rounds) / 2, the chance of an
+    odd number of failed rounds; it is summed round by round, p += q (1 - 2p), so
+    that a tiny p_L keeps its relative precision."""
+    model = ChannelModel(eps1)
+    circ = build_repcode_circuit(d, encoding_n, rounds)
+    keep: dict[int, float] = {}  # unit -> weight of leaving its pattern alone
+    for _, qubits, key in circ.channel_sites():
+        lam, k = getattr(model, key), len(qubits)
+        if pauli_convention == "uniform_nonidentity":
+            s = min(lam, 1.0) * 4**k / (4**k - 1)
+        elif pauli_convention == "quarter_rate":
+            s = min(lam / 4.0, 1.0)
+        else:
+            raise ValueError(f"unknown pauli convention {pauli_convention!r}")
+        unit = qubits[0] // encoding_n
+        keep[unit] = keep.get(unit, 1.0) * (1.0 - s)
+    popcount = np.ones(1)
+    for unit, c in keep.items():
+        m = min(encoding_n, d - encoding_n * unit)
+        law = (1.0 - c) * np.array([math.comb(m, j) for j in range(m + 1)]) / 2**m
+        law[0] += c
+        popcount = np.convolve(popcount, law)
+    q = float(popcount[d // 2 + 1:].sum())
+    p_logical = 0.0
+    for _ in range(rounds):
+        p_logical += q * (1.0 - 2.0 * p_logical)
+    return p_logical
+
+
 # ---------------------------------------------------------------------------
 # decoding: exact minimum-weight matching on a 1D chain, per differenced round
 
@@ -233,7 +224,7 @@ def _boundary_costs(pos: int, d: int) -> tuple[int, int]:
 
 def match_round(defects: tuple[int, ...], d: int):
     """Interval DP over sorted defect positions; an oracle for the tests,
-    since ``decode`` reaches the same matching in closed form.
+    since ``_logical_failures`` reaches the same decision by a majority vote.
 
     Each defect either pairs with its left unmatched neighbour or terminates
     on the cheaper boundary; for collinear weights this covers an optimal
@@ -314,35 +305,6 @@ def brute_force_match(defects: tuple[int, ...], d: int):
     return cost, tuple(corr)
 
 
-def decode(defects: np.ndarray, d: int) -> np.ndarray:
-    """Minimum-weight correction bits [shots, d] from defects
-    [shots, rounds, d-1] (or one shot's [rounds, d-1]).
-
-    Each differenced round is decoded on its own.  With perfect parities the
-    only corrections consistent with a round's defects are its prefix XOR e
-    (qubit 0 untouched) and the complement of e; for odd d exactly one of
-    them is lighter, which is the minimum-weight matching of ``match_round``.
-    The round corrections are XORed together (the reference for ``_logical_failures``).
-    """
-    if d < 1 or d % 2 == 0:
-        raise ValueError("code distance must be odd")
-    if defects.ndim == 2:
-        defects = defects[None]
-    # [d-1, rounds, shots], so every step below is an op on contiguous rows;
-    # no copy for the memory layout ``simulate_defects`` returns
-    per_stab = np.ascontiguousarray(defects.transpose(2, 1, 0))
-    parity = np.zeros(per_stab.shape[1:], dtype=bool)
-    weight = np.zeros(per_stab.shape[1:], dtype=np.min_scalar_type(d))
-    corr = np.zeros((d, per_stab.shape[2]), dtype=bool)
-    for q in range(d - 1):
-        parity ^= per_stab[q]
-        weight += parity
-        corr[q + 1] = np.logical_xor.reduce(parity, axis=0)
-    # a round takes the complement where the prefix XOR is the heavier one
-    corr ^= np.logical_xor.reduce(weight > d // 2, axis=0)
-    return corr.T
-
-
 @dataclass
 class LogicalErrorResult:
     d: int
@@ -407,57 +369,3 @@ def matched_distances(L: int) -> tuple[int, int]:
     if d1 % 2 == 0:
         raise ValueError("L - 2 must be odd for a valid matched pair")
     return d1, 2 * d1 + 1
-
-
-def exhaustive_logical_error(d: int, encoding_n: int, eps1: float, rounds: int = 1) -> float:
-    """Exact p_L by enumerating the joint channel outcomes (small d only)."""
-    model = ChannelModel(eps1)
-    circ = build_repcode_circuit(d, encoding_n, rounds)
-    sites = circ.channel_sites()
-    n_stab = d - 1
-    total = 0.0
-
-    def site_outcomes(op):
-        qubits, lam = op[1], min(getattr(model, op[2]), 1.0)  # a rate >= 1 hits every shot
-        k = len(qubits)
-        outs = [(1.0 - lam, ())]
-        per = lam / (4**k - 1)
-        flips: dict[tuple, float] = {}
-        for draw in range(1, 4**k):
-            fl = tuple(
-                q
-                for pos, q in enumerate(qubits)
-                if ((draw >> (2 * pos)) & 3) in (1, 2)
-            )
-            flips[fl] = flips.get(fl, 0.0) + per
-        outs.extend((w, fl) for fl, w in flips.items())
-        return outs
-
-    options = [site_outcomes(op) for op in sites] * rounds
-
-    def run(assignments):
-        frames = np.zeros(circ.num_frame_qubits, dtype=bool)
-        syn = np.zeros((rounds + 1, n_stab), dtype=bool)
-        it = iter(assignments)
-        for r in range(rounds):
-            for op in circ.ops:
-                if op[0] == "channel":
-                    for q in next(it):
-                        if q != "anc":
-                            frames[q] ^= True
-            data = frames[:d]
-            syn[r] = data[:-1] ^ data[1:]
-        final = frames[:d]
-        syn[rounds] = final[:-1] ^ final[1:]
-        defects = syn.copy()
-        defects[1:] ^= syn[:-1]
-        corr = decode(defects[None], d)[0]
-        return bool((final ^ corr)[0])
-
-    for combo in itertools.product(*options):
-        w = math.prod(c[0] for c in combo)
-        if w == 0.0:
-            continue
-        if run([c[1] for c in combo]):
-            total += w
-    return total

@@ -212,7 +212,10 @@ def test_criterion_7_repetition_code():
         r1 = qec.sample_logical_error(d1, 1, eps1, d1, shots, seed=11 + L)
         r2 = qec.sample_logical_error(d2, 2, eps1, d1, shots, seed=12 + L)
         ok &= r2.p_logical <= r1.p_logical / 3 or (r1.p_logical == 0 and r2.p_logical == 0)
-        ratio_lines.append(f"L={L}: pL(n1)={r1.p_logical:.1e} pL(n2)={r2.p_logical:.1e}")
+        # the exact values show how far the sampled clause sits from its limit
+        e1, e2 = (qec.exact_logical_error(d, n, eps1, d1) for d, n in ((d1, 1), (d2, 2)))
+        ratio_lines.append(f"L={L}: pL(n1)={r1.p_logical:.1e} pL(n2)={r2.p_logical:.1e}, "
+                           f"exact {e1:.2e}/{e2:.2e} ratio {e2 / e1:.2f}")
     mono_ok = True
     prev_hi = None
     grid = np.logspace(-3, -1, 5)

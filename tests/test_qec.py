@@ -7,21 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ionvq import qec
 from ionvq.qec import (
     ChannelModel,
-    _apply_channel,
+    _draw_hits,
     _logical_failures,
     _wilson_ci,
     brute_force_match,
     build_repcode_circuit,
-    decode,
-    exhaustive_logical_error,
+    exact_logical_error,
     match_round,
     matched_distances,
     sample_curve,
     sample_logical_error,
-    simulate_defects,
 )
 
 
@@ -56,10 +53,23 @@ def test_circuit_shapes():
         build_repcode_circuit(4, 1, 1)
 
 
+def test_negative_rounds_are_refused():
+    # the sampler and the exact law both build their circuit, so both refuse
+    with pytest.raises(ValueError, match="rounds"):
+        build_repcode_circuit(3, 1, -1)
+    with pytest.raises(ValueError, match="rounds"):
+        sample_logical_error(3, 1, 0.05, -2, 1000, 1)
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="rounds"):
+            exact_logical_error(3, n, 0.05, -2)
+
+
 def test_zero_rounds_and_zero_noise():
     c = build_repcode_circuit(3, 1, 0)
-    defects, frames = simulate_defects(c, ChannelModel(0.01), 100, seed=1)
-    assert not defects.any() and not frames.any()
+    fails, defects, frames, _ = _replay(c, ChannelModel(0.01), 100, seed=1)
+    assert not fails.any() and not defects.any() and not frames.any()
+    assert exact_logical_error(3, 1, 0.01, 0) == 0.0
+    assert exact_logical_error(5, 2, 0.0, 5) == 0.0
     r = sample_logical_error(5, 2, 0.0, 5, 2000, seed=2)
     assert r.p_logical == 0.0
 
@@ -97,46 +107,15 @@ def test_decoder_hypothesis(d, seed):
     assert c_dp == c_bf
 
 
-def _match_round_bits(round_defects, d):
-    return np.array(match_round(tuple(np.flatnonzero(round_defects).tolist()), d)[1], dtype=bool)
-
-
 @pytest.mark.parametrize("d", range(1, 14, 2))
 def test_decode_equals_match_round_on_every_single_round_pattern(d):
-    n_stab = d - 1
-    patterns = np.arange(2**n_stab)
-    defects = ((patterns[:, None] >> np.arange(n_stab)) & 1).astype(bool)[:, None, :]
-    expected = np.array([_match_round_bits(row, d) for row in defects[:, 0]]).reshape(-1, d)
-    assert np.array_equal(decode(defects, d), expected)
-
-
-@settings(max_examples=40)
-@given(
-    st.integers(0, 7).map(lambda k: 2 * k + 1),
-    st.integers(0, 5),
-    st.integers(1, 30),
-    st.floats(0.0, 1.0),
-    st.sampled_from(["2d", "3d", "3d_shot_last"]),
-    st.integers(0, 2**32 - 1),
-)
-def test_decode_hypothesis_against_per_round_matching(d, rounds, shots, density, form, seed):
-    rng = np.random.default_rng(seed)
-    defects = rng.random((shots, rounds, d - 1)) < density
-    if form == "3d_shot_last":  # the memory layout simulate_defects returns
-        defects = np.ascontiguousarray(defects.transpose(2, 1, 0)).transpose(2, 1, 0)
-    expected = np.zeros((shots, d), dtype=bool)
-    for s in range(shots):
-        for r in range(rounds):
-            expected[s] ^= _match_round_bits(defects[s, r], d)
-    if form == "2d":
-        assert np.array_equal(decode(defects[0], d), expected[:1])
-    else:
-        assert np.array_equal(decode(defects, d), expected)
-
-
-def test_decode_refuses_even_distance():
-    with pytest.raises(ValueError, match="odd"):
-        decode(np.zeros((2, 1, 3), dtype=bool), 4)
+    # the majority vote ``_logical_failures`` decodes a round by: on every data flip
+    # pattern f of one round, match_round's correction of f's defects leaves a
+    # logical flip exactly when f flips more than d // 2 data qubits
+    for f in range(2**d):
+        defects = tuple(i for i in range(d - 1) if (f ^ f >> 1) >> i & 1)
+        residual = f ^ sum(bit << q for q, bit in enumerate(match_round(defects, d)[1]))
+        assert residual == (2**d - 1 if f.bit_count() > d // 2 else 0), (d, f)
 
 
 def test_large_distance_needs_no_table():
@@ -146,8 +125,41 @@ def test_large_distance_needs_no_table():
     assert r.d == 41 and 0.0 <= r.p_logical <= r.ci_high
 
 
+def _apply_channel(frames, anc, qubits, lam, rng, convention="uniform_nonidentity"):
+    """A depolarizing site on dense X frames [shots, qubits]: the X parts of
+    ``_draw_hits``'s Paulis.  ``anc`` may be None to drop ancilla hits; the draws
+    do not depend on it."""
+    idx, draw = _draw_hits(frames.shape[0], len(qubits), lam, rng, convention)
+    xbits = draw ^ (draw >> 1)  # bit 2*pos set where the Pauli at pos is X or Y
+    for pos, q in enumerate(qubits):
+        target = anc if q == "anc" else frames[:, q]
+        if target is not None:
+            target[idx[xbits & (1 << 2 * pos) != 0]] ^= True
+
+
+def _replay(circ, model, shots, seed, convention="uniform_nonidentity"):
+    """``_logical_failures`` by the full frame record: the same ``_draw_hits``
+    stream on dense X frames, perfect parities after each round and a perfect
+    final readout, each differenced round corrected by ``match_round``.  Returns
+    (failures [shots], defects [shots, rounds + 1, d - 1], frames, generator)."""
+    rng, d = np.random.default_rng(seed), circ.d
+    frames = np.zeros((shots, circ.num_frame_qubits), dtype=bool)
+    syndromes = np.zeros((shots, circ.rounds + 1, d - 1), dtype=bool)
+    for r in range(circ.rounds + 1):
+        if r < circ.rounds:  # the last slice reads the data out without noise
+            for _, qubits, key in circ.channel_sites():
+                _apply_channel(frames, None, qubits, getattr(model, key), rng, convention)
+        syndromes[:, r] = frames[:, : d - 1] ^ frames[:, 1:d]
+    defects = syndromes.copy()
+    defects[:, 1:] ^= syndromes[:, :-1]
+    fails = frames[:, 0].copy()
+    for s, r in zip(*np.nonzero(defects.any(axis=2))):
+        fails[s] ^= bool(match_round(tuple(np.flatnonzero(defects[s, r]).tolist()), d)[1][0])
+    return fails, defects, frames, rng
+
+
 def _reference_apply_channel(frames, anc, qubits, lam, rng, convention):
-    """The dense sampler ``_apply_channel`` replaced: a uniform and a Pauli draw
+    """The dense sampler ``_draw_hits`` replaced: a uniform and a Pauli draw
     for every shot.  Same channel law, different random stream."""
     shots = frames.shape[0]
     k = len(qubits)
@@ -172,8 +184,8 @@ def _reference_apply_channel(frames, anc, qubits, lam, rng, convention):
 
 def _flip_law(qubits, lam, convention):
     """Exact probability of each joint X-flip pattern of a site (bit pos set:
-    qubit pos flipped), enumerating the 4^k Pauli products as
-    ``exhaustive_logical_error``'s ``site_outcomes`` does."""
+    qubit pos flipped), enumerating the 4^k Pauli products; the site law of
+    ``_law_z`` and of ``_enumerated_logical_error``."""
     k = len(qubits)
     if convention == "uniform_nonidentity":
         rate, draws = min(lam, 1.0), range(1, 4**k)
@@ -210,21 +222,7 @@ LAMS = [0.0, 1e-3, 0.08, 0.5, 1.0, 1.4]
 @pytest.mark.parametrize("qubits", [(0, 2), (1, "anc"), (0, 1, 3), (2, 3, "anc")])
 @pytest.mark.parametrize("lam", LAMS)
 def test_apply_channel_matches_dense_reference(convention, qubits, lam):
-    # layout: the shot-last frames simulate_defects uses (F) draw and flip as C-order ones
-    init = np.random.default_rng(5).random((3000, 5)) < 0.3
-
-    def run(order):
-        frames, anc = np.array(init[:, :4], order=order), init[:, 4].copy()
-        rng = np.random.default_rng(99)
-        for _ in range(3):
-            _apply_channel(frames, anc, qubits, lam, rng, convention)
-        return frames, anc, rng.bit_generator.state
-
-    c_frames, c_anc, c_state = run("C")
-    f_frames, f_anc, f_state = run("F")
-    assert np.array_equal(f_frames, c_frames) and np.array_equal(f_anc, c_anc)
-    assert f_state == c_state
-    # law: the sparse draw and the dense reference both follow the exact site law;
+    # the sparse draw and the dense reference both follow the exact site law;
     # at rate 0 nothing flips, and a canonical rate >= 1 leaves no shot unhit
     assert _law_z(_apply_channel, qubits, lam, convention) < 5
     assert _law_z(_reference_apply_channel, qubits, lam, convention) < 5
@@ -266,49 +264,74 @@ def test_residual_is_logical_class_only():
     assert r.ci_low <= r.p_logical <= r.ci_high
 
 
-def test_exhaustive_matches_monte_carlo():
-    shots = 10**5
-    for enc in (1, 2):
-        exact = exhaustive_logical_error(3, enc, 0.004, rounds=1)
-        mc = sample_logical_error(3, enc, 0.004, 1, shots, seed=23)
-        sigma = math.sqrt(max(exact * (1 - exact) / shots, 1e-12))
-        assert abs(mc.p_logical - exact) < 3 * sigma
+def _enumerated_logical_error(d, encoding_n, eps1, rounds, convention):
+    """Exact p_L by enumerating every joint outcome of the circuit's channel sites
+    over all rounds, the record decoded as ``_replay`` decodes it.  A site's
+    outcomes are merged by their data-qubit flip pattern and a round's by the
+    pattern they XOR to; ancilla X parts are lost at reset, so no two merged
+    outcomes give different records."""
+    circ, model = build_repcode_circuit(d, encoding_n, rounds), ChannelModel(eps1)
+    round_law = {0: 1.0}  # data flips of one round (bit q: qubit q) -> probability
+    for _, qubits, key in circ.channel_sites():
+        site = {}
+        for pattern, w in enumerate(_flip_law(qubits, getattr(model, key), convention)):
+            flips = sum(1 << q for pos, q in enumerate(qubits)
+                        if pattern >> pos & 1 and q != "anc" and q < d)
+            site[flips] = site.get(flips, 0.0) + w
+        law = {}
+        for (f, u), (g, v) in itertools.product(round_law.items(), site.items()):
+            law[f ^ g] = law.get(f ^ g, 0.0) + u * v
+        round_law = law
+    total = 0.0
+    for combo in itertools.product(round_law.items(), repeat=rounds):
+        frame = 0
+        for flips, _ in combo:  # a round's differenced defects: its flips' parities
+            frame ^= flips
+            defects = tuple(i for i in range(d - 1) if (flips ^ flips >> 1) >> i & 1)
+            frame ^= sum(bit << q for q, bit in enumerate(match_round(defects, d)[1]))
+        total += math.prod(w for _, w in combo) * (frame & 1)
+    return total
 
 
-@settings(max_examples=12, derandomize=True)
-@given(st.sampled_from([1, 2]), st.sampled_from(CONVENTIONS), st.floats(1e-3, 0.08),
+def _saturation(n, convention):
+    """The eps1 at which every site of an n encoding is hit at rate 1."""
+    return (1.0 if convention == "uniform_nonidentity" else 4.0) / (14 if n == 1 else 11)
+
+
+@settings(max_examples=80)
+@given(st.sampled_from([1, 3, 5]), st.sampled_from([1, 2]), st.sampled_from(CONVENTIONS),
+       st.integers(0, 2), st.floats(0.0, 1.0))
+@example(5, 2, "uniform_nonidentity", 2, 1.0)
+@example(5, 1, "quarter_rate", 2, 1.0)
+@example(3, 2, "uniform_nonidentity", 2, 1.1)  # eps1 = 0.1: the site rate is capped
+@example(5, 2, "quarter_rate", 1, 0.011)
+def test_exact_logical_error_equals_enumeration(d, n, convention, rounds, rate):
+    # rate: the site hit rate, rate * saturation the eps1
+    eps1 = rate * _saturation(n, convention)
+    exact = exact_logical_error(d, n, eps1, rounds, convention)
+    assert exact == pytest.approx(_enumerated_logical_error(d, n, eps1, rounds, convention),
+                                  rel=0, abs=1e-12)
+
+
+@settings(max_examples=30, derandomize=True)
+@given(st.integers(0, 67).map(lambda k: 2 * k + 1), st.sampled_from([1, 2]),
+       st.sampled_from(CONVENTIONS), st.integers(0, 9), st.floats(0.0, 1.0),
        st.integers(0, 2**32 - 1))
-@example(1, "uniform_nonidentity", 1e-3, 1)
-@example(2, "quarter_rate", 0.08, 2)
-def test_sampler_matches_exhaustive_oracle(n, convention, eps1, seed):
-    shots = 200_000
-    oracle_eps1 = eps1
-    if convention == "quarter_rate":
-        # every site of a d=3 circuit has k = n + 1 qubits; quarter_rate puts lam/4
-        # uniformly on all 4^k products, the canonical channel at the rate of the
-        # non-identity ones
-        oracle_eps1 = eps1 / 4 * (1 - 4.0 ** -(n + 1))
-    exact = exhaustive_logical_error(3, n, oracle_eps1, rounds=1)
-    r = sample_logical_error(3, n, eps1, 1, shots, seed, convention)
-    assert abs(r.p_logical - exact) <= 5 * math.sqrt(exact * (1 - exact) / shots)
-
-
-@pytest.mark.parametrize("n, d", [(1, 9), (2, 19)])
-def test_curve_point_agrees_with_dense_sampler(monkeypatch, n, d):
-    # the repcode benchmark's matched L=11 curves at their highest p; the dense
-    # sampler runs under the reference record and decoder, which call _apply_channel
-    eps1, shots, seeds = 0.1 / 14, 20_000, range(5)
-    circ, model = build_repcode_circuit(d, n, 9), ChannelModel(eps1)
-    sparse = np.mean([sample_logical_error(d, n, eps1, 9, shots, s).p_logical for s in seeds])
-    monkeypatch.setattr(qec, "_apply_channel", _reference_apply_channel)
-
-    def dense_p_logical(seed):
-        defects, frames = simulate_defects(circ, model, shots, seed)
-        return np.mean((frames[:, :d] ^ decode(defects, d))[:, 0])
-
-    dense = np.mean([dense_p_logical(s) for s in seeds])
-    se = [math.sqrt(m * (1 - m) / (shots * len(seeds))) for m in (sparse, dense)]
-    assert 0 < sparse and abs(sparse - dense) < 4 * math.hypot(*se)
+# more than 64 data qubits
+@example(65, 1, "uniform_nonidentity", 4, 1.0, 3)
+@example(67, 2, "quarter_rate", 9, 0.3, 4)
+@example(135, 2, "uniform_nonidentity", 3, 0.02, 5)
+# the repcode benchmark's matched L=11 curves at their highest p = 0.1
+@example(9, 1, "uniform_nonidentity", 9, 0.1, 6)
+@example(19, 2, "uniform_nonidentity", 9, 0.1 * 11 / 14, 7)
+def test_sampler_matches_exact_logical_error(d, n, convention, rounds, rate, seed):
+    # the failure count is Binomial(shots, p_L): within 5 sigma, and exact when
+    # p_L is 0 (no rounds, no noise, or d = 1)
+    shots, eps1 = 10_000, rate * _saturation(n, convention)
+    circ = build_repcode_circuit(d, n, rounds)
+    count = np.count_nonzero(_logical_failures(circ, ChannelModel(eps1), shots, seed, convention))
+    p = exact_logical_error(d, n, eps1, rounds, convention)
+    assert abs(count - shots * p) <= 5 * math.sqrt(shots * p * (1 - p))
 
 
 def test_distance_scaling_subthreshold():
@@ -328,7 +351,7 @@ def test_monotone_in_physical_rate():
 
 
 def _reference_circuit_record(circ, model, shots, seed):
-    """``simulate_defects`` with the syndrome copied at the CNOT positions and
+    """``_replay``'s record with the syndrome copied at the CNOT positions and
     ancilla flips kept in the measured bits.  Its space-time-diagonal defect
     pairs are beyond any per-round decoder and visibly degrade the distance
     scaling, so the package uses the parity record; this stays as a reference."""
@@ -361,7 +384,7 @@ def test_circuit_record_reference_shares_frames(enc):
     # circuit record also holds hits between a stabiliser's CNOTs and on the
     # ancilla, so the records themselves differ
     c = build_repcode_circuit(3, enc, 2)
-    defects, frames = simulate_defects(c, ChannelModel(0.01), 500, seed=3)
+    _, defects, frames, _ = _replay(c, ChannelModel(0.01), 500, seed=3)
     ref_defects, ref_frames = _reference_circuit_record(c, ChannelModel(0.01), 500, seed=3)
     assert ref_defects.shape == defects.shape == (500, 3, 2)
     assert np.array_equal(frames, ref_frames)
@@ -406,7 +429,8 @@ def test_quarter_rate_convention_runs_and_differs():
 @example(65, 2, 3, 300, 0.1, "quarter_rate", 8)
 def test_streamed_decoding_equals_decode_of_simulated_record(d, n, rounds, shots, eps1,
                                                              convention, seed):
-    # the per-round majority vote against decode of the full record, from the same draws
+    # the per-round majority vote against match_round's decoding of the full
+    # record, shot for shot, from the same draws
     circ, model = build_repcode_circuit(d, n, rounds), ChannelModel(eps1)
     default_rng, generators = np.random.default_rng, []
 
@@ -416,12 +440,10 @@ def test_streamed_decoding_equals_decode_of_simulated_record(d, n, rounds, shots
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.random, "default_rng", recorded_rng)
-        defects, frames = simulate_defects(circ, model, shots, seed, convention)
         fails = _logical_failures(circ, model, shots, seed, convention)
-    expected = (frames[:, :d] ^ decode(defects, d))[:, 0]
+    expected, _, _, reference = _replay(circ, model, shots, seed, convention)
     assert fails.dtype == bool and np.array_equal(fails, expected)
-    reference, fast = generators
-    assert fast.bit_generator.state == reference.bit_generator.state
+    assert generators[0].bit_generator.state == reference.bit_generator.state
     r = sample_logical_error(d, n, eps1, rounds, shots, seed, pauli_convention=convention)
     assert r.p_logical == int(expected.sum()) / shots
 
