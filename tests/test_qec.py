@@ -118,6 +118,33 @@ def test_decode_equals_match_round_on_every_single_round_pattern(d):
         assert residual == (2**d - 1 if f.bit_count() > d // 2 else 0), (d, f)
 
 
+@settings(max_examples=40)
+@given(
+    st.integers(0, 7).map(lambda k: 2 * k + 1),
+    st.integers(0, 5),
+    st.integers(1, 30),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_decode_hypothesis_against_per_round_matching(d, rounds, shots, density, seed):
+    # random multi-round data flip records: the XOR of the per-round majority
+    # votes equals the logical residual left by ``match_round``'s correction of
+    # each differenced round of the cumulative frame's syndromes, as ``_replay``
+    # decodes them
+    rng = np.random.default_rng(seed)
+    flips = rng.random((shots, rounds, d)) < density
+    frames = np.logical_xor.accumulate(flips, axis=1)
+    syndromes = np.zeros((shots, rounds + 1, d - 1), dtype=bool)
+    syndromes[:, 1:] = frames[:, :, :-1] ^ frames[:, :, 1:]
+    defects = syndromes[:, 1:] ^ syndromes[:, :-1]
+    expected = frames[:, -1, 0].copy() if rounds else np.zeros(shots, dtype=bool)
+    for s in range(shots):
+        for r in range(rounds):
+            expected[s] ^= bool(match_round(tuple(np.flatnonzero(defects[s, r]).tolist()), d)[1][0])
+    majority = np.logical_xor.reduce(np.count_nonzero(flips, axis=2) > d // 2, axis=1)
+    assert np.array_equal(majority, expected)
+
+
 def test_large_distance_needs_no_table():
     start = time.perf_counter()
     r = sample_logical_error(41, 1, 1e-3, 3, 1000, seed=1)
@@ -332,6 +359,54 @@ def test_sampler_matches_exact_logical_error(d, n, convention, rounds, rate, see
     count = np.count_nonzero(_logical_failures(circ, ChannelModel(eps1), shots, seed, convention))
     p = exact_logical_error(d, n, eps1, rounds, convention)
     assert abs(count - shots * p) <= 5 * math.sqrt(shots * p * (1 - p))
+
+
+def test_exhaustive_matches_monte_carlo():
+    shots = 10**5
+    for enc in (1, 2):
+        exact = _enumerated_logical_error(3, enc, 0.004, 1, "uniform_nonidentity")
+        mc = sample_logical_error(3, enc, 0.004, 1, shots, seed=23)
+        sigma = math.sqrt(max(exact * (1 - exact) / shots, 1e-12))
+        assert abs(mc.p_logical - exact) < 3 * sigma
+
+
+@settings(max_examples=12, derandomize=True)
+@given(st.sampled_from([1, 2]), st.sampled_from(CONVENTIONS), st.floats(1e-3, 0.08),
+       st.integers(0, 2**32 - 1))
+@example(1, "uniform_nonidentity", 1e-3, 1)
+@example(2, "quarter_rate", 0.08, 2)
+def test_sampler_matches_exhaustive_oracle(n, convention, eps1, seed):
+    shots = 200_000
+    exact = _enumerated_logical_error(3, n, eps1, 1, convention)
+    r = sample_logical_error(3, n, eps1, 1, shots, seed, convention)
+    assert abs(r.p_logical - exact) <= 5 * math.sqrt(exact * (1 - exact) / shots)
+
+
+@pytest.mark.parametrize("n, d", [(1, 9), (2, 19)])
+def test_curve_point_agrees_with_dense_sampler(n, d):
+    # the repcode benchmark's matched L=11 curves at their highest p; the dense
+    # sampler draws every shot at every site (``_reference_apply_channel``) and
+    # fails a round by majority vote on the data flips it drew
+    eps1, rounds, shots, seeds = 0.1 / 14, 9, 20_000, range(5)
+    circ, model = build_repcode_circuit(d, n, rounds), ChannelModel(eps1)
+    sparse = np.mean([sample_logical_error(d, n, eps1, rounds, shots, s).p_logical
+                      for s in seeds])
+
+    def dense_p_logical(seed):
+        rng = np.random.default_rng(seed)
+        frames = np.zeros((shots, circ.num_frame_qubits), dtype=bool)
+        fails = np.zeros(shots, dtype=bool)
+        for _ in range(rounds):
+            before = frames[:, :d].copy()
+            for _, qubits, key in circ.channel_sites():
+                _reference_apply_channel(frames, None, qubits, getattr(model, key), rng,
+                                         "uniform_nonidentity")
+            fails ^= np.count_nonzero(frames[:, :d] ^ before, axis=1) > d // 2
+        return fails.mean()
+
+    dense = np.mean([dense_p_logical(s) for s in seeds])
+    se = [math.sqrt(m * (1 - m) / (shots * len(seeds))) for m in (sparse, dense)]
+    assert 0 < sparse and abs(sparse - dense) < 4 * math.hypot(*se)
 
 
 def test_distance_scaling_subthreshold():
