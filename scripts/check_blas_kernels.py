@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Which pinned output bytes depend on the OpenBLAS kernel.
+"""Which pinned output bytes depend on the OpenBLAS kernel or numpy's SIMD level.
 
 Runs the pinned-output tests (`pytest tests/test_cli.py -k
 output_bytes_are_pinned`) once per OPENBLAS_CORETYPE value (unset, Haswell,
-Nehalem), each in its own process because OpenBLAS picks its kernels when it
-loads, and prints the kernel each run reports and the pins that fail under it.
+Nehalem), then with the default kernel under two NPY_DISABLE_CPU_FEATURES
+settings: without the AVX-512 dispatch targets, as on an AVX2 host, and
+without X86_V3 too, as on an SSE4.2 host.  Each run has its own process,
+because OpenBLAS and numpy pick their kernels when they load; the script
+prints the kernel each run reports and the pins that fail under it.
 Exits 1 only if a pin fails, or nothing runs, on the default (unset) kernel:
-the other kernels are expected to move the last bits of some BLAS products.
+the other settings are expected to move the last bits of some results.
 
     python scripts/check_blas_kernels.py
 """
@@ -18,7 +21,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-CORETYPES = [None, "Haswell", "Nehalem"]
+AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+SETTINGS = [  # environment of each run; the first is the host's default
+    {}, {"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_CORETYPE": "Nehalem"},
+    {"NPY_DISABLE_CPU_FEATURES": AVX512}, {"NPY_DISABLE_CPU_FEATURES": "X86_V3 " + AVX512},
+]
 PINS = ["tests/test_cli.py", "-k", "output_bytes_are_pinned"]
 
 # the kernel numpy's bundled OpenBLAS is running, if it exports the call that names it
@@ -35,12 +42,12 @@ except (IndexError, OSError, AttributeError):
 """
 
 
-def run(coretype):
-    """(kernel name, ids of passed pins, ids of failed pins) under ``coretype``."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+def run(setting):
+    """(kernel name, ids of passed pins, ids of failed pins) under the ``setting`` variables."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    if coretype:
-        env["OPENBLAS_CORETYPE"] = coretype
+    env.update(setting)
     kernel = subprocess.run([sys.executable, "-c", CORENAME], capture_output=True, text=True,
                             env=env, cwd=ROOT).stdout.strip()
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
@@ -54,14 +61,14 @@ def run(coretype):
 
 def main():
     code = 0
-    for coretype in CORETYPES:
-        kernel, passed, failed = run(coretype)
+    for setting in SETTINGS:
+        kernel, passed, failed = run(setting)
         total = len(passed) + len(failed)
-        print(f"OPENBLAS_CORETYPE={coretype or '(unset)'} (kernel {kernel}): "
-              f"{len(passed)}/{total} pins pass")
+        name = " ".join(f"{k}={v}" for k, v in setting.items()) or "OPENBLAS_CORETYPE=(unset)"
+        print(f"{name} (kernel {kernel}): {len(passed)}/{total} pins pass")
         for test in failed:
             print(f"  fails: {test}")
-        if coretype is None and (failed or not passed):
+        if not setting and (failed or not passed):
             code = 1
     return code
 

@@ -165,7 +165,7 @@ def _cmd_xeb(args) -> list[tuple[str, str]]:
 
         def xeb(k, amps):
             if args.mode == "exact":
-                return sampling.xeb_exact(np.abs(amps) ** 2)
+                return sampling.xeb_exact(amps)
             drawn, counts = core.sample_counts(core.StateVector(reg, amps), args.shots,
                                                args.seed + 10_000 + k)
             # |amp|^2 of the drawn outcomes, summed in order: np.sum's order moves bits

@@ -352,16 +352,19 @@ def validate_gate(gate: NativeGate, reg: Register):
 
 @dataclass
 class StateVector:
-    """Dense amplitudes over the register's mixed-radix basis."""
+    """Dense amplitudes over the register's mixed-radix basis.  Ion k's levels at or above
+    ``box[register.axis(k)]`` hold only zeros; gates skip them and grow the range as they fill
+    levels.  ``zero`` starts it at 1 per ion; None, the default, means every level."""
 
     register: Register
     amps: np.ndarray
+    box: list | None = None
 
     @staticmethod
     def zero(reg: Register) -> "StateVector":
         amps = np.zeros(reg.dim, dtype=np.complex128)
         amps[0] = 1.0
-        return StateVector(reg, amps)
+        return StateVector(reg, amps, [1] * reg.num_ions)
 
     @staticmethod
     def from_amplitudes(reg: Register, amps: np.ndarray) -> "StateVector":
@@ -376,30 +379,37 @@ class StateVector:
 
 
 @functools.lru_cache(maxsize=256)
-def _layout(shape: tuple, axes: tuple, batch: bool, size: int):
+def _layout(shape: tuple, axes: tuple, batch: bool, size: int, box: tuple | None):
     """The kernels' walk over level ``axes`` of an array of ``shape``: a merged shape, the order
-    putting levels then circuits first, and blocks of <= ``size`` over the rest, largest first."""
-    bounds = [int(batch), *(b for ax in axes for b in (ax, ax + 1)), len(shape)]
-    merged = [shape[0]] * batch + [math.prod(shape[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    levels = range(1 + batch, len(merged) - 1, 2)
+    putting levels then circuits first, and blocks of <= ``size`` over the rest, largest first.
+    Blocks cover [0, box[k]) of each axis k but the circuits' (all of it for box None): an axis
+    the box fills in part starts a merged axis, so that the box is a range on each."""
+    box = box or shape
+    cuts = [k for k in range(batch, len(shape)) if box[k] < shape[k] and k not in axes]
+    bounds = sorted([int(batch), *(b for ax in axes for b in (ax, ax + 1)), *cuts, len(shape)])
+    groups = list(zip(bounds, bounds[1:]))
+    merged, extent = ([shape[0]] * batch + [math.prod(ends[lo:hi][:1] + shape[lo + 1:hi])
+                                            for lo, hi in groups] for ends in (shape, box))
+    levels = [batch + k for k, (lo, hi) in enumerate(groups) if lo in axes and hi == lo + 1]
     keep = [k for k, n in enumerate(merged)  # length-1 axes only slow numpy down
             if n > 1 or k in levels or k == len(merged) - 1 or batch and k == 0]
     rest = [k for k in keep if k not in levels]
-    order, dims = tuple(map(keep.index, [*levels, *rest])), [merged[k] for k in rest]
+    order, dims = tuple(map(keep.index, [*levels, *rest])), [extent[k] for k in rest]
     k = next(k for k in range(len(dims)) if math.prod(dims[k + 1:]) <= size)
     step = min(dims[k], size // math.prod(dims[k + 1:]))
     blocks = tuple(tuple(slice(i, i + 1) for i in lead) + (slice(j, j + step),)
-                   + (slice(None),) * (len(dims) - 1 - k)
+                   + tuple(slice(0, n) for n in dims[k + 1:])
                    for lead in np.ndindex(*dims[:k]) for j in range(0, dims[k], step))
     return tuple(merged[k] for k in keep), order, blocks
 
 
-def _rotate_pairs(view: np.ndarray, axes: tuple, pairs, c, u, w):
+def _rotate_pairs(view: np.ndarray, axes: tuple, pairs, c, u, w, box=None):
     """For each (la, lb) of ``pairs``, x, y = ``view`` (C-contiguous) at levels la, lb on ``axes``
-    become c x + u y, w x + c y, a block at a time; a batch holds per-circuit (C,) arrays, and
-    outside one equal-length index arrays at la, lb move many level tuples at once."""
+    become c x + u y, w x + c y, a block at a time within ``box`` (see ``_occupy``); a batch
+    holds per-circuit (C,) arrays, and outside one index arrays at la, lb move many tuples."""
     batch = isinstance(c, np.ndarray)
-    shape, order, blocks = _layout(view.shape, axes, batch, BLOCK_AMPLITUDES)
+    shape, order, blocks = _layout(view.shape, axes, batch, BLOCK_AMPLITUDES,
+                                   None if box is None else tuple(box))
     view, scratch, t0, t1 = view.reshape(shape).transpose(order), None, None, None
     if batch:  # coefficients broadcast over each circuit's rows, complex so no block casts c
         c, u, w = (x.astype(complex).reshape((-1,) + (1,) * (len(shape) - len(axes) - 1))
@@ -431,29 +441,49 @@ def _rotate_pairs(view: np.ndarray, axes: tuple, pairs, c, u, w):
             view[ib] = t1
 
 
-def _apply_r_nd(view: np.ndarray, axis: int, a, b, theta, phi):
+def _occupy(box, view: np.ndarray, ends) -> bool:
+    """Whether a gate coupling levels a < b on each (axis, a, b) of ``ends`` meets an amplitude
+    inside ``box``, the extent [0, box[k]) of each axis k of ``view`` outside which every
+    amplitude is 0; if so, each axis's extent grows to cover its b."""
+    if all(box[ax] == view.shape[ax] for ax, _, _ in ends):
+        return True
+    if not np.any(functools.reduce(np.logical_and, [a < box[ax] for ax, a, _ in ends])):
+        return False  # every circuit's a is outside, so the gate maps zeros to zeros
+    for ax, _, b in ends:
+        box[ax] = max(box[ax], int(np.max(b)) + 1)
+    return True
+
+
+def _apply_r_nd(view: np.ndarray, axis: int, a, b, theta, phi, box=None):
     """R_ab(theta, phi) on ``axis`` of ``view``, one rotation per circuit:
     float angles for a single state, or (C,) arrays for a batch with the
     circuit axis first; levels a < b are ints or (C,) arrays."""
+    if box is not None and not _occupy(box, view, [(axis, a, b)]):
+        return
     xp = np if isinstance(theta, np.ndarray) else math  # a batch, or one circuit's floats
     s = xp.sin(theta)
     re, im = xp.sin(phi) * s, xp.cos(phi) * s
-    _rotate_pairs(view, (axis,), [((a,), (b,))], xp.cos(theta), -re - 1j * im, re - 1j * im)
+    _rotate_pairs(view, (axis,), [((a,), (b,))], xp.cos(theta), -re - 1j * im, re - 1j * im,
+                  box)
 
 
-def _apply_ms_nd(view, axis_i, axis_j, pair_i, pair_j, J):
+def _apply_ms_nd(view, axis_i, axis_j, pair_i, pair_j, J, box=None):
     """MS on ``axis_i``/``axis_j`` of ``view``, one coupling per circuit:
     J is a float for a single state or a (C,) array for a batch with the
     circuit axis first; each level is an int or a (C,) array."""
     if axis_i > axis_j:  # MS is symmetric in its two ions
         axis_i, axis_j, pair_i, pair_j = axis_j, axis_i, pair_j, pair_i
     (ai, bi), (aj, bj) = pair_i, pair_j
+    if box is not None and not _occupy(box, view, [(axis_i, ai, bi), (axis_j, aj, bj)]):
+        return
     xp = np if isinstance(J, np.ndarray) else math
     c, s = xp.cos(J), -1j * xp.sin(J)
-    _rotate_pairs(view, (axis_i, axis_j), [((ai, aj), (bi, bj)), ((ai, bj), (bi, aj))], c, s, s)
+    _rotate_pairs(view, (axis_i, axis_j), [((ai, aj), (bi, bj)), ((ai, bj), (bi, aj))], c, s, s,
+                  box)
 
 
-def _apply_multipair_nd(view: np.ndarray, reg: Register, per_ion_pairs: dict, J: float):
+def _apply_multipair_nd(view: np.ndarray, reg: Register, per_ion_pairs: dict, J: float,
+                        box=None):
     """exp(-iJ Xt_1 Xt_2 ...) over the ions keyed in ``per_ion_pairs``: the product of pair
     exchanges swaps level tuples x, y that take one pair on each ion, x holding the lower level
     of the first ion's pair and either end of every later one; every other amplitude is kept."""
@@ -465,33 +495,35 @@ def _apply_multipair_nd(view: np.ndarray, reg: Register, per_ion_pairs: dict, J:
     grid = np.indices([len(p) for p in pairs] + [2] * (m - 1)).reshape(2 * m - 1, -1)
     ends = list(zip(pairs, grid, [0, *grid[m:]]))  # (pairs, pick, orientation) per ion
     x, y = (tuple(p[k, o ^ side] for p, k, o in ends) for side in (0, 1))
-    s = -1j * math.sin(J)
-    _rotate_pairs(view, tuple(map(reg.axis, ions)), [(x, y)], math.cos(J), s, s)
+    axes, s = tuple(map(reg.axis, ions)), -1j * math.sin(J)
+    for ax in axes if box is not None else ():
+        box[ax] = view.shape[ax]
+    _rotate_pairs(view, axes, [(x, y)], math.cos(J), s, s, box)
 
 
-def _apply_gate(amps: np.ndarray, reg: Register, gate: NativeGate):
-    """Apply a validated native gate in place to ``amps`` shaped (dim, *batch):
-    a state, or a matrix whose columns are transformed together."""
+def _apply_gate(amps: np.ndarray, reg: Register, gate: NativeGate, box=None):
+    """Apply a validated native gate in place to ``amps`` shaped (dim, *batch): a state,
+    with its ``StateVector.box``, or a matrix whose columns are transformed together."""
     view = amps.reshape(reg.shape_view() + amps.shape[1:])
     if isinstance(gate, R):
         a, b = _norm_pair((gate.a, gate.b))
         # normalized pair keeps the Eq-pattern phases attached to a < b
         phi = gate.phi if (gate.a, gate.b) == (a, b) else -gate.phi
-        _apply_r_nd(view, reg.axis(gate.ion), a, b, gate.theta, phi)
+        _apply_r_nd(view, reg.axis(gate.ion), a, b, gate.theta, phi, box)
     elif isinstance(gate, MS):
         _apply_ms_nd(view, reg.axis(gate.ion_i), reg.axis(gate.ion_j), _norm_pair(gate.pair_i),
-                     _norm_pair(gate.pair_j), gate.J)
+                     _norm_pair(gate.pair_j), gate.J, box)
     elif isinstance(gate, MultiPairMS):
         _apply_multipair_nd(view, reg, {gate.ion_i: gate.pairs_i, gate.ion_j: gate.pairs_j},
-                            gate.J)
+                            gate.J, box)
     elif isinstance(gate, GlobalMS):
-        _apply_multipair_nd(view, reg, dict(enumerate(gate.pairs)), gate.J)
+        _apply_multipair_nd(view, reg, dict(enumerate(gate.pairs)), gate.J, box)
 
 
 def apply_native(state: StateVector, gate: NativeGate) -> StateVector:
     """Apply one native gate in place; returns the state for chaining."""
     validate_gate(gate, state.register)
-    _apply_gate(state.amps, state.register, gate)
+    _apply_gate(state.amps, state.register, gate, state.box)
     return state
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BLOCK_AMPLITUDES,
     MS,
     Circuit,
     IonSpec,
@@ -161,18 +162,39 @@ def brickwork_layer(policy: CircuitPolicy, L: int, rng) -> list:
     return _bricks(policy, _layer_pairs(L), rng)
 
 
+def _row_sums(x: np.ndarray, *powers):
+    """Sums over the last axis of p^k, k in ``powers`` (1, 2 or both), p = x or, for amplitudes,
+    |x|^2 made a BLOCK_AMPLITUDES block at a time; block sums added in adjacent pairs follow
+    np.sum's pairwise order on a power-of-two row, so they are np.sum's sums bit for bit."""
+    if not np.iscomplexobj(x):
+        return [np.sum(x**k, axis=-1) for k in powers]
+
+    def block(lo):  # one block's sums; its p is freed before the next block's is made
+        p, row = np.abs(x[..., lo:lo + BLOCK_AMPLITUDES]), []
+        for k in (1, 2)[:powers[-1]]:  # |x|^2, then its square
+            np.square(p, out=p)
+            row += [np.sum(p, axis=-1)] if k in powers else []
+        return row
+
+    sums = np.array([block(lo) for lo in range(0, x.shape[-1], BLOCK_AMPLITUDES)])
+    while len(sums) > 1:
+        sums = sums[0::2] + sums[1::2]
+    return list(sums[0])
+
+
 def xeb_exact(probs: np.ndarray):
-    """2^N sum_x p(x)^2 - 1 from the full output distribution (the last
-    axis: one value per row of a batch)."""
+    """2^N sum_x p(x)^2 - 1 from the full output distribution, or from the
+    complex amplitudes (the last axis: one value per row of a batch)."""
     dim = probs.shape[-1]
-    return dim * np.sum(probs**2, axis=-1) - 1.0
+    return dim * _row_sums(probs, 2)[0] - 1.0
 
 
 def second_moment(probs: np.ndarray):
-    """2^{2N} var(p) over all bit strings (the last axis); 2^N - 1 at depth
-    0, 1 in the Porter-Thomas limit."""
+    """2^{2N} var(p) over all bit strings (the last axis), from p or from the
+    complex amplitudes; 2^N - 1 at depth 0, 1 in the Porter-Thomas limit."""
     dim = probs.shape[-1]
-    return dim**2 * (np.mean(probs**2, axis=-1) - np.mean(probs, axis=-1) ** 2)
+    total, squares = _row_sums(probs, 1, 2)
+    return dim**2 * (squares / dim - (total / dim) ** 2)
 
 
 STATISTICS = {"xeb": xeb_exact, "moment": second_moment}
@@ -222,12 +244,15 @@ def gates_to_threshold(
         if new:
             fresh = np.zeros((len(new), reg.dim), dtype=np.complex128)
             fresh[:, 0] = 1.0
+            if not live:  # a fresh batch: every circuit at |0...0>
+                box = [None] + [1] * reg.num_ions
             psi, live = np.concatenate([psi, fresh]) if live else fresh, live + new
         if not live:
             break
-        gates = _step(psi.reshape((len(live),) + reg.shape_view()), reg, policy, [c[1] for c in live])
+        gates = _step(psi.reshape((len(live),) + reg.shape_view()), reg, policy,
+                      [c[1] for c in live], box)
         keep = []
-        for row, ((k, _, history), val) in enumerate(zip(live, stat_fn(np.abs(psi) ** 2))):
+        for row, ((k, _, history), val) in enumerate(zip(live, stat_fn(psi))):
             history.append(val)
             if val <= threshold:
                 counts[k] = gates * len(history)
@@ -258,16 +283,20 @@ def fixed_depth_amplitudes(policy: CircuitPolicy, num_qubits: int, layers: int, 
         rngs = [np.random.default_rng(seed + k) for k in range(start, min(start + size, circuits))]
         psi = np.zeros((len(rngs), reg.dim), dtype=np.complex128)
         psi[:, 0] = 1.0
+        box = [None] + [1] * reg.num_ions
         for _ in range(layers):
-            _step(psi.reshape((len(rngs),) + reg.shape_view()), reg, policy, rngs)
+            _step(psi.reshape((len(rngs),) + reg.shape_view()), reg, policy, rngs, box)
         yield from psi
         del psi  # freed before the next chunk is allocated
 
 
-def _step(view: np.ndarray, reg: Register, policy: CircuitPolicy, rngs) -> int:
+def _step(view: np.ndarray, reg: Register, policy: CircuitPolicy, rngs, box=None) -> int:
     """One brickwork layer, or one brick on a drawn ion pair, on every circuit
     of ``view`` (C, *reg.shape_view()), each drawing from its own generator;
-    returns the gates added to each circuit."""
+    returns the gates added to each circuit.  ``box``, grown in place, is the union
+    of the circuits' ``StateVector.box`` after an unread circuit-axis entry."""
+    if box is not None and box[1:] == list(view.shape[1:]):
+        box = None  # every level is in use, so no gate need check it
     ions = ([_layer_pairs(reg.num_ions)] * len(rngs) if policy.architecture == BRICKWORK else
             [[tuple(rng.choice(reg.num_ions, size=2, replace=False).tolist())] for rng in rngs])
     k, u = _draw_layer(rngs, len(ions[0]), policy)
@@ -281,9 +310,9 @@ def _step(view: np.ndarray, reg: Register, policy: CircuitPolicy, rngs) -> int:
             kb, ub = k[rows, b], 2 * math.pi * u[rows, b]
             ax_i, ax_j = 1 + reg.axis(i), 1 + reg.axis(j)
             _apply_ms_nd(sub, ax_i, ax_j, _chosen(ms_pairs, kb[:, 0]), _chosen(ms_pairs, kb[:, 1]),
-                         ub[:, 0])
-            _apply_r_nd(sub, ax_i, *_chosen(r_pairs, kb[:, 2]), ub[:, 1], ub[:, 2])
-            _apply_r_nd(sub, ax_j, *_chosen(r_pairs, kb[:, 3]), ub[:, 3], ub[:, 4])
+                         ub[:, 0], box)
+            _apply_r_nd(sub, ax_i, *_chosen(r_pairs, kb[:, 2]), ub[:, 1], ub[:, 2], box)
+            _apply_r_nd(sub, ax_j, *_chosen(r_pairs, kb[:, 3]), ub[:, 3], ub[:, 4], box)
         if len(groups) > 1:
             view[rows] = sub
     return 3 * len(ions[0])
@@ -344,18 +373,19 @@ def _bv_prep(reg: Register, s: str, layout: str) -> StateVector:
     plus = np.array([1.0, 1.0]) / math.sqrt(2)
     minus = np.array([1.0, -1.0]) / math.sqrt(2)
     zero = np.array([1.0, 0.0])
-    amps, size = np.empty(reg.dim, dtype=np.complex128), 1
+    amps, size, box = np.empty(reg.dim, dtype=np.complex128), 1, []
     amps[0] = 1.0
     for ion_idx, ion in enumerate(reg.ions):
         off = reg.qubit_offsets[ion_idx]
         qubits = ([minus] if ion_idx == reg.num_ions - 1 else
                   [plus if s[off + q] == "1" else zero for q in range(ion.n)])
         lvl = functools.reduce(np.kron, qubits)[list(ion.encoding.perm)].astype(np.complex128)
+        box.insert(0, int(np.flatnonzero(lvl)[-1]) + 1)  # ion 0's axis is the last
         # np.kron(lvl, amps[:size]) in place; block 0, which the others read, goes last
         for k in range(ion.d - 1, -1, -1):
             np.multiply(lvl[k], amps[:size], out=amps[k * size:(k + 1) * size])
         size *= ion.d
-    return StateVector(reg, amps)
+    return StateVector(reg, amps, box)
 
 
 def build_bv(s: str, layout: str = "n2") -> BvCircuit:

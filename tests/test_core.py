@@ -29,6 +29,7 @@ from ionvq.core import (
     sequence_matrix,
     Circuit,
 )
+from ionvq.sampling import build_bv
 from ionvq.standard import cnot_on, pauli_string
 
 
@@ -413,16 +414,82 @@ def test_blocked_kernels_equal_reference_bit_for_bit(case, block):
 
 def test_kernels_allocate_no_state_sized_temporaries():
     # 2^18 amplitudes (4 MiB); one slice-sized temporary alone would be 1 MiB
+    # on every level (box None) and on levels 0-2 of each ion, which both gates leave
     reg = build_register([IonSpec(4) for _ in range(9)])
-    st_ = StateVector.zero(reg)
-    for gate in (R(4, 1, 2, 0.3, 0.7), MS(2, 6, (0, 1), (1, 3), 0.4)):
-        tracemalloc.start()
-        try:
-            apply_native(st_, gate)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < st_.amps.nbytes / 4, gate
+    for box in (None, [3] * 9):
+        amps = np.zeros(reg.shape_view(), dtype=np.complex128)
+        amps[(slice(3),) * 9 if box else ...] = 1.0
+        st_ = StateVector(reg, amps.reshape(-1) / np.linalg.norm(amps), box)
+        for gate in (R(4, 1, 2, 0.3, 0.7), MS(2, 6, (0, 1), (1, 3), 0.4)):
+            before = st_.amps.copy()
+            tracemalloc.start()
+            try:
+                apply_native(st_, gate)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < st_.amps.nbytes / 4, (gate, box)
+            assert not np.array_equal(st_.amps, before), (gate, box)
+
+
+@st.composite
+def _tracked_case(draw):
+    """A state with its ``box`` and R, MS, MultiPairMS and GlobalMS gates to run on it: |0...0>
+    or a random state that is zero outside a random box, on 2-3 ions of 2, 4 or 8 levels, or a
+    Bernstein-Vazirani input state on its own register."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start = draw(st.sampled_from(["zero", "random", "bv"]))
+    if start == "bv":
+        layout = draw(st.sampled_from(["n1", "n2"]))
+        bits = draw(st.lists(st.sampled_from("01"), min_size=2, max_size=6))
+        s = "".join(bits[:4 if layout == "n1" else 2 * (len(bits) // 2)])
+        state = build_bv(s, layout).prep_state()
+        reg = state.register
+    else:
+        reg = build_register([IonSpec(draw(st.sampled_from([2, 4, 8])))
+                              for _ in range(draw(st.integers(2, 3)))])
+        state = StateVector.zero(reg)
+        if start == "random":
+            box = [draw(st.integers(1, d)) for d in reg.shape_view()]
+            amps = np.zeros(reg.shape_view(), dtype=np.complex128)
+            inside = tuple(map(slice, box))
+            amps[inside] = rng.standard_normal(box) + 1j * rng.standard_normal(box)
+            state = StateVector(reg, amps.reshape(-1) / np.linalg.norm(amps), box)
+
+    def pairs(ion, most):  # disjoint level pairs of one ion, either end first
+        levels = draw(st.permutations(range(reg.ions[ion].d)))
+        return tuple(zip(levels[0::2], levels[1::2]))[:draw(st.integers(1, most))]
+
+    def gate():
+        kind = draw(st.sampled_from(["R", "R", "MS", "MS", "MPMS", "GMS"]))
+        i, j = draw(st.permutations(range(reg.num_ions)))[:2]
+        angle = float(rng.uniform(-7, 7))
+        if kind == "R":
+            return R(i, *pairs(i, 1)[0], angle, float(rng.uniform(-7, 7)))
+        if kind == "MS":
+            return MS(i, j, pairs(i, 1)[0], pairs(j, 1)[0], angle)
+        if kind == "MPMS":
+            return MultiPairMS(i, j, pairs(i, 4), pairs(j, 4), angle)
+        return GlobalMS(angle, tuple(pairs(k, 4) for k in range(reg.num_ions)))
+
+    return state, [gate() for _ in range(draw(st.integers(1, 10)))]
+
+
+@settings(max_examples=200)
+@given(_tracked_case(), st.integers(1, 64))
+def test_tracked_box_equals_untracked_run(case, block):
+    # blocks of 1-64 amplitudes, so that the box's sliced axes take many
+    state, gates = case
+    full = StateVector(state.register, state.amps.copy())  # no box: every level is walked
+    shape = state.register.shape_view()
+    with mock.patch.object(core, "BLOCK_AMPLITUDES", block):
+        for gate in gates:
+            apply_native(state, gate)
+            apply_native(full, gate)
+            assert np.array_equal(state.amps.view(np.float64), full.amps.view(np.float64)), gate
+            outside = np.ones(shape, dtype=bool)
+            outside[tuple(map(slice, state.box))] = False
+            assert not state.amps.reshape(shape)[outside].any(), (gate, state.box)
 
 
 def _reference_sample_counts(state, shots, seed):

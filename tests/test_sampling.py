@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ionvq import sampling
+from ionvq import core, sampling
 from ionvq.cli import main
 from ionvq.core import MS, Circuit, R, StateVector, apply_circuit, sample_measurement
 from ionvq.sampling import (
@@ -99,6 +99,22 @@ def test_xeb_porter_thomas_limit():
     assert 0.8 < val < 1.2
 
 
+@settings(max_examples=60)
+@given(st.integers(7, 14), st.sampled_from([None, 1, 3]), st.sampled_from([2**7, 2**9, 2**13]),
+       st.integers(0, 2**32 - 1))
+def test_statistics_of_amplitudes_equal_whole_row_sums(log_dim, rows, block, seed):
+    # np.sum adds a power-of-two row pairwise down to 128-element runs, so block sums of 2^7 or
+    # more, added in adjacent pairs, are its sums bit for bit
+    rng = np.random.default_rng(seed)
+    shape = (2**log_dim,) if rows is None else (rows, 2**log_dim)
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+    with mock.patch.object(sampling, "BLOCK_AMPLITUDES", block):
+        for statistic in (xeb_exact, second_moment):
+            got, expect = statistic(amps), statistic(np.abs(amps) ** 2)
+            assert np.array_equal(got, expect) and np.shape(got) == np.shape(expect)
+
+
 def test_second_moment_depth0_closed_form():
     for N in (4, 8):
         [probs] = _fixed_depth_probs(CircuitPolicy(n=1), N, 0, 1, seed=1)
@@ -155,14 +171,15 @@ def _reference_brick(policy, i, j, rng):
 
 def _reference_gates_to_threshold(policy, num_qubits, threshold, statistic, circuits, seed,
                                   max_layers=400):
-    """One circuit at a time through apply_native: counts, mean and stderr."""
+    """One circuit at a time through apply_native, walking every level (box None): counts,
+    mean and stderr."""
     stat_fn = sampling.STATISTICS[statistic]
     reg = policy.register(num_qubits)
     L = reg.num_ions
     counts = []
     for child in np.random.SeedSequence(seed).spawn(circuits):
         rng = np.random.default_rng(child)
-        state = StateVector.zero(reg)
+        state = StateVector(reg, StateVector.zero(reg).amps)
         gates = 0
         recent = []
         crossed = None
@@ -399,12 +416,12 @@ def test_threshold_at_or_above_the_depth_0_value_is_refused(statistic):
 
 def _reference_fixed_depth(policy, num_qubits, layers, circuits, seed):
     """Circuit k as ``layers`` brickwork_layer gate lists drawn from
-    default_rng(seed + k), applied one gate at a time from |0...0>."""
+    default_rng(seed + k), applied one gate at a time from |0...0> on every level (box None)."""
     reg = policy.register(num_qubits)
     states = []
     for k in range(circuits):
         rng = np.random.default_rng(seed + k)
-        states.append(StateVector.zero(reg))
+        states.append(StateVector(reg, StateVector.zero(reg).amps))
         for _ in range(layers):
             apply_circuit(states[-1], brickwork_layer(policy, reg.num_ions, rng))
     return states
@@ -452,6 +469,74 @@ def test_fixed_depth_equals_gate_list_reference(tmp_path_factory, reg, connectiv
     header = "N,n,policy,gate_count,statistic,stderr,seed"
     assert (out / "x.csv").read_text().splitlines() == [header, *rows]
     assert (out / "x.json").read_text() == json.dumps(summary, indent=1, sort_keys=True) + "\n"
+
+
+@settings(max_examples=40)
+@given(
+    reg=st.sampled_from(REGISTERS),
+    connectivity=st.sampled_from([ALL_TO_ALL, MINIMAL, MS_LIMITED]),
+    architecture=st.sampled_from([BRICKWORK, LONGRANGE]),
+    circuits=st.integers(1, 4),
+    layers=st.integers(1, 4),
+    seed=st.integers(0, 2**31),
+    block=st.integers(1, 64),
+)
+def test_stepper_box_equals_untracked_steps(reg, connectivity, architecture, circuits, layers,
+                                            seed, block):
+    # a batch's box is the union over its circuits; blocks of 1-64 amplitudes slice it often
+    n, N = reg
+    policy = CircuitPolicy(n=n, connectivity=connectivity, architecture=architecture)
+    register = policy.register(N)
+    shape = (circuits, *register.shape_view())
+    tracked, full = (np.zeros(shape, dtype=np.complex128) for _ in range(2))
+    tracked.reshape(circuits, -1)[:, 0] = full.reshape(circuits, -1)[:, 0] = 1.0
+    box = [None] + [1] * register.num_ions
+    rngs = [[np.random.default_rng(seed + k) for k in range(circuits)] for _ in range(2)]
+    with mock.patch.object(core, "BLOCK_AMPLITUDES", block):
+        for _ in range(layers):
+            sampling._step(tracked, register, policy, rngs[0], box)
+            sampling._step(full, register, policy, rngs[1])
+            assert np.array_equal(tracked.view(np.float64), full.view(np.float64))
+            outside = np.ones(shape, dtype=bool)
+            outside[(slice(None), *map(slice, box[1:]))] = False
+            assert not tracked[outside].any(), box
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(["n1", "n2"]), st.lists(st.sampled_from("01"), min_size=2, max_size=12))
+def test_bv_kernel_calls_stay_inside_the_box(layout, bits):
+    # what each R/MS call reads, counted from the blocks it walks, is at most the box it is given
+    s = "".join(bits[:2 * (len(bits) // 2)])
+    rotate, calls = core._rotate_pairs, []
+
+    def spy(view, axes, pairs, c, u, w, box=None):
+        shape, order, blocks = core._layout(view.shape, axes, False, core.BLOCK_AMPLITUDES,
+                                            tuple(box))
+        walked = view.reshape(shape).transpose(order)
+        calls.append((sum(walked[lv + blk].size for blk in blocks for pair in pairs
+                          for lv in pair), math.prod(box)))
+        rotate(view, axes, pairs, c, u, w, box)
+
+    with mock.patch.object(core, "_rotate_pairs", spy):
+        _, recovered, _ = run_bv(s, layout, shots=50, seed=1)
+    assert recovered == s
+    assert all(seen <= volume for seen, volume in calls), calls
+
+
+def test_exact_xeb_peaks_near_one_statevector(tmp_path):
+    # 16 qubits, 1 MiB of amplitudes: |amp|^2 and its square over a whole row took as much again;
+    # at n=4 no kernel block exceeds 2^12 amplitudes, so the statistic sets the peak
+    argv = ["xeb", "--qubits", "16", "--n", "4", "--layers", "1", "--circuits", "2", "--seed",
+            "3", "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 0  # caches filled on a first run are not the path's
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    state_bytes = 16 * 2**16
+    assert peak - state_bytes < state_bytes / 4
 
 
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
