@@ -119,18 +119,22 @@ def build_repcode_circuit(d: int, encoding_n: int, rounds: int) -> NoisyCircuit:
     )
 
 
+def _checked_model(eps1: float, pauli_convention: str) -> ChannelModel:
+    """The model of eps1, once eps1 (nan too) lies in [0, 0.1] and the convention is known."""
+    if not 0.0 <= eps1 <= 0.1:
+        raise ValueError("eps1 outside the modeled range [0, 0.1]")
+    if pauli_convention not in ("uniform_nonidentity", "quarter_rate"):
+        raise ValueError(f"unknown pauli convention {pauli_convention!r}")
+    return ChannelModel(eps1)
+
+
 def _draw_hits(shots, k, lam, rng, convention):
     """One depolarizing site's draws for ``shots`` frames: a Binomial(shots, rate)
     count, that many distinct shots (sorted) and a Pauli product on k qubits for
     each (bits 2*pos, 2*pos+1 code the Pauli at pos); both empty if none is hit.
     "uniform_nonidentity" (canonical): rate lam, non-identity products; "quarter_rate":
     rate lam/4, any product (the source model's other reading).  Rate >= 1 hits all."""
-    if convention == "uniform_nonidentity":
-        rate, lo = lam, 1
-    elif convention == "quarter_rate":
-        rate, lo = lam / 4.0, 0
-    else:
-        raise ValueError(f"unknown pauli convention {convention!r}")
+    rate, lo = (lam, 1) if convention == "uniform_nonidentity" else (lam / 4.0, 0)
     hits = rng.binomial(shots, min(rate, 1.0))
     if hits == 0:  # nothing more is drawn
         return np.empty(0, np.intp), np.empty(0, np.int64)
@@ -187,17 +191,13 @@ def exact_logical_error(d: int, encoding_n: int, eps1: float, rounds: int,
     rounds are independent, so p_L = (1 - (1 - 2q)^rounds) / 2, the chance of an
     odd number of failed rounds; it is summed round by round, p += q (1 - 2p), so
     that a tiny p_L keeps its relative precision."""
-    model = ChannelModel(eps1)
+    model = _checked_model(eps1, pauli_convention)
     circ = build_repcode_circuit(d, encoding_n, rounds)
     keep: dict[int, float] = {}  # unit -> weight of leaving its pattern alone
     for _, qubits, key in circ.channel_sites():
         lam, k = getattr(model, key), len(qubits)
-        if pauli_convention == "uniform_nonidentity":
-            s = min(lam, 1.0) * 4**k / (4**k - 1)
-        elif pauli_convention == "quarter_rate":
-            s = min(lam / 4.0, 1.0)
-        else:
-            raise ValueError(f"unknown pauli convention {pauli_convention!r}")
+        s = (min(lam, 1.0) * 4**k / (4**k - 1) if pauli_convention == "uniform_nonidentity"
+             else min(lam / 4.0, 1.0))
         unit = qubits[0] // encoding_n
         keep[unit] = keep.get(unit, 1.0) * (1.0 - s)
     popcount = np.ones(1)
@@ -339,11 +339,9 @@ def sample_logical_error(
     pauli_convention: str = "uniform_nonidentity",
 ) -> LogicalErrorResult:
     """Monte Carlo logical X error rate of the memory experiment."""
-    if not 0.0 <= eps1 <= 0.1:
-        raise ValueError("eps1 outside the modeled range [0, 0.1]")
+    model = _checked_model(eps1, pauli_convention)
     if shots < 1:
         raise ValueError("shots must be positive")
-    model = ChannelModel(eps1)
     circ = build_repcode_circuit(d, encoding_n, rounds)
     k = int(np.count_nonzero(_logical_failures(circ, model, shots, seed, pauli_convention)))
     lo, hi = _wilson_ci(k, shots)

@@ -87,6 +87,11 @@ class CircuitPolicy:
         """(MS pairs, R pairs) that a brick chooses from."""
         return ((0, 1),) if self.ms_fixed() else self.r_pairs(), self.r_pairs()
 
+    def depth_cap(self, num_ions: int) -> int:
+        """Steps after which ``gates_to_threshold`` gives up: max(400, 16 d^2) brickwork
+        layers, a longrange step (one brick) counting 1/L of a layer on L ions."""
+        return max(400, 16 * self.d**2) * (num_ions if self.architecture == LONGRANGE else 1)
+
     def register(self, num_qubits: int) -> Register:
         if num_qubits % self.n:
             raise ValueError(f"{num_qubits} qubits do not fill ions of n={self.n}")
@@ -223,23 +228,23 @@ def gates_to_threshold(
     statistic: str = "xeb",
     circuits: int = 20,
     seed: int = 0,
-    max_layers: int = 400,
 ) -> ThresholdResult:
     """Grow circuits layer by layer (longrange: brick by brick); record the
     first total gate count at which the exact-mode statistic drops to the
     threshold; average over the circuit ensemble (per-circuit seeds derive
     from ``seed``).  Up to CHUNK_AMPLITUDES / 2^N live circuits step as one
-    batch; one that crosses leaves it and the next circuit joins."""
+    batch; one that crosses leaves it and the next circuit joins.  The only other stop,
+    the depth cap, bounds each circuit at max(400, 16 d^2) layers of 3L gates on 2^N
+    amplitudes (L ions of d = 2^n levels): ``minimal``'s R pairs form a path on an ion's
+    levels, and a walk on a path mixes in O(d^2) steps.  README gives its margin."""
     check_threshold(threshold, num_qubits)
     check_qubits(num_qubits)
-    stat_fn = STATISTICS[statistic]
-    reg = policy.register(num_qubits)
-    pending = iter(enumerate(np.random.SeedSequence(seed).spawn(circuits)))
-    size = max(1, CHUNK_AMPLITUDES // reg.dim)
-    live, psi = [], None  # live: (circuit, generator, statistic per step) of each row of psi
-    counts = [0] * circuits
+    stat_fn, reg = STATISTICS[statistic], policy.register(num_qubits)
+    pending, counts = iter(enumerate(np.random.SeedSequence(seed).spawn(circuits))), [0] * circuits
+    size, cap = max(1, CHUNK_AMPLITUDES // reg.dim), policy.depth_cap(reg.num_ions)
+    step, live, psi = 0, [], None  # live: (circuit, generator, step it joined at) per row of psi
     while True:
-        new = [(k, np.random.default_rng(ss), [])
+        new = [(k, np.random.default_rng(ss), step)
                for k, ss in itertools.islice(pending, size - len(live))]
         if new:
             fresh = np.zeros((len(new), reg.dim), dtype=np.complex128)
@@ -251,19 +256,13 @@ def gates_to_threshold(
             break
         gates = _step(psi.reshape((len(live),) + reg.shape_view()), reg, policy,
                       [c[1] for c in live], box)
-        keep = []
-        for row, ((k, _, history), val) in enumerate(zip(live, stat_fn(psi))):
-            history.append(val)
+        step, vals = step + 1, stat_fn(psi)
+        for (k, _, start), val in zip(live, vals):
             if val <= threshold:
-                counts[k] = gates * len(history)
-            elif len(history) > 50 and val >= history[-50]:
-                raise RuntimeError(
-                    f"statistic stopped decreasing near {val:.3g} before reaching {threshold}"
-                )
-            elif len(history) == max_layers:
-                raise RuntimeError(f"no crossing within {max_layers} layers")
-            else:
-                keep.append(row)
+                counts[k] = gates * (step - start)
+            elif step - start == cap:
+                raise RuntimeError(f"no crossing of {threshold} within the {cap}-step depth cap")
+        keep = np.flatnonzero(~(vals <= threshold))
         if len(keep) < len(live):
             psi, live = psi[keep], [live[row] for row in keep]
     arr = np.asarray(counts, dtype=float)

@@ -343,6 +343,24 @@ def test_xeb_output_bytes_are_pinned(tmp_path, argv, csv_sha256, summary):
     assert json_out.read_text() == json.dumps(summary, indent=1, sort_keys=True) + "\n"
 
 
+# n = 4 (and n = 3 longrange) ``minimal`` circuits mix slowly inside an ion: these ran past
+# a 400-step cap or a 50-step "stopped decreasing" check, which made them exit 3
+SLOW_MIXING = [
+    ["xeb", "--config", "configs/smoke_xeb.json", "--n", "4", "--policy", "minimal"],
+    ["xeb", "--qubits", "12", "--n", "3", "--policy", "minimal", "--arch", "longrange",
+     "--circuits", "20", "--seed", "1"],
+    ["xeb", "--qubits", "16", "--n", "4", "--policy", "minimal", "--circuits", "4", "--seed", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", SLOW_MIXING)
+def test_slow_mixing_ensembles_cross(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    out = tmp_path / "x.json"
+    assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["mean_gates"] > 0
+
+
 # the json prints every bit of each cost, and BLAS rounds a row of onehot @ ct
 # according to the rows scored with it, so these hold only for the search's
 # _CHUNK_ROWS slices and where BLAS runs the kernels they were recorded with

@@ -321,8 +321,9 @@ def _enumerated_logical_error(d, encoding_n, eps1, rounds, convention):
 
 
 def _saturation(n, convention):
-    """The eps1 at which every site of an n encoding is hit at rate 1."""
-    return (1.0 if convention == "uniform_nonidentity" else 4.0) / (14 if n == 1 else 11)
+    """The eps1 at which every site of an n encoding is hit at rate 1, or 0.1, the top of
+    the modeled range, where quarter_rate's sites stay below it."""
+    return min((1.0 if convention == "uniform_nonidentity" else 4.0) / (14 if n == 1 else 11), 0.1)
 
 
 @settings(max_examples=80)
@@ -333,7 +334,7 @@ def _saturation(n, convention):
 @example(3, 2, "uniform_nonidentity", 2, 1.1)  # eps1 = 0.1: the site rate is capped
 @example(5, 2, "quarter_rate", 1, 0.011)
 def test_exact_logical_error_equals_enumeration(d, n, convention, rounds, rate):
-    # rate: the site hit rate, rate * saturation the eps1
+    # rate * saturation is the eps1: for uniform_nonidentity, rate is the site hit rate
     eps1 = rate * _saturation(n, convention)
     exact = exact_logical_error(d, n, eps1, rounds, convention)
     assert exact == pytest.approx(_enumerated_logical_error(d, n, eps1, rounds, convention),
@@ -473,6 +474,23 @@ def test_eps1_validation():
         sample_logical_error(3, 1, 0.2, 1, 10, seed=1)
     with pytest.raises(ValueError):
         sample_logical_error(3, 1, 0.01, 1, 0, seed=1)
+
+
+@pytest.mark.parametrize("eps1", [-0.01, 0.5, math.nan, math.inf])
+def test_eps1_outside_the_model_is_refused_by_both(eps1):
+    with pytest.raises(ValueError, match="eps1 outside the modeled range"):
+        exact_logical_error(3, 1, eps1, 3)
+    with pytest.raises(ValueError, match="eps1 outside the modeled range"):
+        sample_logical_error(3, 1, eps1, 3, 10, seed=1)
+
+
+@pytest.mark.parametrize("d,rounds", [(1, 3), (3, 0), (3, 2)])
+def test_unknown_convention_is_refused_when_no_site_draws(d, rounds):
+    # d = 1 has no sites and rounds = 0 runs none, so the check cannot wait for a draw
+    with pytest.raises(ValueError, match="unknown pauli convention 'bogus'"):
+        exact_logical_error(d, 1, 0.01, rounds, "bogus")
+    with pytest.raises(ValueError, match="unknown pauli convention 'bogus'"):
+        sample_logical_error(d, 1, 0.01, rounds, 10, 1, "bogus")
 
 
 def test_quarter_rate_convention_runs_and_differs():

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -169,21 +170,21 @@ def _reference_brick(policy, i, j, rng):
     return gates
 
 
-def _reference_gates_to_threshold(policy, num_qubits, threshold, statistic, circuits, seed,
-                                  max_layers=400):
+def _reference_gates_to_threshold(policy, num_qubits, threshold, statistic, circuits, seed):
     """One circuit at a time through apply_native, walking every level (box None): counts,
-    mean and stderr."""
+    mean and stderr.  A circuit stops only at max(400, 16 d^2) layers, L steps a layer
+    for longrange."""
     stat_fn = sampling.STATISTICS[statistic]
     reg = policy.register(num_qubits)
     L = reg.num_ions
+    cap = max(400, 16 * policy.d**2) * (L if policy.architecture == LONGRANGE else 1)
     counts = []
     for child in np.random.SeedSequence(seed).spawn(circuits):
         rng = np.random.default_rng(child)
         state = StateVector(reg, StateVector.zero(reg).amps)
         gates = 0
-        recent = []
         crossed = None
-        for _ in range(max_layers):
+        for _ in range(cap):
             if policy.architecture == BRICKWORK:
                 pairs = [(i, i + 1) for i in range(0, L - 1, 2)] + [(i, (i + 1) % L)
                                                                    for i in range(1, L, 2)]
@@ -197,13 +198,8 @@ def _reference_gates_to_threshold(policy, num_qubits, threshold, statistic, circ
             if val <= threshold:
                 crossed = gates
                 break
-            recent.append(val)
-            if len(recent) > 50 and recent[-1] >= recent[-50]:
-                raise RuntimeError(
-                    f"statistic stopped decreasing near {val:.3g} before reaching {threshold}"
-                )
         if crossed is None:
-            raise RuntimeError(f"no crossing within {max_layers} layers")
+            raise RuntimeError(f"no crossing within {cap} steps")
         counts.append(crossed)
     arr = np.asarray(counts, dtype=float)
     stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
@@ -281,14 +277,53 @@ def test_batched_threshold_equals_per_circuit_loop_in_full_chunks():
         assert (res.counts, res.mean_gates, res.stderr) == expect
 
 
+def test_slow_mixing_cli_counts_equal_per_circuit_loop(tmp_path, monkeypatch):
+    # the smoke config (8 qubits, 3 circuits, seed 7) at n = 4 minimal: one circuit
+    # crosses at 490 layers, past the 400-layer cap that used to stop it
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    out = tmp_path / "x.csv"
+    assert main(["xeb", "--config", "configs/smoke_xeb.json", "--n", "4", "--policy", "minimal",
+                 "--out", str(out)]) == 0
+    counts = [int(row.split(",")[3]) for row in out.read_text().splitlines()[1:]]
+    expect = _reference_gates_to_threshold(CircuitPolicy(4, MINIMAL), 8, 2.0, "xeb", 3, 7)[0]
+    assert counts == expect and max(counts) > 400 * 6
+
+
 def test_threshold_runtime_errors_still_raised():
-    with pytest.raises(RuntimeError, match="no crossing within 3 layers"):
-        gates_to_threshold(CircuitPolicy(n=2), 8, 1.1, circuits=5, seed=1, max_layers=3)
-    # a statistic that never falls stops the run after 50 steps
-    flat = {"xeb": lambda probs: np.full(probs.shape[:-1], 9.0)}
+    with mock.patch.object(CircuitPolicy, "depth_cap", lambda policy, num_ions: 3):
+        with pytest.raises(RuntimeError, match="no crossing of 1.1 within the 3-step depth cap"):
+            gates_to_threshold(CircuitPolicy(n=2), 8, 1.1, circuits=5, seed=1)
+    # a statistic that never falls runs to the cap, 400 steps here, and no further
+    flat = {"xeb": mock.Mock(side_effect=lambda amps: np.full(amps.shape[:-1], 9.0))}
     with mock.patch.dict(sampling.STATISTICS, flat):
-        with pytest.raises(RuntimeError, match="stopped decreasing near 9 before reaching 2"):
+        with pytest.raises(RuntimeError, match="no crossing of 2.0 within the 400-step depth cap"):
             gates_to_threshold(CircuitPolicy(n=1), 4, 2.0, circuits=3, seed=1)
+    assert flat["xeb"].call_count == 400
+
+
+def test_depth_cap_counts_each_circuits_own_steps():
+    # one circuit a batch, so each joins after the last has crossed: a cap at the deepest
+    # circuit's layers passes and one layer less raises, however many steps ran before
+    # (seed 8: 9, 4, 10, 5, 5 and 5 layers, so the global step passes 10 mid-circuit)
+    policy, seed = CircuitPolicy(n=2), 8
+    counts = gates_to_threshold(policy, 8, 2.0, circuits=6, seed=seed).counts
+    deepest = max(counts) // 12  # 12 gates a layer on 4 ions
+    assert sum(counts) // 12 > deepest
+    with mock.patch.object(sampling, "CHUNK_AMPLITUDES", 2**8):
+        with mock.patch.object(CircuitPolicy, "depth_cap", lambda policy, num_ions: deepest):
+            assert gates_to_threshold(policy, 8, 2.0, circuits=6, seed=seed).counts == counts
+        with mock.patch.object(CircuitPolicy, "depth_cap", lambda policy, num_ions: deepest - 1):
+            with pytest.raises(RuntimeError, match=f"within the {deepest - 1}-step depth cap"):
+                gates_to_threshold(policy, 8, 2.0, circuits=6, seed=seed)
+
+
+@pytest.mark.parametrize("n,architecture,ions,cap", [
+    (1, BRICKWORK, 8, 400), (2, BRICKWORK, 4, 400), (3, BRICKWORK, 4, 1024),
+    (4, BRICKWORK, 2, 4096), (1, LONGRANGE, 3, 1200), (4, LONGRANGE, 2, 8192)])
+def test_depth_cap_counts_brickwork_layers(n, architecture, ions, cap):
+    # never below 400 steps, the cap every run that crosses met before; a longrange
+    # step is one brick, 1/L of a brickwork layer
+    assert CircuitPolicy(n, MINIMAL, architecture).depth_cap(ions) == cap
 
 
 @settings(max_examples=60)
