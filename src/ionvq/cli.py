@@ -25,6 +25,7 @@ import numpy as np
 
 from . import atomic, core, manifold, qec, sampling, tables
 from .compiler import (
+    LEFT_FIRST,
     MSSlot,
     RSlot,
     Template,
@@ -387,7 +388,7 @@ def _default_template(reg: Register) -> Template:
 
 
 def _cmd_compile(args):
-    _resolve(args, "compile", "target", "register")
+    given = _resolve(args, "compile", "target", "register")
     try:
         reg = load_register(args.register)
     except (OSError, LookupError, TypeError, ValueError) as exc:
@@ -400,6 +401,10 @@ def _cmd_compile(args):
     if not is_unitary(U):
         raise ConfigError("target matrix is not unitary")
     if reg.num_ions == 1:
+        key = next((k for k in ("layers_max", "restarts") if k in given), None)
+        if key:
+            raise ConfigError(f"{_flag(key)} {getattr(args, key)}: not read with a one-ion "
+                              "register, whose target is synthesized exactly")
         rep = synthesize_exact(U, reg.ions[0])
     else:
         rep = synthesize_variational(
@@ -413,10 +418,10 @@ def _cmd_compile(args):
             raise RuntimeError(
                 f"variational synthesis did not reach the cost floor (cost {rep.cost:.3g})"
             )
-    circ = Circuit(reg, list(rep.sequence.gates), meta={
+    circ = Circuit(reg, rep.gates, meta={
         "distance": f"{rep.distance:.3e}",
         "pulses": rep.pulse_count,
-        "composition": rep.sequence.composition_order,
+        "composition": LEFT_FIRST,
     })
     return [(format_circuit(circ), "txt")]
 

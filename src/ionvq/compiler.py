@@ -4,9 +4,10 @@ Two synthesis routes are provided and deliberately kept independent of each
 other so one can check the other:
 
 * ``synthesize_exact``: Givens-style column elimination along a spanning tree
-  of the allowed-coupling graph, followed by two-pulse phase pairs that
-  equalize the residual diagonal phases.  Works for any connected coupling
-  graph on a single ion and never exceeds d(d-1)/2 + 2(d-1) pulses.  Targets
+  of the ion's coupling graph (its ``allowed_r`` pairs, all of them when
+  unset), followed by two-pulse phase pairs that equalize the residual
+  diagonal phases.  Works for any connected coupling graph on a single ion
+  and never exceeds d(d-1)/2 + 2(d-1) pulses.  Targets
   that are plain exponentials of disjoint two-level couplings take a fast
   path that emits exactly d/2 pulses.
 * ``synthesize_variational``: numeric minimization of
@@ -16,8 +17,10 @@ other so one can check the other:
   from three overlaps and jumps to its exact optimum (Rotosolve: Ostaszewski
   et al., Quantum 5, 391 (2021); Nakanishi et al., PRR 2, 043158 (2020)).
 
-All reconstruction checks go through ``distance``, which is invariant under a
-global phase of either argument.
+Both return their gates as a plain list in applied order (``LEFT_FIRST``:
+the leftmost gate acts on the state first).  All reconstruction checks go
+through ``distance``, which is invariant under a global phase of either
+argument.
 """
 
 from __future__ import annotations
@@ -50,17 +53,6 @@ COST_FLOOR = 1e-8
 EXACT_TOL = 1e-9
 
 
-@dataclass
-class PulseSequence:
-    """Ordered native gates plus the convention fixing the product order."""
-
-    gates: list
-    composition_order: str = LEFT_FIRST
-
-    def matrix(self, reg: Register) -> np.ndarray:
-        return sequence_matrix(self.gates, reg, self.composition_order == LEFT_FIRST)
-
-
 def distance(U: np.ndarray, V: np.ndarray) -> float:
     """1 - |Tr(U^dag V)| / dim; zero iff U = V up to a global phase."""
     U = np.asarray(U)
@@ -68,10 +60,6 @@ def distance(U: np.ndarray, V: np.ndarray) -> float:
     if U.shape != V.shape:
         raise ValueError("dimension mismatch")
     return float(1.0 - abs(np.trace(U.conj().T @ V)) / U.shape[0])
-
-
-def verify_sequence(seq: PulseSequence, U_target: np.ndarray, reg: Register) -> float:
-    return distance(U_target, seq.matrix(reg))
 
 
 def overlap(U_target: np.ndarray, V: np.ndarray) -> complex:
@@ -90,7 +78,7 @@ def _cost(z: complex, dim: int) -> float:
 
 @dataclass
 class SynthesisReport:
-    sequence: PulseSequence
+    gates: list  # applied first to last
     distance: float
     pulse_count: int
     bound: int
@@ -289,27 +277,18 @@ def _try_disjoint_pair_path(U: np.ndarray, edges: Sequence[tuple[int, int]], tol
     return gates
 
 
-def synthesize_exact(
-    U: np.ndarray,
-    ion: IonSpec | None = None,
-    connectivity: Sequence[tuple[int, int]] | None = None,
-    tol: float = EXACT_TOL,
-) -> SynthesisReport:
-    """Decompose a single-ion unitary into native rotations.
-
-    ``connectivity`` defaults to the ion's allowed pairs (all-to-all when the
-    ion leaves them unrestricted).  The sequence is returned in applied order
-    (``leftmost_applied_first``).
-    """
+def synthesize_exact(U: np.ndarray, ion: IonSpec | None = None) -> SynthesisReport:
+    """Decompose a single-ion unitary into native rotations on the ion's
+    allowed pairs (all-to-all when the ion leaves them unrestricted)."""
     U = np.asarray(U, dtype=np.complex128)
     d = U.shape[0]
     if not is_unitary(U):
         raise ValueError("synthesize_exact requires a unitary target")
     if ion is None:
         ion = IonSpec(d)
-    if connectivity is None:
-        connectivity = ion.pairs()
-    edges = [tuple(sorted(e)) for e in connectivity]
+    if ion.d != d:
+        raise ValueError(f"target dimension {d} does not match the ion's d={ion.d}")
+    edges = ion.pairs()
     parent = _spanning_tree(d, edges)
     if parent is None:
         raise ValueError("coupling graph is disconnected")
@@ -318,10 +297,9 @@ def synthesize_exact(
 
     fast = _try_disjoint_pair_path(U, edges)
     if fast is not None:
-        seq = PulseSequence(fast, LEFT_FIRST)
-        dist = verify_sequence(seq, U, reg1)
-        if dist <= tol:
-            return SynthesisReport(seq, dist, len(fast), bound, True, fast_path=True)
+        dist = distance(U, sequence_matrix(fast, reg1))
+        if dist <= EXACT_TOL:
+            return SynthesisReport(fast, dist, len(fast), bound, True, fast_path=True)
 
     tree_edges = {tuple(sorted((v, p))) for v, p in parent.items() if p is not None}
     order = _leaf_order(d, set(tree_edges))
@@ -353,16 +331,8 @@ def synthesize_exact(
     phase_pulses = _diag_phase_pulses(delta, edges)
     gates = phase_pulses + inv_gates
     gates = [g for g in gates if abs(math.remainder(g.theta, 2 * math.pi)) > 1e-13]
-    seq = PulseSequence(gates, LEFT_FIRST)
-    dist = verify_sequence(seq, U, reg1)
-    return SynthesisReport(
-        seq,
-        dist,
-        len(gates),
-        bound,
-        within_bound=len(gates) <= bound,
-        fast_path=False,
-    )
+    return SynthesisReport(gates, distance(U, sequence_matrix(gates, reg1)), len(gates), bound,
+                           within_bound=len(gates) <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +396,16 @@ class VariationalBudget:
                 raise ValueError(f"VariationalBudget.{name} must be at least 1")
 
 
-def _objective(U_target, template: Template, reg: Register, layers: int, composition_order):
+def _objective(U_target, template: Template, reg: Register, layers: int):
     """(x, k) -> the overlaps Tr(U^dag V(x)) at x_k = 0, pi/2, pi.
 
     Each gate position keeps its matrix with the angles it was built at and is
     rebuilt only when they change.  The gates applied before the probed one
     are multiplied from the kept matrices, then the probe and the later gates
     are applied, in ``sequence_matrix``'s order: every overlap is bit-identical
-    to ``overlap(U_target, sequence_matrix(...))``.
+    to ``overlap(U_target, sequence_matrix(gates, reg))``.
     """
     slots, start = template.slots * layers, template.starts(layers)
-    order = range(len(slots)) if composition_order == LEFT_FIRST else range(len(slots))[::-1]
     owner = [i for i, s in enumerate(slots) for _ in range(s.n_params)]
     kept = [(None, None)] * len(slots)  # (angle bytes, matrix); bytes tell -0.0 from 0.0
 
@@ -448,16 +417,15 @@ def _objective(U_target, template: Template, reg: Register, layers: int, composi
 
     def overlaps(x, k):
         p = owner[k]
-        m = order.index(p)
         before = np.eye(reg.dim, dtype=np.complex128)
-        for i in order[:m]:
+        for i in range(p):
             before = matrix(i, x) @ before
         out = []
         for t in (0.0, math.pi / 2, math.pi):
             angles = x[start[p]:start[p + 1]].copy()
             angles[k - start[p]] = t
             V = gate_matrix(slots[p].gate(angles), reg) @ before
-            for i in order[m + 1:]:
+            for i in range(p + 1, len(slots)):
                 V = matrix(i, x) @ V
             out.append(overlap(U_target, V))
         return tuple(out)
@@ -472,7 +440,6 @@ def synthesize_variational(
     budget: VariationalBudget | None = None,
     seed: int = 0,
     cost_floor: float = COST_FLOOR,
-    composition_order: str = LEFT_FIRST,
     init: np.ndarray | None = None,
 ) -> SynthesisReport:
     """Fit the template's free angles to the target, growing layers on demand.
@@ -496,7 +463,7 @@ def synthesize_variational(
     best = None
     restarts_used = 0
     for layers in range(1, budget.layers_max + 1):
-        overlaps = _objective(U_target, template, reg, layers, composition_order)
+        overlaps = _objective(U_target, template, reg, layers)
         npar = template.n_params * layers
         for restart in range(budget.restarts):
             if init is not None and restart == 0 and npar == len(init):
@@ -522,9 +489,8 @@ def synthesize_variational(
         g for g in template.gates(x, layers)
         if abs(math.remainder(g.theta if isinstance(g, R) else g.J, 2 * math.pi)) >= 1e-12
     ]
-    seq = PulseSequence(gates, composition_order)
-    return SynthesisReport(seq, verify_sequence(seq, U_target, reg), len(gates), -1, True,
-                           converged=val <= cost_floor, cost=val,
+    return SynthesisReport(gates, distance(U_target, sequence_matrix(gates, reg)), len(gates), -1,
+                           True, converged=val <= cost_floor, cost=val,
                            restarts_used=restarts_used, layers_used=layers)
 
 

@@ -11,10 +11,9 @@ A_min = d - 1 for a connected graph):
     C      = eps_M + eps_Int + kappa * eps_Spect,      t_G = d^(2-x) t_R
 
 with angular frequencies throughout and crosstalk denominators floored at
-delta_min^2.  The published per-gate numbers are reproduced with the
-rotation time t_R taken as the pi time at the mean Rabi frequency
-("inverse_mean", the default); the per-transition average of pi times
-("mean_inverse") is available as the alternative reading.
+delta_min^2.  The rotation time t_R is the pi time at the mean Rabi frequency
+of the candidate's edges, the reading that reproduces the published per-gate
+numbers.
 """
 
 from __future__ import annotations
@@ -56,9 +55,7 @@ class CostParams:
     rabi_threshold_Hz: float = 10.0e3
     resolution: float = 0.05
     delta_min_Hz: float = 1.0e3       # detuning floor (angular inside)
-    rotation_time_mode: str = "inverse_mean"
     resolution_scope: str = "all"      # which transitions can veto an edge
-    bandwidth_Hz: float | None = None  # optional drive-frequency window
 
     def pols(self):
         p2 = self.pol1 if self.pol2 is None else self.pol2
@@ -75,7 +72,7 @@ class LevelData:
     omega: np.ndarray                # angular transition frequencies
     sens: np.ndarray                 # angular sensitivities d w / dB
     m_abs: np.ndarray                # |matrix element| per pair
-    drivable: np.ndarray             # above Rabi threshold (and in band)
+    drivable: np.ndarray             # above Rabi threshold
     admitted: np.ndarray             # drivable and passes the off-resonant admission rule
     crosstalk: np.ndarray            # [T, T'] kernel over drivable T, T' (unscaled by D^2)
 
@@ -90,8 +87,6 @@ def precompute_level_data(model: LevelModel, params: CostParams) -> LevelData:
     omega, sens = TWO_PI * freq, TWO_PI * sens
     m_abs = np.abs(M[j, i])
     drivable = params.D_Hz * m_abs >= params.rabi_threshold_Hz
-    if params.bandwidth_Hz is not None:
-        drivable &= omega <= TWO_PI * params.bandwidth_Hz
     drv = np.flatnonzero(drivable)
 
     # admission, over drivable rows T: driving T must not excite any other
@@ -179,8 +174,6 @@ def _scorer(data: LevelData, params: CostParams):
     a dict of arrays over the rows: states, edge_count, x, eps_memory,
     eps_internal, eps_spectator, cost, t_rotation, t_gate and mean_element.
     """
-    if params.rotation_time_mode not in ("inverse_mean", "mean_inverse"):
-        raise ValueError("rotation_time_mode must be 'inverse_mean' or 'mean_inverse'")
     L = len(data.states.labels)
     ends, pair_of, admitted = data.pairs, data.pair_index.ravel(), data.admitted
     # per transition, what an edge adds to its row's sums, zero for non-edges
@@ -219,11 +212,7 @@ def _scorer(data: LevelData, params: CostParams):
         eps_int = geom * d2 * ((g * onehot).sum(axis=1) / A)
         eps_spect = geom * d2 * ((g * spect).sum(axis=1) / A)
 
-        omega_rabi = rabi[kp]
-        if params.rotation_time_mode == "inverse_mean":
-            t_r = math.pi / (omega_rabi.sum(axis=1) / A)
-        else:
-            t_r = (math.pi / np.where(edge, omega_rabi, np.inf)).sum(axis=1) / A
+        t_r = math.pi / (rabi[kp].sum(axis=1) / A)
         sens2 = sens2_adm[kp].sum(axis=1)
         eps_mem = (d ** (4 - 2 * x)) * t_r**2 * (params.dB_rms_T**2) * sens2 / (4 * d * (d + 2))
         return dict(

@@ -404,16 +404,14 @@ def _synthesize_alternative(row, max_len: int):
         if kind == "xbasis_cnot":
             return standard.xbasis_cnot_gates(reg, spec[1], spec[2])
         if kind == "exact":
-            rep = synthesize_exact(T)
-            return rep.sequence.gates
+            return synthesize_exact(T).gates
         if kind == "template":
             _, shape, init = spec
             tmpl = Template(tuple(RSlot(0, tuple(p)) for p in shape))
-            rep = synthesize_variational(
+            return synthesize_variational(
                 T, tmpl, reg, VariationalBudget(1, 1, 30), seed=0, cost_floor=1e-22,
                 init=np.asarray(init, dtype=float),
-            )
-            return rep.sequence.gates
+            ).gates
         raise ValueError(f"unknown alternative spec {spec!r}")
 
     worst = 0.0

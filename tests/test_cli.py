@@ -416,6 +416,26 @@ def test_xeb_rejects_flags_its_mode_never_reads(tmp_path, capsys, key, value, la
     assert f"--{key} " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("key,value", [("layers_max", 2), ("restarts", 3)])
+def test_compile_on_one_ion_rejects_variational_flags(tmp_path, capsys, key, value, how):
+    # a one-ion target is synthesized exactly, which has no layers or restarts;
+    # --seed stays accepted, as the smoke config passes it with a one-ion register
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    args = ["compile", "--target", os.path.join(root, "smoke_target.txt"),
+            "--register", os.path.join(root, "smoke_register.json"), "--seed", "0"]
+    out = tmp_path / "out.txt"
+    assert main([*args, "--out", str(out)]) == 0
+    out.unlink()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    flag = "--" + key.replace("_", "-")
+    extra = [flag, str(value)] if how == "flag" else ["--config", str(cfg)]
+    assert main([*args, *extra, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"{flag} {value}: not read with a one-ion register" in capsys.readouterr().err
+
+
 def test_manifold_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(["manifold", "--field-sweep", "5:60:2", "--n", "2",

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ionvq import manifold
@@ -120,6 +120,8 @@ def test_nan_meets_no_bound():
 # scores up to about 156,000 connected subsets per field (0.3-0.4 s), so it is
 # drawn for single fields only: sweeps stay at n=2 (see _options).
 SAMPLES = {
+    # 6 and 12 qubits give n=3 registers of 2 and 4 ions
+    ("xeb", "qubits"): ([2, 3, 4, 5, 6, 12], [1]),
     ("bv", "s"): (["0", "1", "10", "0110"], ["", "12", "1 0", "10\n"]),
     ("repcode", "p_grid"): (["1e-3:1e-1:2", "0.01:0.1:1", "0.1:0.2:02"],
                             ["1e-3:1e-1:0", "a:b:2", "1:2", "0:1:2", "-1:1:2", "0.1:2:2", "1:2:3\n",
@@ -188,6 +190,12 @@ def _options(draw, command):
     return argv, cfg
 
 
+# argv checked on every run besides the drawn ones: n=3 registers of 2 and 4
+# ions, which the draws reach only when both --qubits and --n are redrawn
+EXAMPLES = {"xeb": [(["xeb", f"--qubits={q}", "--n=3", f"--policy={policy}", "--circuits=3",
+                      "--seed=7"], {}) for q, policy in ((6, "all_to_all"), (12, "minimal"))]}
+
+
 def _run(argv, out):
     try:
         return main([*argv, "--out", str(out)])
@@ -220,4 +228,6 @@ def test_cli_contract(command, examples):
                 assert _run(argv, tmp / "out2") == 0
                 assert (tmp / "out1").read_bytes() == (tmp / "out2").read_bytes()
 
+        for options in EXAMPLES.get(command, []):
+            check = example(options)(check)
         check()

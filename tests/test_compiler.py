@@ -9,9 +9,6 @@ from scipy.stats import unitary_group
 import ionvq.compiler as compiler
 from ionvq.core import IonSpec, MS, R, build_register, embed_standard, m1_map, m2_map, sequence_matrix
 from ionvq.compiler import (
-    LEFT_FIRST,
-    LEFT_LAST,
-    PulseSequence,
     RSlot,
     MSSlot,
     Template,
@@ -26,7 +23,6 @@ from ionvq.compiler import (
     overlap_cost,
     synthesize_exact,
     synthesize_variational,
-    verify_sequence,
 )
 from ionvq.standard import pauli_rotation
 
@@ -57,15 +53,21 @@ def test_random_su8_within_bound(rng):
 def test_limited_connectivity_synthesis(rng):
     for _ in range(10):
         U = unitary_group.rvs(4, random_state=rng)
-        rep = synthesize_exact(U, connectivity=FIG1)
+        rep = synthesize_exact(U, IonSpec(4, allowed_r=FIG1))
         assert rep.distance <= 1e-9
-        for g in rep.sequence.gates:
+        for g in rep.gates:
             assert (g.a, g.b) in FIG1
 
 
 def test_disconnected_graph_rejected():
     with pytest.raises(ValueError):
-        synthesize_exact(np.eye(4), connectivity=[(0, 1), (2, 3)])
+        synthesize_exact(np.eye(4), IonSpec(4, allowed_r=[(0, 1), (2, 3)]))
+
+
+@pytest.mark.parametrize("dim,d", [(8, 4), (4, 8)])
+def test_ion_of_another_dimension_rejected(dim, d):
+    with pytest.raises(ValueError, match="does not match"):
+        synthesize_exact(np.eye(dim), IonSpec(d))
 
 
 def test_fast_path_two_pulses():
@@ -74,15 +76,15 @@ def test_fast_path_two_pulses():
     reg = build_register([IonSpec(4, m1_map())])
     rep = synthesize_exact(embed_standard(U, [0, 1], reg))
     assert rep.fast_path and rep.pulse_count == 2
-    pairs = {(g.a, g.b) for g in rep.sequence.gates}
+    pairs = {(g.a, g.b) for g in rep.gates}
     assert pairs == {(0, 2), (1, 3)}
 
 
 def test_verify_sequence_phase_invariance(rng, reg_n2):
     U = unitary_group.rvs(4, random_state=rng)
-    seq = synthesize_exact(U).sequence
-    assert verify_sequence(seq, np.exp(1j * math.pi / 4) * U, reg_n2) <= 1e-9
-    assert verify_sequence(PulseSequence([]), np.eye(4), reg_n2) == 0.0
+    gates = synthesize_exact(U).gates
+    assert distance(np.exp(1j * math.pi / 4) * U, sequence_matrix(gates, reg_n2)) <= 1e-9
+    assert distance(np.eye(4), sequence_matrix([], reg_n2)) == 0.0
 
 
 def test_verify_xx_pairing(reg_n2):
@@ -91,8 +93,8 @@ def test_verify_xx_pairing(reg_n2):
     J = 0.7
     T = embed_standard(pauli_rotation("XX", J), [0, 1], reg_n2)
     seq = [R(0, 0, 3, J, 0.0), R(0, 1, 2, J, 0.0)]
-    for order in (LEFT_FIRST, LEFT_LAST):
-        assert verify_sequence(PulseSequence(seq, order), T, reg_n2) <= 1e-12
+    for leftmost_applied_first in (True, False):
+        assert distance(T, sequence_matrix(seq, reg_n2, leftmost_applied_first)) <= 1e-12
 
 
 def test_map_relabeling_equivalence():
@@ -103,17 +105,13 @@ def test_map_relabeling_equivalence():
     reg2 = build_register([IonSpec(4, m2)])
     t = 0.873
     target = pauli_rotation("IX", t)
-    seq1 = synthesize_exact(embed_standard(target, [0, 1], reg1)).sequence
+    seq1 = synthesize_exact(embed_standard(target, [0, 1], reg1)).gates
 
     def relabel(level):
         return m2.level(m1.label(level))
 
-    seq2 = PulseSequence(
-        [R(0, *sorted((relabel(g.a), relabel(g.b))), g.theta, g.phi) for g in seq1.gates],
-        seq1.composition_order,
-    )
-    assert len(seq2.gates) == len(seq1.gates)
-    assert verify_sequence(seq2, embed_standard(target, [0, 1], reg2), reg2) <= 1e-9
+    seq2 = [R(0, *sorted((relabel(g.a), relabel(g.b))), g.theta, g.phi) for g in seq1]
+    assert distance(embed_standard(target, [0, 1], reg2), sequence_matrix(seq2, reg2)) <= 1e-9
 
 
 def test_variational_recovers_realizable_target(reg_mixed):
@@ -174,9 +172,9 @@ def test_cross_ion_xx_needs_two_ms_gates():
     zc = [R(0, g.a, g.b, g.theta, g.phi) for pp in ((0, 1), (2, 3))
           for g in _phase_pair(*pp, math.pi / 4)]
     # applied order W^dag, (CNOT, X_t, Z_c in any order: they commute), W
-    seq = PulseSequence(w_dag + cnot + xt + zc + w)
-    assert sum(not isinstance(g, R) for g in seq.gates) == 2
-    assert verify_sequence(seq, T, reg) <= 1e-9
+    seq = w_dag + cnot + xt + zc + w
+    assert sum(not isinstance(g, R) for g in seq) == 2
+    assert distance(T, sequence_matrix(seq, reg)) <= 1e-9
 
 
 def test_limited_graph_asymmetry_between_virtual_qubits():
@@ -185,8 +183,8 @@ def test_limited_graph_asymmetry_between_virtual_qubits():
     th = 0.613
     reg = build_register([IonSpec(4, m1_map())])
     t_q2 = embed_standard(pauli_rotation("IX", th), [0, 1], reg)
-    seq = PulseSequence([R(0, 2, 3, th, 0.0), R(0, 0, 1, th, 0.0)])
-    assert verify_sequence(seq, t_q2, reg) <= 1e-12
+    seq = [R(0, 2, 3, th, 0.0), R(0, 0, 1, th, 0.0)]
+    assert distance(t_q2, sequence_matrix(seq, reg)) <= 1e-12
     t_q1 = embed_standard(pauli_rotation("XI", th), [0, 1], reg)
     best = 1.0
     for shape in itertools.chain(
@@ -202,7 +200,7 @@ def test_limited_graph_asymmetry_between_virtual_qubits():
 
     gates = pauli_rotation_gates(reg, "XI", th, {0: set(FIG1)})
     assert len(gates) == 6
-    assert verify_sequence(PulseSequence(gates), t_q1, reg) <= 1e-12
+    assert distance(t_q1, sequence_matrix(gates, reg)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +226,7 @@ def _random_problem(reg, seed):
     def cost(x):
         return overlap_cost(U, sequence_matrix(DEFAULT_LAYER.gates(x, 1), reg))
 
-    overlaps = _objective(U, DEFAULT_LAYER, reg, 1, LEFT_FIRST)
+    overlaps = _objective(U, DEFAULT_LAYER, reg, 1)
     return overlaps, z, cost, rng.uniform(0.0, 2 * math.pi, DEFAULT_LAYER.n_params)
 
 
@@ -305,7 +303,6 @@ def _bits(z: complex):
     return z.real.hex(), z.imag.hex()
 
 
-@pytest.mark.parametrize("order", [LEFT_FIRST, LEFT_LAST])
 @pytest.mark.parametrize("reg,layer", [(REG_MIXED, DEFAULT_LAYER), (REG_THREE, THREE_ION_LAYER)],
                          ids=["mixed", "three_ion"])
 @settings(max_examples=8)
@@ -314,15 +311,14 @@ def _bits(z: complex):
                                 st.lists(st.tuples(st.integers(0, 2**16),
                                                    st.floats(-10.0, 10.0)), max_size=3)),
                       min_size=1, max_size=8))
-def test_kept_matrix_overlaps_equal_dense_overlaps_bit_for_bit(reg, layer, order, layers, seed,
-                                                             steps):
+def test_kept_matrix_overlaps_equal_dense_overlaps_bit_for_bit(reg, layer, layers, seed, steps):
     # each step moves some coordinates (none, one of the probed gate's, or
     # others; -0.0 included) and probes one; the three overlaps must equal
     # the dense sequence_matrix overlaps exactly, signed zeros included
     rng = np.random.default_rng(seed)
     U = unitary_group.rvs(reg.dim, random_state=rng)
     n = layer.n_params * layers
-    overlaps = _objective(U, layer, reg, layers, order)
+    overlaps = _objective(U, layer, reg, layers)
     x = rng.uniform(0.0, 2 * math.pi, n)
     for k, moves in steps:
         for j, value in moves:
@@ -331,7 +327,7 @@ def test_kept_matrix_overlaps_equal_dense_overlaps_bit_for_bit(reg, layer, order
         for t, z in zip((0.0, math.pi / 2, math.pi), got):
             y = x.copy()
             y[k % n] = t
-            V = sequence_matrix(layer.gates(y, layers), reg, order == LEFT_FIRST)
+            V = sequence_matrix(layer.gates(y, layers), reg)
             assert _bits(z) == _bits(overlap(U, V))
 
 

@@ -118,11 +118,7 @@ def _reference_cost(state_set, data, params) -> CostBreakdown:
     eps_int = geom * d2 * raw_int
     eps_spect = geom * d2 * raw_spect
     m_int = data.m_abs[int_idx]
-    omega_rabi = TWO_PI * params.D_Hz * m_int
-    if params.rotation_time_mode == "inverse_mean":
-        t_r = math.pi / float(omega_rabi.mean())
-    else:
-        t_r = float(np.mean(math.pi / omega_rabi))
+    t_r = math.pi / float((TWO_PI * params.D_Hz * m_int).mean())
     sens2 = float((data.sens[int_idx] ** 2).sum())
     eps_mem = (d ** (4 - 2 * x)) * t_r**2 * (params.dB_rms_T**2) * sens2 / (4 * d * (d + 2))
     return CostBreakdown(
@@ -220,8 +216,6 @@ def _full_matrix_level_data(model, params):
     m_abs = np.array([abs(M[j, i]) for i, j in pairs])
     rabi = TWO_PI * params.D_Hz * m_abs
     drivable = params.D_Hz * m_abs >= params.rabi_threshold_Hz
-    if params.bandwidth_Hz is not None:
-        drivable &= omega <= TWO_PI * params.bandwidth_Hz
     dmin = TWO_PI * params.delta_min_Hz
     delta = np.abs(omega[:, None] - omega[None, :])
     main = np.maximum(delta, dmin) ** 2
@@ -248,16 +242,14 @@ def _same_bits(got, want):
     field_G=st.floats(0.5, 70.0),
     scope=st.sampled_from(["all", "endpoint"]),
     resolution=st.floats(1e-3, 1.0),
-    bandwidth_Hz=st.one_of(st.none(), st.floats(0.0, 7e8)),
     mechanism=st.sampled_from(["raman", "m1"]),
 )
-@example(field_G=0.01, scope="all", resolution=0.05, bandwidth_Hz=None, mechanism="raman")
-@example(field_G=0.01, scope="endpoint", resolution=0.05, bandwidth_Hz=None, mechanism="m1")
-def test_level_data_equals_full_matrix_reference(field_G, scope, resolution, bandwidth_Hz,
-                                                 mechanism):
+@example(field_G=0.01, scope="all", resolution=0.05, mechanism="raman")
+@example(field_G=0.01, scope="endpoint", resolution=0.05, mechanism="m1")
+def test_level_data_equals_full_matrix_reference(field_G, scope, resolution, mechanism):
     # drivable rows only, bit for bit; at 0.01 G (1e-6 T) nothing is admitted
     params = replace(PARAMS, B_T=field_G * 1e-4, resolution_scope=scope, resolution=resolution,
-                     bandwidth_Hz=bandwidth_Hz, mechanism=mechanism)
+                     mechanism=mechanism)
     data = precompute_level_data(BA, params)
     pairs, omega, sens, m_abs, drivable, resolved, crosstalk = _full_matrix_level_data(BA, params)
     assert data.pairs.tolist() == [list(p) for p in pairs]
@@ -277,14 +269,12 @@ def test_level_data_equals_full_matrix_reference(field_G, scope, resolution, ban
 @given(
     field_G=st.floats(0.5, 70.0),
     scope=st.sampled_from(["all", "endpoint"]),
-    mode=st.sampled_from(["inverse_mean", "mean_inverse"]),
     kappa=st.floats(0.0, 1.0),
     subsets=st.lists(st.sets(st.integers(0, 23), min_size=4, max_size=4),
                      min_size=10, max_size=20),
 )
-def test_vectorised_cost_matches_reference(field_G, scope, mode, kappa, subsets):
-    params = replace(PARAMS, B_T=field_G * 1e-4, resolution_scope=scope,
-                     rotation_time_mode=mode, kappa=kappa)
+def test_vectorised_cost_matches_reference(field_G, scope, kappa, subsets):
+    params = replace(PARAMS, B_T=field_G * 1e-4, resolution_scope=scope, kappa=kappa)
     data = precompute_level_data(BA, params)
     for subset in subsets:
         try:
