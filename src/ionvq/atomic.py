@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -32,8 +31,6 @@ import numpy as np
 
 MU_B_HZ_PER_T = 13.996244936e9  # Bohr magneton over h
 MU_N_HZ_PER_T = 7.622593285e6   # nuclear magneton over h
-
-DATA_ENV = "IONVQ_DATA_DIR"
 
 
 @dataclass(frozen=True)
@@ -63,9 +60,6 @@ class LevelModel:
 
 
 def data_dir() -> Path:
-    env = os.environ.get(DATA_ENV)
-    if env:
-        return Path(env)
     return Path(__file__).parent / "data"
 
 
@@ -190,12 +184,6 @@ def hamiltonian(model: LevelModel, B: float) -> np.ndarray:
     return H
 
 
-def zeeman_derivative(model: LevelModel) -> np.ndarray:
-    """dH/dB in Hz/T (field-independent)."""
-    Iz, Jz, _ = _operators(model.I, model.J)
-    return MU_B_HZ_PER_T * model.g_J * Jz - MU_N_HZ_PER_T * model.g_I * Iz
-
-
 def _zero_field_energies(model: LevelModel) -> dict:
     I, J = model.I, model.J
     out = {}
@@ -250,33 +238,13 @@ def diagonalize_level(model: LevelModel, B: float) -> LevelStates:
     )
 
 
-@dataclass
-class Transition:
-    i: int                      # lower-energy eigenstate index
-    j: int
-    label_i: tuple
-    label_j: tuple
-    freq_Hz: float
-    sens_Hz_per_T: float        # d(E_j - E_i)/dB
-
-
-def transition_table(
-    model: LevelModel, B: float, dB: float = 1e-7, base: LevelStates | None = None
-) -> list[Transition]:
-    """All pairwise transitions with central-difference field sensitivities.
-
-    ``base`` is the eigensystem at B, if already at hand.  Eigenstates at
-    B +/- dB are matched to those at B by maximal overlap among those of the
-    same m_F (one masked overlap matrix per side) before differencing.
-    """
-    base = diagonalize_level(model, B) if base is None else base
-    return [Transition(i, j, base.labels[i], base.labels[j], f, s)
-            for i, j, f, s in zip(*(v.tolist() for v in _transitions(model, B, base, dB)))]
-
-
 def _transitions(model: LevelModel, B: float, base: LevelStates, dB: float = 1e-7):
-    """``transition_table`` as arrays (i, j, freq_Hz, sens_Hz_per_T), i < j
-    in ``np.triu_indices`` order."""
+    """All pairwise transitions of ``base``, the eigensystem at B, as arrays
+    (i, j, freq_Hz, sens_Hz_per_T) with i < j in ``np.triu_indices`` order,
+    freq = E_j - E_i and sens = d(E_j - E_i)/dB by central difference.
+    Eigenstates at B +/- dB are matched to those at B by maximal overlap among
+    those of the same m_F (one masked overlap matrix per side) before
+    differencing."""
     lo = diagonalize_level(model, max(B - dB, 0.0))
     hi = diagonalize_level(model, B + dB)
     step = (B + dB) - max(B - dB, 0.0)

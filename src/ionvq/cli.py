@@ -373,17 +373,14 @@ def _read_unitary(path) -> np.ndarray:
 
 
 def _default_template(reg: Register) -> Template:
+    """An MS slot on levels (0, 1) of each neighbouring pair of ions, and an R
+    slot on each of (0, 1), (0, 3) and (1, 2) that an ion allows."""
     slots = []
     for i in range(reg.num_ions - 1):
         slots.append(MSSlot(i, i + 1, (0, 1), (0, 1)))
     for ion in range(reg.num_ions):
-        d = reg.ions[ion].d
-        if d == 2:
-            slots.append(RSlot(ion, (0, 1)))
-        else:
-            for pair in ((0, 1), (0, 3), (1, 2)):
-                if pair[1] < d:
-                    slots.append(RSlot(ion, pair))
+        allowed = reg.ions[ion].pairs()
+        slots += [RSlot(ion, pair) for pair in ((0, 1), (0, 3), (1, 2)) if pair in allowed]
     return Template(tuple(slots))
 
 
@@ -405,7 +402,10 @@ def _cmd_compile(args):
         if key:
             raise ConfigError(f"{_flag(key)} {getattr(args, key)}: not read with a one-ion "
                               "register, whose target is synthesized exactly")
-        rep = synthesize_exact(U, reg.ions[0])
+        try:  # unitarity and dimension are checked above: what is left is the graph
+            rep = synthesize_exact(U, reg.ions[0])
+        except ValueError as exc:
+            raise ConfigError(f"{args.register}: {exc}") from exc
     else:
         rep = synthesize_variational(
             U,
@@ -420,7 +420,7 @@ def _cmd_compile(args):
             )
     circ = Circuit(reg, rep.gates, meta={
         "distance": f"{rep.distance:.3e}",
-        "pulses": rep.pulse_count,
+        "pulses": len(rep.gates),
         "composition": LEFT_FIRST,
     })
     return [(format_circuit(circ), "txt")]

@@ -80,14 +80,10 @@ def _cost(z: complex, dim: int) -> float:
 class SynthesisReport:
     gates: list  # applied first to last
     distance: float
-    pulse_count: int
-    bound: int
-    within_bound: bool
     fast_path: bool = False
     converged: bool = True
     cost: float = 0.0
     restarts_used: int = 0
-    layers_used: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +288,13 @@ def synthesize_exact(U: np.ndarray, ion: IonSpec | None = None) -> SynthesisRepo
     parent = _spanning_tree(d, edges)
     if parent is None:
         raise ValueError("coupling graph is disconnected")
-    bound = d * (d - 1) // 2 + 2 * (d - 1)
     reg1 = build_register([IonSpec(d)])
 
     fast = _try_disjoint_pair_path(U, edges)
     if fast is not None:
         dist = distance(U, sequence_matrix(fast, reg1))
         if dist <= EXACT_TOL:
-            return SynthesisReport(fast, dist, len(fast), bound, True, fast_path=True)
+            return SynthesisReport(fast, dist, fast_path=True)
 
     tree_edges = {tuple(sorted((v, p))) for v, p in parent.items() if p is not None}
     order = _leaf_order(d, set(tree_edges))
@@ -331,8 +326,7 @@ def synthesize_exact(U: np.ndarray, ion: IonSpec | None = None) -> SynthesisRepo
     phase_pulses = _diag_phase_pulses(delta, edges)
     gates = phase_pulses + inv_gates
     gates = [g for g in gates if abs(math.remainder(g.theta, 2 * math.pi)) > 1e-13]
-    return SynthesisReport(gates, distance(U, sequence_matrix(gates, reg1)), len(gates), bound,
-                           within_bound=len(gates) <= bound)
+    return SynthesisReport(gates, distance(U, sequence_matrix(gates, reg1)))
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +483,8 @@ def synthesize_variational(
         g for g in template.gates(x, layers)
         if abs(math.remainder(g.theta if isinstance(g, R) else g.J, 2 * math.pi)) >= 1e-12
     ]
-    return SynthesisReport(gates, distance(U_target, sequence_matrix(gates, reg)), len(gates), -1,
-                           True, converged=val <= cost_floor, cost=val,
-                           restarts_used=restarts_used, layers_used=layers)
+    return SynthesisReport(gates, distance(U_target, sequence_matrix(gates, reg)),
+                           converged=val <= cost_floor, cost=val, restarts_used=restarts_used)
 
 
 def _coordinate_descent(overlaps, x0: np.ndarray, sweeps: int, dim: int) -> tuple[np.ndarray, float]:

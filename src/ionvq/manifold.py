@@ -1,5 +1,5 @@
 """Computational-manifold selection: allowed-transition graphs, the heuristic
-cost, exhaustive ranking, and the hypersphere moments behind the memory term.
+cost and exhaustive ranking.
 
 Cost model for a candidate set of d = 2^n states with A allowed internal
 transitions (x = (A_max - A)/(A_max - A_min), A_max = d(d-1)/2,
@@ -344,34 +344,3 @@ def field_sweep(
             )
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# hypersphere moments entering the memory-error average
-
-
-def sphere_moment_oracle(d: int, samples: int = 10**6, seed: int = 0):
-    """Monte Carlo moments of |c_i|^2 |c_j|^2 for amplitudes uniform on the
-    positive orthant of the real unit (d-1)-sphere.
-
-    Returns (off_diagonal, diagonal); closed forms are 1/(d(d+2)) and
-    3/(d(d+2)).
-    """
-    if samples < 10**4:
-        raise ValueError("need at least 1e4 samples")
-    rng = np.random.default_rng(seed)
-    off_acc = 0.0
-    diag_acc = 0.0
-    chunk = 200_000
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        c2 = rng.standard_normal((m, d)) ** 2
-        c2 /= c2.sum(axis=1, keepdims=True)
-        quart = (c2**2).sum(axis=1)
-        diag_acc += float(quart.sum())
-        off_acc += float((1.0 - quart).sum())  # sum_{i != j} c_i^2 c_j^2 = 1 - sum c_i^4
-        done += m
-    n_off = samples * d * (d - 1)
-    n_diag = samples * d
-    return off_acc / n_off, diag_acc / n_diag

@@ -10,9 +10,7 @@ round's data flips: ``sample_logical_error`` fails a round when its flips,
 bit-packed per shot, hit more than half the data qubits.  ``sample_curve`` runs
 a curve's points in grid order, each on its own seed.  ``exact_logical_error``
 is the closed form of the same law (a popcount DP over the data units), the
-reference the sampler is tested against; ``match_round`` and
-``brute_force_match`` are the matching oracles the majority vote is tested
-against.
+reference the sampler is tested against.
 
 Channel rates follow the independent-error estimate with eps2 = 10 eps1:
 a data-ion/ancilla unit costs one intra plus one MS gate in the paired
@@ -150,7 +148,7 @@ def _logical_failures(circ: NoisyCircuit, model: ChannelModel, shots: int, seed:
     Frames are linear, so a round's differenced defects are the adjacent parities
     of the data flips f drawn in it, and the only corrections consistent with them
     are f and its complement.  With perfect parities, minimum-weight decoding of a
-    repetition-code round (``match_round``) takes the lighter of the two, a
+    repetition-code round (the tests' ``match_round``) takes the lighter of the two, a
     majority vote (Dennis et al., J. Math. Phys. 43, 4452 (2002)), and the round
     fails when f flips more than d // 2 data qubits.  A shot fails when an odd
     number of its rounds fail (the readout adds no flips).  Flips are packed in a
@@ -211,98 +209,6 @@ def exact_logical_error(d: int, encoding_n: int, eps1: float, rounds: int,
     for _ in range(rounds):
         p_logical += q * (1.0 - 2.0 * p_logical)
     return p_logical
-
-
-# ---------------------------------------------------------------------------
-# decoding: exact minimum-weight matching on a 1D chain, per differenced round
-
-
-def _boundary_costs(pos: int, d: int) -> tuple[int, int]:
-    """Weights of correction chains from stabilizer ``pos`` to either end."""
-    return pos + 1, d - 1 - pos
-
-
-def match_round(defects: tuple[int, ...], d: int):
-    """Interval DP over sorted defect positions; an oracle for the tests,
-    since ``_logical_failures`` reaches the same decision by a majority vote.
-
-    Each defect either pairs with its left unmatched neighbour or terminates
-    on the cheaper boundary; for collinear weights this covers an optimal
-    (non-crossing) perfect matching exactly.  Returns (cost, correction) with
-    the correction as a bit tuple over the d data qubits.
-    """
-    m = len(defects)
-    if m == 0:
-        return 0, (0,) * d
-    INF = float("inf")
-    best = [INF] * (m + 1)
-    choice = [None] * (m + 1)
-    best[0] = 0.0
-    for i in range(1, m + 1):
-        p = defects[i - 1]
-        bl, br = _boundary_costs(p, d)
-        cand = best[i - 1] + min(bl, br)
-        choice[i] = ("boundary", "L" if bl <= br else "R")
-        best[i] = cand
-        if i >= 2:
-            pair_cost = best[i - 2] + (p - defects[i - 2])
-            if pair_cost < best[i]:
-                best[i] = pair_cost
-                choice[i] = ("pair",)
-    corr = [0] * d
-    i = m
-    while i > 0:
-        if choice[i][0] == "pair":
-            a, b = defects[i - 2], defects[i - 1]
-            for q in range(a + 1, b + 1):
-                corr[q] ^= 1
-            i -= 2
-        else:
-            p = defects[i - 1]
-            if choice[i][1] == "L":
-                for q in range(0, p + 1):
-                    corr[q] ^= 1
-            else:
-                for q in range(p + 1, d):
-                    corr[q] ^= 1
-            i -= 1
-    return best[m], tuple(corr)
-
-
-def brute_force_match(defects: tuple[int, ...], d: int):
-    """Exhaustive minimum over all pairings/boundary assignments (oracle)."""
-    defects = tuple(sorted(defects))
-
-    def rec(remaining):
-        if not remaining:
-            return 0, ()
-        first, rest = remaining[0], remaining[1:]
-        bl, br = _boundary_costs(first, d)
-        best_cost, best_ops = min(bl, br), (("b", first, "L" if bl <= br else "R"),)
-        cost_rec, ops_rec = rec(rest)
-        best_cost, best_ops = best_cost + cost_rec, best_ops + ops_rec
-        out = (best_cost, best_ops)
-        for j, other in enumerate(rest):
-            sub = rest[:j] + rest[j + 1 :]
-            c, ops = rec(sub)
-            cand = abs(other - first) + c
-            if cand < out[0]:
-                out = (cand, (("p", first, other),) + ops)
-        return out
-
-    cost, ops = rec(defects)
-    corr = [0] * d
-    for op in ops:
-        if op[0] == "p":
-            for q in range(min(op[1], op[2]) + 1, max(op[1], op[2]) + 1):
-                corr[q] ^= 1
-        elif op[2] == "L":
-            for q in range(0, op[1] + 1):
-                corr[q] ^= 1
-        else:
-            for q in range(op[1] + 1, d):
-                corr[q] ^= 1
-    return cost, tuple(corr)
 
 
 @dataclass

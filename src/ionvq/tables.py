@@ -375,13 +375,13 @@ def _edges_per_ion(row) -> dict | None:
     return {0: set(FIG1_EDGES)}
 
 
-def _synthesize_alternative(row, max_len: int):
-    """Independently construct and verify a replacement sequence."""
+def _synthesize_alternative(row, max_len: int, targets):
+    """Independently construct and verify a replacement sequence; ``targets``
+    holds the row's msb_first target at each parameter point."""
     spec = row.get("alt")
     if spec is None:
         return None
     reg = _REGISTRY[row["register"]]("msb_first")
-    nq = reg.num_qubits
     edges = _edges_per_ion(row)
     points = _param_points(row["params"])
 
@@ -416,8 +416,7 @@ def _synthesize_alternative(row, max_len: int):
 
     worst = 0.0
     gates_repr = None
-    for point in points:
-        T = embed_standard(_target_matrix(row["target"], point), list(range(nq)), reg)
+    for point, T in zip(points, targets):
         gates = gates_for(point, T)
         if len(gates) > max_len:
             return {"verified": False, "reason": f"length {len(gates)} exceeds row ({max_len})"}
@@ -440,11 +439,13 @@ def audit_row(row) -> TableAuditEntry:
     reg = regs["msb_first"]
     eye = np.eye(reg.dim, dtype=np.complex128)
     statuses = {f"{comp}/{qo}": 0.0 for comp, qo in CONVENTIONS}
+    targets = []  # msb_first, for the alternative
     for point in points:
         # gate_matrix never reads the qubit order, so one target, one embedding per
         # qubit order and one matrix per gate serve all four conventions
         U = _target_matrix(row["target"], point)
         T = {qo: embed_standard(U, list(range(reg.num_qubits)), r) for qo, r in regs.items()}
+        targets.append(T["msb_first"])
         mats = [gate_matrix(g, reg) for g in _gates(row["seq"], point)]
         V = {comp: functools.reduce(lambda out, m: m @ out, ms, eye)  # as sequence_matrix
              for comp, ms in ((LEFT_FIRST, mats), (LEFT_LAST, mats[::-1]))}
@@ -468,7 +469,7 @@ def audit_row(row) -> TableAuditEntry:
         note=row.get("note"),
     )
     if not passed:
-        entry.alternative = _synthesize_alternative(row, len(row["seq"]))
+        entry.alternative = _synthesize_alternative(row, len(row["seq"]), targets)
     return entry
 
 

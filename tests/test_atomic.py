@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ionvq.atomic import (
+    MU_B_HZ_PER_T,
+    MU_N_HZ_PER_T,
     LevelModel,
     LevelStates,
-    Transition,
     _operators,
+    _transitions,
     _zero_field_energies,
     clebsch_gordan,
     diagonalize_level,
     hamiltonian,
     load_level_model,
     matrix_elements,
-    transition_table,
     wigner_3j,
-    zeeman_derivative,
 )
 
 BA = load_level_model()
@@ -68,9 +68,21 @@ def _reference_transition_table(model, B, dB=1e-7):
 
     dim = base.energies.size
     dEdB = np.array([(matched_energy(hi, k) - matched_energy(lo, k)) / step for k in range(dim)])
-    return [Transition(a, b, base.labels[a], base.labels[b],
-                       float(base.energies[b] - base.energies[a]), float(dEdB[b] - dEdB[a]))
+    return [(a, b, float(base.energies[b] - base.energies[a]), float(dEdB[b] - dEdB[a]))
             for a in range(dim) for b in range(a + 1, dim)]
+
+
+def _transition_rows(model, B):
+    """(i, j, label_i, label_j, freq_Hz, sens_Hz_per_T) of every transition at B."""
+    base = diagonalize_level(model, B)
+    return [(i, j, base.labels[i], base.labels[j], f, s)
+            for i, j, f, s in zip(*(v.tolist() for v in _transitions(model, B, base)))]
+
+
+def zeeman_derivative(model: LevelModel) -> np.ndarray:
+    """dH/dB in Hz/T (field-independent)."""
+    Iz, Jz, _ = _operators(model.I, model.J)
+    return MU_B_HZ_PER_T * model.g_J * Jz - MU_N_HZ_PER_T * model.g_I * Iz
 
 
 MODELS = [
@@ -90,8 +102,7 @@ def test_eigensystem_and_transitions_equal_per_block_references(model, field_G):
     assert np.array_equal(got.states, ref.states)
     assert got.labels == ref.labels and np.array_equal(got.m_f, ref.m_f)
     table = _reference_transition_table(model, B)
-    assert transition_table(model, B) == table
-    assert transition_table(model, B, base=got) == table
+    assert list(zip(*(v.tolist() for v in _transitions(model, B, got)))) == table
 
 
 def test_angular_momentum_identities():
@@ -149,27 +160,25 @@ def test_f3_f4_mixing_onset():
 
 
 def test_table_frequencies_and_sensitivities():
-    tt = transition_table(BA, 2.0e-3)
-    bylab = {frozenset((t.label_i, t.label_j)): t for t in tt}
+    bylab = {frozenset((la, lb)): (f, s) for _, _, la, lb, f, s in _transition_rows(BA, 2.0e-3)}
     for la, lb, f_ref, s_ref, _ in TABLE_ROWS:
-        t = bylab[frozenset((la, lb))]
-        assert t.freq_Hz == pytest.approx(f_ref, rel=0.01)
-        assert abs(t.sens_Hz_per_T) == pytest.approx(s_ref, rel=0.01)
+        freq, sens = bylab[frozenset((la, lb))]
+        assert freq == pytest.approx(f_ref, rel=0.01)
+        assert abs(sens) == pytest.approx(s_ref, rel=0.01)
 
 
 def test_sensitivity_antisymmetry_and_hellmann_feynman():
     B = 2.0e-3
     st = diagonalize_level(BA, B)
     dHdB = zeeman_derivative(BA)
-    tt = transition_table(BA, B)
     expect = {
         k: float(st.states[:, k] @ dHdB @ st.states[:, k]) for k in range(BA.dim)
     }
     checked = 0
-    for t in tt:
-        hf = expect[t.j] - expect[t.i]
+    for i, j, _, _, _, sens in _transition_rows(BA, B):
+        hf = expect[j] - expect[i]
         if abs(hf) > 1e8:  # skip near-insensitive pairs where 0.1% is meaningless
-            assert t.sens_Hz_per_T == pytest.approx(hf, rel=1e-3)
+            assert sens == pytest.approx(hf, rel=1e-3)
             checked += 1
     assert checked > 100
 

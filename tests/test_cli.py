@@ -526,6 +526,16 @@ def test_tables_json(tmp_path):
         assert set(e) >= {"table", "row", "statuses", "passed", "best_distance"}
 
 
+def test_data_dir_ignores_the_environment(tmp_path, monkeypatch):
+    # a directory of level files once relocated the schema too, so every
+    # subcommand died on a missing config_schema.json
+    from ionvq.atomic import data_dir
+
+    (tmp_path / "ba137_d52.json").write_text((data_dir() / "ba137_d52.json").read_text())
+    monkeypatch.setenv("IONVQ_DATA_DIR", str(tmp_path))
+    assert main(["bv", "--s", "10", "--seed", "2", "--out", str(tmp_path / "bv.json")]) == 0
+
+
 def test_compile_round_trip(tmp_path):
     from ionvq.core import IonSpec, build_register, parse_circuit, sequence_matrix, load_register
     from ionvq.compiler import distance
@@ -560,6 +570,8 @@ def test_compile_round_trip(tmp_path):
     {"ions": [{"d": 4, "map": [0, True, 2, 3]}]},
     {"ions": [{"d": 4, "allowed_r": [[0, 1.5], [1, 2]]}]},
     {"ions": [{"d": 4, "allowed_r": [[0, 1], [False, 2]]}]},
+    # well-formed, but levels 2 and 3 cannot be reached from level 0
+    {"ions": [{"d": 4, "allowed_r": [[0, 1]]}]},
 ])
 def test_malformed_register_file_exits_2(tmp_path, capsys, register):
     reg, target, out = tmp_path / "reg.json", tmp_path / "t.txt", tmp_path / "out.txt"
@@ -569,8 +581,35 @@ def test_malformed_register_file_exits_2(tmp_path, capsys, register):
                               for i in range(4)))
     assert main(["compile", "--target", str(target), "--register", str(reg),
                  "--out", str(out)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and str(reg) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("pulses,code", [
+    ([(0, 0, 1, 0.7, 0.3), (0, 1, 2, 1.1, 0.2), (1, 0, 1, 0.4, 0.9)], 0),
+    ([(0, 0, 3, 0.7, 0.3)], 3),
+])
+def test_compile_drives_only_the_pairs_each_ion_allows(tmp_path, pulses, code):
+    # ion 0 of a d=4 + d=2 register may drive (0,1), (1,2) and (2,3) only, so the
+    # template has no (0,3) slot: a target that needs one fails to converge
+    # rather than compile to a forbidden pulse
+    from ionvq.core import R, load_register, sequence_matrix
+
+    regfile, tfile, out = tmp_path / "reg.json", tmp_path / "t.txt", tmp_path / "circ.txt"
+    regfile.write_text(json.dumps({"ions": [{"d": 4, "allowed_r": [[0, 1], [1, 2], [2, 3]]},
+                                            {"d": 2}]}))
+    U = sequence_matrix([R(*p) for p in pulses], load_register(regfile))
+    tfile.write_text("\n".join(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row)
+                               for row in U))
+    assert main(["compile", "--target", str(tfile), "--register", str(regfile),
+                 "--layers-max", "2", "--restarts", "1", "--out", str(out)]) == code
+    if code:
+        assert not out.exists()
+    else:
+        lines = [line.split() for line in out.read_text().splitlines() if line.startswith("R ")]
+        assert lines and all(ion == "1" or (a, b) in {("0", "1"), ("1", "2"), ("2", "3")}
+                             for _, ion, a, b, *_ in lines)
 
 
 @pytest.mark.parametrize("level", [[], {"I": [1]}, {"I": 0.7}])

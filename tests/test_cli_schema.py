@@ -190,10 +190,15 @@ def _options(draw, command):
     return argv, cfg
 
 
-# argv checked on every run besides the drawn ones: n=3 registers of 2 and 4
-# ions, which the draws reach only when both --qubits and --n are redrawn
+# argv checked on every run besides the drawn ones, each with two options redrawn
+# together, which the draws reach about once in several hundred examples: n=3
+# registers of 2 and 4 ions, an n=3 manifold beside a non-smoke field, and a
+# matched n=2 layout on a p grid
 EXAMPLES = {"xeb": [(["xeb", f"--qubits={q}", "--n=3", f"--policy={policy}", "--circuits=3",
-                      "--seed=7"], {}) for q, policy in ((6, "all_to_all"), (12, "minimal"))]}
+                      "--seed=7"], {}) for q, policy in ((6, "all_to_all"), (12, "minimal"))],
+            "manifold": [(["manifold", "--field=5", "--n=3", "--top-k=5"], {})],
+            "repcode": [(["repcode", "--L=7", "--n=2", "--p-grid=1e-3:1e-1:2", "--shots=2000",
+                          "--seed=11"], {})]}
 
 
 def _run(argv, out):

@@ -31,7 +31,7 @@ FIG1 = [(0, 1), (0, 2), (2, 3)]
 
 def test_identity_synthesis():
     rep = synthesize_exact(np.eye(4))
-    assert rep.pulse_count == 0 and rep.distance == 0.0
+    assert len(rep.gates) == 0 and rep.distance == 0.0
 
 
 def test_random_su4_within_bound(rng):
@@ -39,7 +39,7 @@ def test_random_su4_within_bound(rng):
         U = unitary_group.rvs(4, random_state=rng)
         rep = synthesize_exact(U)
         assert rep.distance <= 1e-9
-        assert rep.pulse_count <= 12
+        assert len(rep.gates) <= 12
 
 
 def test_random_su8_within_bound(rng):
@@ -47,7 +47,7 @@ def test_random_su8_within_bound(rng):
         U = unitary_group.rvs(8, random_state=rng)
         rep = synthesize_exact(U)
         assert rep.distance <= 1e-9
-        assert rep.pulse_count <= 42
+        assert len(rep.gates) <= 42
 
 
 def test_limited_connectivity_synthesis(rng):
@@ -75,7 +75,7 @@ def test_fast_path_two_pulses():
     U = pauli_rotation("XI", t)
     reg = build_register([IonSpec(4, m1_map())])
     rep = synthesize_exact(embed_standard(U, [0, 1], reg))
-    assert rep.fast_path and rep.pulse_count == 2
+    assert rep.fast_path and len(rep.gates) == 2
     pairs = {(g.a, g.b) for g in rep.gates}
     assert pairs == {(0, 2), (1, 3)}
 
@@ -127,7 +127,7 @@ def test_variational_recovers_realizable_target(reg_mixed):
 def test_template_without_angles_scores_the_empty_sequence(reg_mixed):
     rep = synthesize_variational(np.eye(reg_mixed.dim), Template(()), reg_mixed,
                                  VariationalBudget(1, 2))
-    assert rep.converged and rep.cost == 0.0 and rep.pulse_count == 0
+    assert rep.converged and rep.cost == 0.0 and len(rep.gates) == 0
     rep = synthesize_variational(np.diag([1, -1] * (reg_mixed.dim // 2)), Template(()),
                                  reg_mixed, VariationalBudget(2, 2))
     assert not rep.converged and rep.cost == 1.0 and rep.restarts_used == 4
@@ -141,7 +141,7 @@ def test_variational_finds_two_gate_cnot(reg_mixed):
     rep = synthesize_variational(T, tmpl, reg_mixed, VariationalBudget(1, 8, 50), seed=3,
                                  cost_floor=1e-20)
     assert rep.distance <= 1e-9
-    assert rep.pulse_count == 2
+    assert len(rep.gates) == 2
 
 
 def test_cross_ion_xx_needs_two_ms_gates():

@@ -113,12 +113,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # top-level definitions of src/ionvq that no package module, script or benchmark
 # module reaches, each with why it stays
 UNREFERENCED = {
-    "atomic.transition_table": "test oracle of the level data; ROADMAP item 8 moves it out",
-    "atomic.zeeman_derivative": "test oracle; ROADMAP item 8 moves it out",
-    "manifold.sphere_moment_oracle": "criterion 9's oracle; ROADMAP item 8 moves it out",
-    "qec.brute_force_match": "criterion 8's decoder oracle; ROADMAP item 8 moves it out",
     "qec.exact_logical_error": "exact p_L; ROADMAP items 2 and 9 give it package callers",
-    "qec.match_round": "criterion 8's decoder; ROADMAP item 8 moves it out",
 }
 
 

@@ -14,7 +14,6 @@ from ionvq.atomic import (
     diagonalize_level,
     load_level_model,
     matrix_elements,
-    transition_table,
 )
 from ionvq.manifold import (
     TWO_PI,
@@ -29,8 +28,8 @@ from ionvq.manifold import (
     manifold_cost,
     precompute_level_data,
     search_top_k,
-    sphere_moment_oracle,
 )
+from oracles import sphere_moment_oracle
 
 BA = load_level_model()
 PARAMS = CostParams()
@@ -208,11 +207,10 @@ def _full_matrix_level_data(model, params):
     for the D5/2 level), as the search built them before it kept only the
     drivable rows: (pairs, omega, sens, m_abs, drivable, resolved, crosstalk)."""
     states = diagonalize_level(model, params.B_T)
-    table = transition_table(model, params.B_T, base=states)
+    lower, upper, freq, sens = _transitions(model, params.B_T, states)
     M = matrix_elements(model, states, params.mechanism, *params.pols())
-    pairs = [(t.i, t.j) for t in table]
-    omega = TWO_PI * np.array([t.freq_Hz for t in table])
-    sens = TWO_PI * np.array([t.sens_Hz_per_T for t in table])
+    pairs = list(zip(lower.tolist(), upper.tolist()))
+    omega, sens = TWO_PI * freq, TWO_PI * sens
     m_abs = np.array([abs(M[j, i]) for i, j in pairs])
     rabi = TWO_PI * params.D_Hz * m_abs
     drivable = params.D_Hz * m_abs >= params.rabi_threshold_Hz
@@ -259,10 +257,6 @@ def test_level_data_equals_full_matrix_reference(field_G, scope, resolution, mec
         assert _same_bits(got, want)
     drv = np.flatnonzero(drivable)
     assert _same_bits(data.crosstalk, crosstalk[np.ix_(drv, drv)])
-    # the table is a list view of the arrays
-    i, j, freq, sens_T = _transitions(BA, params.B_T, data.states)
-    assert [(t.i, t.j, t.freq_Hz, t.sens_Hz_per_T) for t in transition_table(BA, params.B_T)] == \
-        list(zip(i.tolist(), j.tolist(), freq.tolist(), sens_T.tolist()))
 
 
 @settings(max_examples=40)

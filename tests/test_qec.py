@@ -12,14 +12,13 @@ from ionvq.qec import (
     _draw_hits,
     _logical_failures,
     _wilson_ci,
-    brute_force_match,
     build_repcode_circuit,
     exact_logical_error,
-    match_round,
     matched_distances,
     sample_curve,
     sample_logical_error,
 )
+from oracles import brute_force_match, match_round
 
 
 def test_channel_model_relations():
