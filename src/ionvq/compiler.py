@@ -40,6 +40,7 @@ from .core import (
     R,
     Register,
     build_register,
+    gate_matrices,
     gate_matrix,
     is_unitary,
     sequence_matrix,
@@ -394,14 +395,17 @@ def _objective(U_target, template: Template, reg: Register, layers: int):
     """(x, k) -> the overlaps Tr(U^dag V(x)) at x_k = 0, pi/2, pi.
 
     Each gate position keeps its matrix with the angles it was built at and is
-    rebuilt only when they change.  The gates applied before the probed one
-    are multiplied from the kept matrices, then the probe and the later gates
-    are applied, in ``sequence_matrix``'s order: every overlap is bit-identical
-    to ``overlap(U_target, sequence_matrix(gates, reg))``.
+    rebuilt only when they change.  The product of the gates before the probed
+    one is kept with the bytes of their angles and extended from the kept
+    matrices; the probe's three matrices are built as one stack and carried
+    through the later gates together, in ``sequence_matrix``'s order: every
+    overlap is bit-identical to ``overlap(U_target, sequence_matrix(gates, reg))``.
     """
     slots, start = template.slots * layers, template.starts(layers)
     owner = [i for i, s in enumerate(slots) for _ in range(s.n_params)]
     kept = [(None, None)] * len(slots)  # (angle bytes, matrix); bytes tell -0.0 from 0.0
+    identity = np.eye(reg.dim, dtype=np.complex128)
+    prefix = [0, b"", identity]  # slot p, bytes of the angles before it, their product
 
     def matrix(i, x):
         angles = x[start[i]:start[i + 1]]
@@ -409,20 +413,23 @@ def _objective(U_target, template: Template, reg: Register, layers: int):
             kept[i] = angles.tobytes(), gate_matrix(slots[i].gate(angles), reg)
         return kept[i][1]
 
+    def before(x, p):
+        q, key, product = prefix
+        if q > p or x[:start[q]].tobytes() != key:
+            q, product = 0, identity
+        for i in range(q, p):
+            product = matrix(i, x) @ product
+        prefix[:] = p, x[:start[p]].tobytes(), product
+        return product
+
     def overlaps(x, k):
         p = owner[k]
-        before = np.eye(reg.dim, dtype=np.complex128)
-        for i in range(p):
-            before = matrix(i, x) @ before
-        out = []
-        for t in (0.0, math.pi / 2, math.pi):
-            angles = x[start[p]:start[p + 1]].copy()
-            angles[k - start[p]] = t
-            V = gate_matrix(slots[p].gate(angles), reg) @ before
-            for i in range(p + 1, len(slots)):
-                V = matrix(i, x) @ V
-            out.append(overlap(U_target, V))
-        return tuple(out)
+        angles = np.repeat(x[start[p]:start[p + 1], None], 3, axis=1)  # (angle, probe)
+        angles[k - start[p]] = 0.0, math.pi / 2, math.pi
+        V = gate_matrices(slots[p].gate(angles), reg) @ before(x, p)
+        for i in range(p + 1, len(slots)):
+            V = matrix(i, x) @ V
+        return tuple(overlap(U_target, v) for v in V)
 
     return overlaps
 
@@ -539,5 +546,12 @@ def _slice_maximum(alpha: complex, beta: complex, gamma: complex, t0: float) -> 
     scale = np.abs(coeffs).max()
     if scale == 0.0:
         return t0
-    cands = np.angle(np.roots(coeffs / scale))
+    coeffs /= scale
+    if coeffs[0] and coeffs[-1]:  # np.roots' companion matrix: it would trim no zero
+        companion = np.eye(4, k=-1, dtype=np.complex128)
+        companion[0] = -coeffs[1:] / coeffs[0]
+        roots = np.linalg.eigvals(companion)
+    else:
+        roots = np.roots(coeffs)
+    cands = np.angle(roots)
     return float(cands[np.argmax(np.abs(_slice_value(alpha, beta, gamma, cands)))])

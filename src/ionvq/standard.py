@@ -101,11 +101,12 @@ def cnot_on(n: int, control: int, target: int) -> np.ndarray:
 # level-space pairing of X/Y tensor factors
 
 
-def _ion_pairing(reg: Register, ion: int, local_string: str):
-    """Pairs (a, b, chi) with K = sum e^{i chi}|a><b| + h.c. for the ion-local
-    X/Y factor; ``local_string`` has one char per virtual qubit of the ion."""
-    spec = reg.ions[ion]
-    sub = build_register([IonSpec(spec.d, spec.encoding)], reg.qubit_order)
+@functools.lru_cache(maxsize=64)
+def _ion_pairing(spec: IonSpec, qubit_order: str, local_string: str) -> tuple:
+    """Pairs (a, b, chi) with K = sum e^{i chi}|a><b| + h.c. for the X/Y factor
+    local to an ion ``spec``; ``local_string`` has one char per virtual qubit of
+    the ion.  Cached, as an audit meets the same few factors many times."""
+    sub = build_register([IonSpec(spec.d, spec.encoding)], qubit_order)
     K = embed_standard(pauli_string(local_string), list(range(spec.n)), sub)
     pairs = []
     seen = set()
@@ -119,7 +120,7 @@ def _ion_pairing(reg: Register, ion: int, local_string: str):
         seen.add((a, b))
         lo, hi = (a, b) if a < b else (b, a)
         pairs.append((lo, hi, cmath.phase(K[lo, hi])))
-    return pairs
+    return tuple(pairs)
 
 
 def _r_for_pair(ion: int, a: int, b: int, chi: float, theta: float) -> R:
@@ -179,7 +180,7 @@ def pauli_rotation_gates(
         return []
     if len(active) == 1:
         ion, loc = next(iter(active.items()))
-        pairs = _ion_pairing(reg, ion, loc)
+        pairs = _ion_pairing(reg.ions[ion], reg.qubit_order, loc)
         edges = None if edges_per_ion is None else edges_per_ion.get(ion)
         out = []
         for a, b, chi in pairs:
@@ -190,8 +191,8 @@ def pauli_rotation_gates(
         return out
     if len(active) == 2:
         (i, li), (j, lj) = sorted(active.items())
-        pi_ = _ion_pairing(reg, i, li)
-        pj_ = _ion_pairing(reg, j, lj)
+        pi_ = _ion_pairing(reg.ions[i], reg.qubit_order, li)
+        pj_ = _ion_pairing(reg.ions[j], reg.qubit_order, lj)
         if any(abs(chi) > 1e-12 for *_, chi in pi_ + pj_):
             raise ValueError("MS products require plain X factors")
         return [MS(i, j, (a, b), (c, d), theta) for a, b, _ in pi_ for c, d, _ in pj_]

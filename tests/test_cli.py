@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -513,6 +514,54 @@ TABLES_GOLDEN = [
 def test_tables_output_bytes_are_pinned(tmp_path, argv, sha256):
     out = tmp_path / "audit.json"
     assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+TWO_ION = {"ions": [{"d": 4}, {"d": 2}]}
+FIG1_ION = {"ions": [{"d": 4, "allowed_r": [[0, 1], [0, 2], [2, 3]]}]}
+
+# sha256 of the compiled circuit, recorded with OpenBLAS 0.3.31 running its SkylakeX kernels
+# before the variational probes were stacked: (target, generator seed, argv, sha256). A
+# "layersN" target is N layers of the CLI's d=4 + d=2 template at default_rng(seed) angles; the
+# 1-layer runs take the benchmark's budget, the 2-layer one exhausts it at one layer first.
+# "haar" is a Haar unitary of one d=4 ion on a tree graph, synthesized exactly.  Targets are
+# written to 12 digits, dropping the last bits that depend on the BLAS kernel and SIMD level,
+# so a pin that moves under another setting shows the compiler's own dependence.
+COMPILE_GOLDEN = [
+    ("layers1", 5, ["--layers-max", "1", "--restarts", "8", "--seed", "1005"],
+     "0350cf527d4b384cdb0568553e9ba04ac2aae68741a9a000375c37c0a3e226ea"),
+    ("layers1", 7, ["--layers-max", "1", "--restarts", "8", "--seed", "1007"],
+     "c4bdb519d455dc82dad3f0ac78e1f988ef2c57124186dfabb17eb695a97dbe23"),
+    ("layers2", 16, ["--seed", "16"],
+     "9e22ccf1168c6f3f72ce8f4ac7af2bd872da90800311e20b1c2e88f23a077b04"),
+    ("haar", 10, ["--seed", "0"],
+     "e7a2e3a0c1df561bd27a4596efbb561d93fc69f0468ff6208fbff9d212bfe3a4"),
+]
+
+
+@pytest.mark.parametrize("kind,seed,argv,sha256", COMPILE_GOLDEN,
+                         ids=[f"{kind}_seed{seed}" for kind, seed, *_ in COMPILE_GOLDEN])
+def test_compile_output_bytes_are_pinned(tmp_path, kind, seed, argv, sha256):
+    from ionvq.cli import _default_template
+    from ionvq.core import Register, sequence_matrix
+
+    rng = np.random.default_rng(seed)
+    if kind == "haar":
+        cfg = FIG1_ION
+        q, r = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        U = q * (np.diag(r) / np.abs(np.diag(r)))
+    else:
+        cfg, layers = TWO_ION, int(kind[-1])
+        reg = Register.from_config(cfg)
+        tmpl = _default_template(reg)
+        x = rng.uniform(0.0, 2 * math.pi, tmpl.n_params * layers)
+        U = sequence_matrix(tmpl.gates(x, layers), reg)
+    regfile, tfile, out = tmp_path / "reg.json", tmp_path / "t.txt", tmp_path / "circ.txt"
+    regfile.write_text(json.dumps(cfg))
+    tfile.write_text("".join(" ".join(f"{z.real:.12g} {z.imag:.12g}" for z in row) + "\n"
+                             for row in U))
+    assert main(["compile", "--target", str(tfile), "--register", str(regfile), *argv,
+                 "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 

@@ -263,20 +263,28 @@ def test_degenerate_slice_keeps_current_angle(seed, t0):
 
 
 def test_coordinate_descent_spends_three_overlaps_per_coordinate(reg_mixed, monkeypatch):
-    # three overlaps per coordinate visited; the kept matrices leave three
-    # probes and at most one rebuild per coordinate, plus each gate's first build
-    calls = {"overlap": 0, "gate_matrix": 0}
-    for name in calls:
+    # per coordinate visited: one probe stack, three overlaps, at most one kept-matrix
+    # rebuild (plus each gate's first build) and at most one multiplication into the
+    # product of the gates before the probe
+    calls = {"overlap": 0, "gate_matrix": 0, "gate_matrices": 0, "prefix": 0}
+
+    class Kept(np.ndarray):  # a kept gate matrix: counts its products with one matrix
+        def __matmul__(self, other):
+            calls["prefix"] += np.ndim(other) == 2
+            return np.asarray(self) @ other
+
+    for name in ("overlap", "gate_matrix", "gate_matrices"):
         def counted(*args, _name=name, _fn=getattr(compiler, name)):
             calls[_name] += 1
-            return _fn(*args)
+            out = _fn(*args)
+            return out.view(Kept) if _name == "gate_matrix" else out
 
         monkeypatch.setattr(compiler, name, counted)
     n, gates = DEFAULT_LAYER.n_params, len(DEFAULT_LAYER.slots)
     visited = {}
     for sweeps in (1, 4):
         overlaps, _, cost, x0 = _random_problem(reg_mixed, 102)
-        calls.update(overlap=0, gate_matrix=0)
+        calls.update(dict.fromkeys(calls, 0))
         seen = []
 
         def probed(x, k):
@@ -287,10 +295,58 @@ def test_coordinate_descent_spends_three_overlaps_per_coordinate(reg_mixed, monk
         visited[sweeps] = len(seen)
         assert seen == list(range(n)) * (len(seen) // n)
         assert calls["overlap"] == 3 * len(seen)
-        assert 3 * len(seen) < calls["gate_matrix"] <= 4 * len(seen) + gates
+        assert calls["gate_matrices"] == len(seen)
+        assert 0 < calls["gate_matrix"] <= len(seen) + gates
+        assert 0 < calls["prefix"] <= len(seen)
         assert abs(f - cost(x)) <= 1e-15  # the cost it reports is the cost where it stopped
         assert cost(x) < cost(x0)
     assert visited[1] == n < visited[4] <= 4 * n
+
+
+def _np_roots_slice_maximum(alpha, beta, gamma, t0):
+    """``_slice_maximum`` with every quartic solved by ``np.roots``."""
+    p, m = (beta - 1j * gamma) / 2, (beta + 1j * gamma) / 2
+    c1 = alpha * m.conjugate() + p * alpha.conjugate()
+    c2 = p * m.conjugate()
+    coeffs = np.array([2 * c2, c1, 0.0, -c1.conjugate(), -2 * c2.conjugate()])
+    scale = np.abs(coeffs).max()
+    if scale == 0.0:
+        return t0
+    cands = np.angle(np.roots(coeffs / scale))
+    return float(cands[np.argmax(np.abs(_slice_value(alpha, beta, gamma, cands)))])
+
+
+UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=200)
+@given(z=st.lists(st.tuples(UNIT, UNIT), min_size=3, max_size=3),
+       scale=st.sampled_from([1e-150, 1e-20, 1.0, 1e20, 1e150]),
+       case=st.sampled_from(["generic", "beta=i*gamma", "beta=-i*gamma", "alpha=0", "flat"]),
+       t0=st.floats(-10.0, 10.0))
+def test_slice_maximum_returns_np_roots_angles_bit_for_bit(z, scale, case, t0):
+    # c2 is zero when beta = +-i gamma (np.roots trims the quartic), c1 when alpha = 0
+    # (the companion matrix keeps its zeros), and a flat slice returns t0
+    alpha, beta, gamma = (complex(re, im) * scale for re, im in z)
+    if case == "beta=i*gamma":
+        beta = 1j * gamma
+    elif case == "beta=-i*gamma":
+        beta = -1j * gamma
+    elif case == "alpha=0":
+        alpha = 0j
+    elif case == "flat":
+        beta = gamma = 0j
+    with np.errstate(all="ignore"):
+        try:
+            want = _np_roots_slice_maximum(alpha, beta, gamma, t0)
+        except np.linalg.LinAlgError:  # subnormal coefficients can scale to NaN: fail alike
+            with pytest.raises(np.linalg.LinAlgError):
+                _slice_maximum(alpha, beta, gamma, t0)
+            return
+        got = _slice_maximum(alpha, beta, gamma, t0)
+    assert got.hex() == want.hex()
+    if case == "flat":
+        assert got == t0
 
 
 # a d=2 + d=4 (map M2) + d=2 chain with an MS on each neighbouring pair

@@ -20,8 +20,10 @@ from ionvq.core import (
     build_register,
     embed_standard,
     format_circuit,
+    gate_matrices,
     gate_matrix,
     identity_map,
+    is_unitary,
     m1_map,
     m2_map,
     parse_circuit,
@@ -642,3 +644,67 @@ def test_vectorised_embedding_equals_basis_loop_bit_for_bit(maps, order, seed, d
     assert reg.bit_table().dtype == np.uint8
     assert reg.bit_table().tobytes() == bits.tobytes()
     assert embed_standard(U, targets, reg).tobytes() == V.tobytes()
+
+
+REG_STACK = build_register([IonSpec(4, m2_map()), IonSpec(2), IonSpec(4)])
+ANGLES = st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0, math.pi / 2, math.pi])
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_gate_matrices_equal_gate_matrix_bit_for_bit(data):
+    # either pair order and signed zeros: every stacked entry is the single gate's matrix
+    count = data.draw(st.integers(1, 4))
+    angles = [np.array(data.draw(st.lists(ANGLES, min_size=count, max_size=count)))
+              for _ in range(2)]
+
+    def pair(ion):
+        return tuple(data.draw(st.lists(st.integers(0, REG_STACK.ions[ion].d - 1), min_size=2,
+                                        max_size=2, unique=True)))
+
+    if data.draw(st.booleans()):
+        ion = data.draw(st.integers(0, 2))
+        a, b = pair(ion)
+        stacked = R(ion, a, b, *angles)
+        gates = [R(ion, a, b, t, p) for t, p in zip(*angles)]
+    else:
+        ion_i, ion_j = data.draw(st.permutations(range(3)))[:2]
+        pair_i, pair_j = pair(ion_i), pair(ion_j)
+        stacked = MS(ion_i, ion_j, pair_i, pair_j, angles[0])
+        gates = [MS(ion_i, ion_j, pair_i, pair_j, J) for J in angles[0]]
+    mats = gate_matrices(stacked, REG_STACK)
+    assert mats.shape == (count, REG_STACK.dim, REG_STACK.dim)
+    for mat, gate in zip(mats, gates):
+        assert mat.tobytes() == gate_matrix(gate, REG_STACK).tobytes()
+
+
+@settings(max_examples=80)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["diagonal", "off-diagonal", "non-finite", "non-square"]),
+       inside=st.booleans(), margin=st.floats(1e-4, 1e-3),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf, complex(np.inf, np.nan)]))
+def test_is_unitary_decides_as_allclose(n, seed, kind, inside, margin, bad):
+    # U^dag U is pushed just inside or outside allclose's bound on a diagonal entry
+    # (atol + rtol) or an off-diagonal one (atol), or U gets a NaN/inf entry
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    tol, edge = core.UNITARY_TOL, 1 - margin if inside else 1 + margin
+    U, expected = Q, inside
+    if kind == "diagonal":
+        U = Q * math.sqrt(1 + (tol + 1e-5) * edge)
+    elif kind == "off-diagonal" and n > 1:
+        M = np.eye(n, dtype=np.complex128)
+        M[0, 1] = tol * edge * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        U = Q @ M
+    elif kind == "non-finite":
+        U = Q.copy()
+        U[rng.integers(n), rng.integers(n)] = bad
+        expected = False
+    elif kind == "non-square":
+        U = np.vstack([Q, np.zeros((1, n))])  # orthonormal columns, one row too many
+        assert not is_unitary(U) and not is_unitary(U.T) and not is_unitary(Q[0])
+        return
+    else:
+        expected = True
+    with np.errstate(invalid="ignore"):  # a NaN/inf entry spreads through U^dag U
+        assert is_unitary(U) == np.allclose(U.conj().T @ U, np.eye(n), atol=tol) == expected
