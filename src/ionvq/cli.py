@@ -8,8 +8,8 @@ file.  Exit codes: 0 success, 2 configuration error, 3 runtime error.
 
 from __future__ import annotations
 
-import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -20,6 +20,7 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -64,6 +65,7 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+@functools.cache
 def _schema() -> dict:
     with open(atomic.data_dir() / "config_schema.json") as fh:
         return json.load(fh)
@@ -436,30 +438,97 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subcommand per definition of config_schema.json and one flag per
-    property; values are left unchecked and unset flags None for _resolve."""
-    p = argparse.ArgumentParser(
-        prog="ionvq",
-        description="Simulate and compile trapped-ion registers with virtual qubits",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-    for command, spec in _schema()["definitions"].items():
-        sp = sub.add_parser(command, help=spec["description"])
-        for key, prop in spec["properties"].items():
-            default = f" (default {prop['default']})" if "default" in prop else ""
-            choices = "{" + ",".join(map(str, prop["enum"])) + "}" if "enum" in prop else None
-            sp.add_argument(_flag(key), dest=key, type=_TYPES[prop["type"]], metavar=choices,
-                            help=prop["description"] + default)
-        sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--format", choices=["csv", "json"])
-        sp.add_argument("--config", help="JSON config supplying unset flags")
-    return p
+# the flags every subcommand takes besides its schema properties
+_COMMON = {
+    "out": {"type": "string", "description": "output path (default: stdout)"},
+    "format": {"type": "string", "enum": ["csv", "json"],
+               "description": "which output to write (default: the subcommand's first)"},
+    "config": {"type": "string", "description": "JSON config supplying unset flags"},
+}
+_HELP = dict.fromkeys(["-h", "--help"])
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _is_flag(token: str, flags) -> bool:
+    """Whether ``token`` reads as a flag rather than a value, by argparse's rule:
+    one of ``flags``, alone or before "=", is a flag; else "-" alone, a negative
+    number and a token with a space are values."""
+    if token.partition("=")[0] in flags:
+        return True
+    return token[:1] == "-" and token != "-" and " " not in token and not _NEGATIVE.match(token)
+
+
+def _help(command: str | None) -> str:
+    """Usage and options of ``command`` from the schema, or the subcommands for None."""
+    defs = _schema()["definitions"]
+    if command is None:
+        usage = "{" + ",".join(defs) + "} ..."
+        about = "Simulate and compile trapped-ion registers with virtual qubits"
+        rows = [(name, spec["description"]) for name, spec in defs.items()]
+    else:
+        usage, about = command + " [--flag VALUE ...]", defs[command]["description"]
+        rows = [(_flag(key) + " " + ("{" + ",".join(map(str, prop["enum"])) + "}"
+                                     if "enum" in prop else key.upper()),
+                 prop["description"] + (f" (default {prop['default']})" if "default" in prop else ""))
+                for key, prop in {**defs[command]["properties"], **_COMMON}.items()]
+    rows = [("-h, --help", "show this help and exit"), *rows]
+    width = max(len(name) for name, _ in rows) + 2
+    return "".join([f"usage: ionvq {usage}\n\n{about}\n\n{'options' if command else 'commands'}:\n",
+                    *(f"  {name:<{width}}{text}\n" for name, text in rows)])
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The subcommand of ``argv`` with one attribute per property of its schema
+    definition and per _COMMON flag, each given as ``--flag value`` or
+    ``--flag=value`` (the last of a repeated flag wins).  Values get their schema
+    type and are otherwise left to _resolve, and unset flags are None; only
+    --format is held to its enum here.  Prints help and returns None at -h or
+    --help.  A token that is neither a flag nor its value is a ConfigError once
+    all of argv is read, so that a later -h still prints help, as in argparse."""
+    defs, stray, args, flags = _schema()["definitions"], [], None, _HELP
+    tokens = iter(argv)
+    for token in tokens:
+        flag, explicit, value = token.partition("=")
+        if token == "--":  # every later token is a value, and no flag is left to take it
+            stray += [token, *tokens]
+        elif flag in _HELP:
+            if explicit:
+                raise ConfigError(f"{token}: {flag} takes no value")
+            sys.stdout.write(_help(args and args.command))
+            return None
+        elif args is None and not _is_flag(token, flags):  # the subcommand
+            if token not in defs:
+                raise ConfigError(f"{token}: not a subcommand; choose from " + ", ".join(defs))
+            props = {**defs[token]["properties"], **_COMMON}
+            flags = {**_HELP, **{_flag(key): key for key in props}}
+            args = SimpleNamespace(command=token, **dict.fromkeys(props))
+        elif flag not in flags:
+            stray.append(token)
+        else:
+            if not explicit:
+                value = next(tokens, None)
+                if value is None or _is_flag(value, flags):
+                    raise ConfigError(f"{flag}: expected a value")
+            key = flags[flag]
+            try:
+                setattr(args, key, _TYPES[props[key]["type"]](value))
+            except ValueError:  # schema_error names the type
+                raise ConfigError(f"{flag} {value}: {schema_error(value, props[key])}") from None
+            error = key in _COMMON and schema_error(value, props[key])
+            if error:
+                raise ConfigError(f"{flag} {value}: {error}")
+    if args is None:
+        raise ConfigError("give a subcommand: " + ", ".join(defs))
+    if stray:
+        raise ConfigError("unrecognized arguments: " + " ".join(stray))
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:  # help was printed
+            return 0
         outputs = COMMANDS[args.command](args)
         chosen = _select_output(outputs, args.format)
         if args.out:

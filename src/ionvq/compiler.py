@@ -52,6 +52,7 @@ LEFT_LAST = "leftmost_applied_last"
 
 COST_FLOOR = 1e-8
 EXACT_TOL = 1e-9
+_TINY = np.finfo(float).tiny  # smallest normal double
 
 
 def distance(U: np.ndarray, V: np.ndarray) -> float:
@@ -530,6 +531,14 @@ def _slice_value(alpha, beta, gamma, t):
     return alpha + beta * np.cos(t) + gamma * np.sin(t)
 
 
+def _stationary_quartic(alpha: complex, beta: complex, gamma: complex) -> np.ndarray:
+    """Coefficients of 2 c2 w^4 + c1 w^3 - conj(c1) w - 2 conj(c2) (see _slice_maximum)."""
+    p, m = (beta - 1j * gamma) / 2, (beta + 1j * gamma) / 2
+    c1 = alpha * m.conjugate() + p * alpha.conjugate()
+    c2 = p * m.conjugate()
+    return np.array([2 * c2, c1, 0.0, -c1.conjugate(), -2 * c2.conjugate()])
+
+
 def _slice_maximum(alpha: complex, beta: complex, gamma: complex, t0: float) -> float:
     """Angle maximizing |alpha + beta cos t + gamma sin t|^2; t0 if the slice
     is flat (beta = gamma = 0).
@@ -537,13 +546,16 @@ def _slice_maximum(alpha: complex, beta: complex, gamma: complex, t0: float) -> 
     With w = e^{it} the squared modulus is c0 + 2 Re(c1 w + c2 w^2), so its
     stationary points are the unit-circle roots of 2 c2 w^4 + c1 w^3 -
     conj(c1) w - 2 conj(c2); the arguments of all four roots are scored and
-    the best kept.
+    the best kept.  Subnormal c1 and c2 keep too few bits to scale to a
+    solvable quartic, or none, so then the slice is first scaled to modulus 1,
+    which moves no stationary point.
     """
-    p, m = (beta - 1j * gamma) / 2, (beta + 1j * gamma) / 2
-    c1 = alpha * m.conjugate() + p * alpha.conjugate()
-    c2 = p * m.conjugate()
-    coeffs = np.array([2 * c2, c1, 0.0, -c1.conjugate(), -2 * c2.conjugate()])
+    coeffs = _stationary_quartic(alpha, beta, gamma)
     scale = np.abs(coeffs).max()
+    if scale < _TINY and (beta or gamma):
+        top = max(abs(alpha), abs(beta), abs(gamma))
+        coeffs = _stationary_quartic(alpha / top, beta / top, gamma / top)
+        scale = np.abs(coeffs).max()
     if scale == 0.0:
         return t0
     coeffs /= scale

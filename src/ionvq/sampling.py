@@ -133,7 +133,8 @@ def _draw_layer(rngs, bricks: int, policy: CircuitPolicy):
     u = (raw[:, :, [w for w in range(5 + len(ints)) if w not in ints]] >> 11) * 2.0**-53
     bound = np.array([ms, ms, r, r][4 - 2 * len(ints):], dtype=np.uint64)
     m = (raw[:, :, ints, None] >> np.uint64([0, 32]) & 0xFFFFFFFF).reshape(G, bricks, -1) * bound
-    k = np.pad((m >> 32).astype(np.int64), [(0, 0), (0, 0), (4 - len(bound), 0)])  # integers(1): 0
+    k = np.zeros((G, bricks, 4), np.int64)  # integers(1) draws nothing and gives 0
+    k[:, :, 4 - len(bound):] = m >> 32
     for g, (rng, st, rejected) in enumerate(zip(rngs, states, _rejected(m, bound).any((1, 2)))):
         redraw = st["has_uint32"] or rejected
         if redraw:  # rewind: advance() drops the buffered half, which st keeps

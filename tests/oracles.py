@@ -3,7 +3,8 @@
 ``match_round`` and ``brute_force_match`` decode one differenced round of the
 repetition code by minimum-weight matching, which ``qec._logical_failures``
 replaces by a majority vote; ``sphere_moment_oracle`` samples the hypersphere
-moments whose closed form ``manifold``'s memory term uses.  The tests import
+moments whose closed form ``manifold``'s memory term uses; ``argparse_parser``
+is the command-line parser that ``cli.parse_args`` replaced.  The tests import
 them as ``from oracles import ...``: ``tests/`` has no ``__init__.py``, so
 pytest puts this directory on ``sys.path``.
 """
@@ -134,3 +135,27 @@ def sphere_moment_oracle(d: int, samples: int = 10**6, seed: int = 0):
     n_off = samples * d * (d - 1)
     n_diag = samples * d
     return off_acc / n_off, diag_acc / n_diag
+
+
+# ---------------------------------------------------------------------------
+# command line: the argparse parser that cli.parse_args replaces
+
+
+def argparse_parser(schema: dict):
+    """An argparse parser with one subcommand per definition of ``schema`` (the
+    CLI's config_schema.json) and one flag per property, plus --out, --format and
+    --config, as the CLI built it before it read argv itself.  Unique-prefix
+    abbreviations are off: the CLI no longer accepts them."""
+    import argparse
+
+    types = {"integer": int, "number": float, "string": str}
+    p = argparse.ArgumentParser(prog="ionvq", allow_abbrev=False)
+    sub = p.add_subparsers(dest="command", required=True)
+    for command, spec in schema["definitions"].items():
+        sp = sub.add_parser(command, allow_abbrev=False)
+        for key, prop in spec["properties"].items():
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=types[prop["type"]])
+        sp.add_argument("--out")
+        sp.add_argument("--format", choices=["csv", "json"])
+        sp.add_argument("--config")
+    return p

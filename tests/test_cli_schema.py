@@ -1,6 +1,8 @@
-"""config_schema.json is the CLI's only declaration of options: the parser is
-built from it, and one checker holds flags and --config files to it."""
+"""config_schema.json is the CLI's only declaration of options: argv is read
+against it, and one checker holds flags and --config files to it."""
 
+import contextlib
+import io
 import json
 import math
 import tempfile
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 
 from ionvq import manifold
 from ionvq.atomic import data_dir
-from ionvq.cli import build_parser, main, schema_error
+from ionvq.cli import ConfigError, main, parse_args, schema_error
+from oracles import argparse_parser
 
 SCHEMA = json.loads((data_dir() / "config_schema.json").read_text())
 DEFS = SCHEMA["definitions"]
@@ -26,13 +29,119 @@ CONFIGS = ROOT / "configs"
 @pytest.mark.parametrize("command", DEFS)
 def test_parser_flags_are_the_schema_properties(command):
     props = DEFS[command]["properties"]
-    parsed = vars(build_parser().parse_args([command]))
+    parsed = vars(parse_args([command]))
     assert set(parsed) == {"command", "out", "format", "config", *props}
     assert all(parsed[key] is None for key in props)  # defaults come after --config
     for key, prop in props.items():
         flag = "--" + key.replace("_", "-")
-        value = vars(build_parser().parse_args([command, flag, "1"]))[key]
-        assert value == {"integer": 1, "number": 1.0, "string": "1"}[prop["type"]]
+        typed = {"integer": 1, "number": 1.0, "string": "1"}[prop["type"]]
+        assert vars(parse_args([command, flag, "1"]))[key] == typed
+        assert vars(parse_args([command, f"{flag}=1"]))[key] == typed
+
+
+def test_repeated_flag_keeps_the_last_value():
+    args = parse_args(["bv", "--seed", "1", "--out=a", "--seed=2", "--out", "b", "--format",
+                       "csv", "--format=json"])
+    assert (args.seed, args.out, args.format) == (2, "b", "json")
+    assert parse_args(["bv", "--out=--"]).out == "--"  # argparse gave []
+
+
+@pytest.mark.parametrize("argv", [
+    ["bv", "--s", "10", "--seed", "1", "--bogus", "1"],  # unknown flag
+    ["bv", "--s", "10", "--seed", "1", "--top-k", "1"],  # another subcommand's flag
+    ["bv", "--s", "10", "--seed"],  # missing value
+    ["bv", "--s", "10", "--seed", "--shots", "5"],
+    ["bv", "--s", "10", "--seed", "1.5"],  # bad int
+    ["manifold", "--field", "2O"],  # bad float
+    ["bv", "--s", "10", "--seed", "1", "stray"],
+    ["bv", "--s", "10", "--seed", "1", "--", "--shots", "5"],
+    ["--out", "x", "bv", "--s", "10", "--seed", "1"],  # flag before the subcommand
+    ["bvv", "--s", "10", "--seed", "1"],  # unknown subcommand
+    [],  # no subcommand
+    ["bv", "--s", "10", "--seed", "1", "--format", "xml"],
+    ["manifold", "--top", "1"],  # abbreviations are not read
+])
+def test_malformed_argv_exits_2_and_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("ionvq: config error: ")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], *([c, "-h"] for c in DEFS),
+                                  *([c, "--seed", "1", "--help", "--bogus"] for c in DEFS)])
+def test_help_lists_every_flag(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert not out.exists()
+    text = capsys.readouterr().out
+    if len(argv) == 1:
+        assert all(f"  {command} " in text and spec["description"] in text
+                   for command, spec in DEFS.items())
+    else:
+        props = DEFS[argv[0]]["properties"]
+        assert all(f"  --{key.replace('_', '-')} " in text
+                   for key in [*props, "out", "format", "config"])
+        assert all(prop["description"] + (f" (default {prop['default']})" if "default" in prop
+                                          else "") in text for prop in props.values())
+
+
+def _items(args):
+    return repr(sorted(vars(args).items()))  # repr: NaN equals NaN
+
+
+def _reference(argv):
+    """(exit code, namespace) of the argparse parser: code None when it parses."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return None, _items(argparse_parser(SCHEMA).parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, None
+
+
+def _parsed(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            args = parse_args(argv)
+        except ConfigError:
+            return 2, None
+    return (0, None) if args is None else (None, _items(args))
+
+
+_FLAGS = sorted({"--" + key.replace("_", "-") for spec in DEFS.values()
+                 for key in spec["properties"]} | {"--out", "--format", "--config", "--bogus"})
+_VALUES = ["1", "-1", "-.5", "-1.5", "-1e3", "1e3", "x", "", "-", "a b", "-x y", "-x", "csv",
+           "json", "xml", "-h", "--help", "nan", " 2", *DEFS]
+_TOKENS = st.sampled_from(_FLAGS + _VALUES + ["--"]) | st.builds(
+    "{}={}".format, st.sampled_from(_FLAGS + ["-h"]), st.sampled_from(_VALUES))
+
+
+@st.composite
+def _argv(draw):
+    """A head token, then flag-value pairs of its subcommand and stray tokens."""
+    head = draw(st.sampled_from([*DEFS, "-h", "--bogus", "--"]))
+    own = ["--" + key.replace("_", "-") for key in DEFS.get(head, {}).get("properties", [])]
+    pair = st.tuples(st.sampled_from([*own, "--out", "--format", "--config"]),
+                     st.sampled_from(_VALUES)).map(list)
+    return [head, *(t for part in draw(st.lists(pair | _TOKENS.map(lambda t: [t]), max_size=5))
+                    for t in part)]
+
+
+@settings(max_examples=400)
+@given(_argv())
+@example(["bv", "--s", "-1", "--shots", "-1.5"])  # negative numbers are values
+@example(["bv", "--s", "-x y"])  # so is a token with a space,
+@example(["bv", "--s", "--shots=a b"])  # unless it starts with a flag and "="
+@example(["bv", "--s", "-"])
+@example(["bv", "--s", "1", "--", "-h"])  # after "--" no flag is read
+@example(["bv", "--bogus", "-h"])  # stray tokens are refused after a later -h
+@example(["bv", "--format", "xml", "-h"])  # --format is checked as it is read
+@example(["bv", "-h=x", "--help"])
+def test_parse_agrees_with_argparse(argv):
+    # the same code (0 for help, 2 for a refusal) or the same namespace, on argv
+    # with no abbreviation, which argparse alone reads, and no "--flag=--", which
+    # argparse reads as an empty list
+    assert _parsed(argv) == _reference(argv), argv
 
 
 def test_schema_uses_only_checked_keywords():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import unitary_group
 
 import ionvq.compiler as compiler
@@ -305,11 +305,18 @@ def test_coordinate_descent_spends_three_overlaps_per_coordinate(reg_mixed, monk
 
 def _np_roots_slice_maximum(alpha, beta, gamma, t0):
     """``_slice_maximum`` with every quartic solved by ``np.roots``."""
-    p, m = (beta - 1j * gamma) / 2, (beta + 1j * gamma) / 2
-    c1 = alpha * m.conjugate() + p * alpha.conjugate()
-    c2 = p * m.conjugate()
-    coeffs = np.array([2 * c2, c1, 0.0, -c1.conjugate(), -2 * c2.conjugate()])
+    def quartic(alpha, beta, gamma):
+        p, m = (beta - 1j * gamma) / 2, (beta + 1j * gamma) / 2
+        c1 = alpha * m.conjugate() + p * alpha.conjugate()
+        c2 = p * m.conjugate()
+        return np.array([2 * c2, c1, 0.0, -c1.conjugate(), -2 * c2.conjugate()])
+
+    coeffs = quartic(alpha, beta, gamma)
     scale = np.abs(coeffs).max()
+    if scale < np.finfo(float).tiny and (beta or gamma):  # scaled to modulus 1
+        top = max(abs(alpha), abs(beta), abs(gamma))
+        coeffs = quartic(alpha / top, beta / top, gamma / top)
+        scale = np.abs(coeffs).max()
     if scale == 0.0:
         return t0
     cands = np.angle(np.roots(coeffs / scale))
@@ -339,7 +346,7 @@ def test_slice_maximum_returns_np_roots_angles_bit_for_bit(z, scale, case, t0):
     with np.errstate(all="ignore"):
         try:
             want = _np_roots_slice_maximum(alpha, beta, gamma, t0)
-        except np.linalg.LinAlgError:  # subnormal coefficients can scale to NaN: fail alike
+        except np.linalg.LinAlgError:  # if coefficients still scale to NaN: fail alike
             with pytest.raises(np.linalg.LinAlgError):
                 _slice_maximum(alpha, beta, gamma, t0)
             return
@@ -347,6 +354,32 @@ def test_slice_maximum_returns_np_roots_angles_bit_for_bit(z, scale, case, t0):
     assert got.hex() == want.hex()
     if case == "flat":
         assert got == t0
+
+
+FINE = np.linspace(0.0, 2 * math.pi, 20_000, endpoint=False)
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-300.0, 0.0),
+       case=st.sampled_from(["generic", "alpha=beta=0", "alpha=0,beta=i*gamma", "flat"]))
+@example(seed=0, exponent=-157.2, case="alpha=beta=0")
+@example(seed=0, exponent=-160.0, case="alpha=beta=0")
+def test_slice_maximum_holds_at_every_scale(seed, exponent, case):
+    # subnormal c1 and c2 (slice coefficients below about 1e-154) raised LinAlgError,
+    # and c1 = c2 = 0 by underflow returned the starting angle.  The slice is drawn
+    # generic: with |c2| below about 1e-9 |c1| the roots lose accuracy at any scale
+    z = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 2)) @ [1.0, 1j] * 10.0**exponent
+    alpha, beta, gamma = map(complex, z)
+    if case == "alpha=beta=0":
+        alpha = beta = 0j
+    elif case == "alpha=0,beta=i*gamma":  # |slice| is |gamma| at every angle
+        alpha, beta = 0j, 1j * gamma
+    elif case == "flat":
+        beta = gamma = 0j
+    t = _slice_maximum(alpha, beta, gamma, 0.5)
+    assert math.isfinite(t)
+    scan = np.abs(_slice_value(alpha, beta, gamma, FINE)).max()
+    assert abs(_slice_value(alpha, beta, gamma, t)) >= scan * (1 - 1e-12)
 
 
 # a d=2 + d=4 (map M2) + d=2 chain with an MS on each neighbouring pair

@@ -72,6 +72,23 @@ print(json.dumps([code, "numpy.random" in sys.modules]))
     assert result == [0, False]
 
 
+def test_cli_runs_load_no_argparse(tmp_path):
+    # argparse, with the gettext and locale imports its first use makes, cost about
+    # 5 ms of every CLI call; flags are read from config_schema.json instead
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    argvs = [["-h"], *([command, "--config", str(configs / f"smoke_{command}.json")]
+                       for command in ("xeb", "bv", "repcode", "manifold", "tables")),
+             ["compile", "--target", str(configs / "smoke_target.txt"),
+              "--register", str(configs / "smoke_register.json"), "--seed", "0"]]
+    result = _fresh(f"""
+import json, sys
+from ionvq.cli import main
+codes = [main([*argv, "--out", {str(tmp_path / "out")!r}]) for argv in {argvs!r}]
+print(json.dumps([codes, sorted({{"argparse", "gettext", "locale"}} & set(sys.modules))]))
+""")
+    assert result == [[0] * 7, []]
+
+
 # every ionvq name perfbench/workloads.py reaches, as (module, attribute path)
 BENCHMARK_NAMES = [
     ("sampling", "CircuitPolicy"),
