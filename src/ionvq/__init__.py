@@ -9,8 +9,6 @@ from .core import (
     Circuit,
     R,
     MS,
-    MultiPairMS,
-    GlobalMS,
     apply_native,
     build_register,
     embed_standard,
@@ -30,8 +28,6 @@ __all__ = [
     "Circuit",
     "R",
     "MS",
-    "MultiPairMS",
-    "GlobalMS",
     "apply_native",
     "build_register",
     "embed_standard",

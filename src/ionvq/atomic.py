@@ -50,10 +50,6 @@ class LevelModel:
             if not (spin >= 0 and (2 * spin).is_integer()):
                 raise ValueError(f"{key} = {spin} is not a nonnegative half-integer")
 
-    @property
-    def dim(self) -> int:
-        return int((2 * self.I + 1) * (2 * self.J + 1))
-
     def f_values(self):
         fmin = abs(self.I - self.J)
         return [fmin + k for k in range(int(self.I + self.J - fmin) + 1)]

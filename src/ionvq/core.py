@@ -70,19 +70,10 @@ class EncodingMap:
             raise ValueError(f"level {level} out of range for d={self.d}")
         return self.perm[level]
 
-    def level(self, label: int) -> int:
-        if not 0 <= label < self.d:
-            raise ValueError(f"label {label} out of range for d={self.d}")
-        return self.perm.index(label)
-
     def bits(self, level: int, qubit_order: str = MSB_FIRST) -> str:
         """Label of ``level`` as a bit string, virtual qubit 1 first."""
         s = format(self.label(level), f"0{self.n}b")
         return s if qubit_order == MSB_FIRST else s[::-1]
-
-    def level_of_bits(self, bits: str, qubit_order: str = MSB_FIRST) -> int:
-        s = bits if qubit_order == MSB_FIRST else bits[::-1]
-        return self.level(int(s, 2))
 
 
 def identity_map(n: int) -> EncodingMap:
@@ -199,9 +190,6 @@ class Register:
     def levels_of_index(self, g: int) -> tuple[int, ...]:
         return tuple((g // self.strides[i]) % ion.d for i, ion in enumerate(self.ions))
 
-    def index_of_levels(self, levels: Sequence[int]) -> int:
-        return sum(lv * st for lv, st in zip(levels, self.strides))
-
     def bitstring(self, g: int) -> str:
         """Measurement label of basis state g: per-ion labels, ion 0 first."""
         return "".join(
@@ -219,20 +207,7 @@ class Register:
             cols.append(label[:, None] >> shifts & 1)
         return np.hstack(cols).astype(np.uint8)
 
-    # -- (de)serialization ---------------------------------------------------
-
-    def to_config(self) -> dict:
-        return {
-            "qubit_order": self.qubit_order,
-            "ions": [
-                {
-                    "d": ion.d,
-                    "map": list(ion.encoding.perm),
-                    "allowed_r": None if ion.allowed_r is None else [list(p) for p in ion.pairs()],
-                }
-                for ion in self.ions
-            ],
-        }
+    # -- deserialization -----------------------------------------------------
 
     @staticmethod
     def from_config(cfg: dict) -> "Register":
@@ -286,39 +261,7 @@ class MS:
     J: float
 
 
-@dataclass(frozen=True)
-class MultiPairMS:
-    """MS drive exciting several disjoint pairs per ion simultaneously:
-    exp(-iJ Xt_i Xt_j) with Xt = sum of the pair exchange operators."""
-
-    ion_i: int
-    ion_j: int
-    pairs_i: tuple[tuple[int, int], ...]
-    pairs_j: tuple[tuple[int, int], ...]
-    J: float
-
-
-@dataclass(frozen=True)
-class GlobalMS:
-    """Simultaneous multi-pair MS beatnote on every ion:
-    exp(-iJ Xt_0 Xt_1 ... Xt_{L-1})."""
-
-    J: float
-    pairs: tuple[tuple[tuple[int, int], ...], ...]
-
-
-NativeGate = R | MS | MultiPairMS | GlobalMS
-
-
-def _check_disjoint(pairs: Sequence[tuple[int, int]], d: int, what: str):
-    seen: set[int] = set()
-    for p in pairs:
-        a, b = _norm_pair(p)
-        if b >= d:
-            raise ValueError(f"{what}: pair ({a},{b}) out of range for d={d}")
-        if a in seen or b in seen:
-            raise ValueError(f"{what}: pairs must be disjoint within an ion")
-        seen.update((a, b))
+NativeGate = R | MS
 
 
 def validate_gate(gate: NativeGate, reg: Register):
@@ -330,18 +273,10 @@ def validate_gate(gate: NativeGate, reg: Register):
     elif isinstance(gate, MS):
         if gate.ion_i == gate.ion_j:
             raise ValueError("MS needs two distinct ions")
-        _check_disjoint([gate.pair_i], reg.ions[gate.ion_i].d, "MS")
-        _check_disjoint([gate.pair_j], reg.ions[gate.ion_j].d, "MS")
-    elif isinstance(gate, MultiPairMS):
-        if gate.ion_i == gate.ion_j:
-            raise ValueError("MultiPairMS needs two distinct ions")
-        _check_disjoint(gate.pairs_i, reg.ions[gate.ion_i].d, "MultiPairMS")
-        _check_disjoint(gate.pairs_j, reg.ions[gate.ion_j].d, "MultiPairMS")
-    elif isinstance(gate, GlobalMS):
-        if len(gate.pairs) != reg.num_ions:
-            raise ValueError("GlobalMS needs one pair list per ion")
-        for i, pl in enumerate(gate.pairs):
-            _check_disjoint(pl, reg.ions[i].d, "GlobalMS")
+        for ion, pair in ((gate.ion_i, gate.pair_i), (gate.ion_j, gate.pair_j)):
+            a, b = _norm_pair(pair)
+            if b >= reg.ions[ion].d:
+                raise ValueError(f"MS: pair ({a},{b}) out of range for d={reg.ions[ion].d}")
     else:
         raise TypeError(f"unknown native gate {gate!r}")
 
@@ -354,25 +289,11 @@ def validate_gate(gate: NativeGate, reg: Register):
 class StateVector:
     """Dense amplitudes over the register's mixed-radix basis.  Ion k's levels at or above
     ``box[register.axis(k)]`` hold only zeros; gates skip them and grow the range as they fill
-    levels.  ``zero`` starts it at 1 per ion; None, the default, means every level."""
+    levels.  None, the default, means every level."""
 
     register: Register
     amps: np.ndarray
     box: list | None = None
-
-    @staticmethod
-    def zero(reg: Register) -> "StateVector":
-        amps = np.zeros(reg.dim, dtype=np.complex128)
-        amps[0] = 1.0
-        return StateVector(reg, amps, [1] * reg.num_ions)
-
-    @staticmethod
-    def from_amplitudes(reg: Register, amps: np.ndarray) -> "StateVector":
-        amps = np.asarray(amps, dtype=np.complex128).reshape(reg.dim)
-        return StateVector(reg, amps.copy())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
@@ -405,8 +326,8 @@ def _layout(shape: tuple, axes: tuple, batch: bool, size: int, box: tuple | None
 
 def _rotate_pairs(view: np.ndarray, axes: tuple, pairs, c, u, w, box=None):
     """For each (la, lb) of ``pairs``, x, y = ``view`` (C-contiguous) at levels la, lb on ``axes``
-    become c x + u y, w x + c y, a block at a time within ``box`` (see ``_occupy``); a batch
-    holds per-circuit (C,) arrays, and outside one index arrays at la, lb move many tuples."""
+    become c x + u y, w x + c y, a block at a time within ``box`` (see ``_occupy``); in a batch
+    c, u, w and any level are per-circuit (C,) arrays."""
     batch = isinstance(c, np.ndarray)
     shape, order, blocks = _layout(view.shape, axes, batch, BLOCK_AMPLITUDES,
                                    None if box is None else tuple(box))
@@ -482,25 +403,6 @@ def _apply_ms_nd(view, axis_i, axis_j, pair_i, pair_j, J, box=None):
                   box)
 
 
-def _apply_multipair_nd(view: np.ndarray, reg: Register, per_ion_pairs: dict, J: float,
-                        box=None):
-    """exp(-iJ Xt_1 Xt_2 ...) over the ions keyed in ``per_ion_pairs``: the product of pair
-    exchanges swaps level tuples x, y that take one pair on each ion, x holding the lower level
-    of the first ion's pair and either end of every later one; every other amplitude is kept."""
-    ions = sorted(per_ion_pairs, key=reg.axis)  # axes ascending
-    pairs = [np.array([_norm_pair(p) for p in per_ion_pairs[i]], np.intp).reshape(-1, 2)
-             for i in ions]
-    m = len(ions)
-    # every choice of one pair per ion and of an orientation on each ion after the first
-    grid = np.indices([len(p) for p in pairs] + [2] * (m - 1)).reshape(2 * m - 1, -1)
-    ends = list(zip(pairs, grid, [0, *grid[m:]]))  # (pairs, pick, orientation) per ion
-    x, y = (tuple(p[k, o ^ side] for p, k, o in ends) for side in (0, 1))
-    axes, s = tuple(map(reg.axis, ions)), -1j * math.sin(J)
-    for ax in axes if box is not None else ():
-        box[ax] = view.shape[ax]
-    _rotate_pairs(view, axes, [(x, y)], math.cos(J), s, s, box)
-
-
 def _apply_two_level(view: np.ndarray, reg: Register, gate: R | MS, lead: int, box=None):
     """R or MS on ``view``, whose ion axes follow ``lead`` leading axes: none for one circuit
     (float angles), or the circuit axis for a batch (angles are (C,) arrays)."""
@@ -514,23 +416,11 @@ def _apply_two_level(view: np.ndarray, reg: Register, gate: R | MS, lead: int, b
                      _norm_pair(gate.pair_i), _norm_pair(gate.pair_j), gate.J, box)
 
 
-def _apply_gate(amps: np.ndarray, reg: Register, gate: NativeGate, box=None):
-    """Apply a validated native gate in place to ``amps`` shaped (dim, *batch): a state,
-    with its ``StateVector.box``, or a matrix whose columns are transformed together."""
-    view = amps.reshape(reg.shape_view() + amps.shape[1:])
-    if isinstance(gate, (R, MS)):
-        _apply_two_level(view, reg, gate, 0, box)
-    elif isinstance(gate, MultiPairMS):
-        _apply_multipair_nd(view, reg, {gate.ion_i: gate.pairs_i, gate.ion_j: gate.pairs_j},
-                            gate.J, box)
-    elif isinstance(gate, GlobalMS):
-        _apply_multipair_nd(view, reg, dict(enumerate(gate.pairs)), gate.J, box)
-
-
 def apply_native(state: StateVector, gate: NativeGate) -> StateVector:
     """Apply one native gate in place; returns the state for chaining."""
-    validate_gate(gate, state.register)
-    _apply_gate(state.amps, state.register, gate, state.box)
+    reg = state.register
+    validate_gate(gate, reg)
+    _apply_two_level(state.amps.reshape(reg.shape_view()), reg, gate, 0, state.box)
     return state
 
 
@@ -545,7 +435,7 @@ def gate_matrix(gate: NativeGate, reg: Register) -> np.ndarray:
     intended for dim <= a few thousand."""
     validate_gate(gate, reg)
     mat = np.eye(reg.dim, dtype=np.complex128)
-    _apply_gate(mat, reg, gate)
+    _apply_two_level(mat.reshape(reg.shape_view() + (reg.dim,)), reg, gate, 0)
     return mat
 
 
@@ -677,27 +567,9 @@ class Circuit:
         validate_gate(gate, self.register)
         self.gates.append(gate)
 
-    def extend(self, gates: Iterable[NativeGate]):
-        for g in gates:
-            self.append(g)
-
     def counts(self) -> dict[str, int]:
-        c = {"R": 0, "MS": 0, "MPMS": 0, "GMS": 0}
-        for g in self.gates:
-            if isinstance(g, R):
-                c["R"] += 1
-            elif isinstance(g, MS):
-                c["MS"] += 1
-            elif isinstance(g, MultiPairMS):
-                c["MPMS"] += 1
-            else:
-                c["GMS"] += 1
-        return c
-
-    def run(self, state: StateVector | None = None) -> StateVector:
-        if state is None:
-            state = StateVector.zero(self.register)
-        return apply_circuit(state, self.gates)
+        r = sum(isinstance(g, R) for g in self.gates)
+        return {"R": r, "MS": len(self.gates) - r}
 
 
 def format_gate(gate: NativeGate) -> str:
@@ -708,19 +580,6 @@ def format_gate(gate: NativeGate) -> str:
             f"MS {gate.ion_i} {gate.ion_j} {gate.pair_i[0]} {gate.pair_i[1]} "
             f"{gate.pair_j[0]} {gate.pair_j[1]} {gate.J:.17g}"
         )
-    if isinstance(gate, MultiPairMS):
-        pi = " ".join(f"{a} {b}" for a, b in gate.pairs_i)
-        pj = " ".join(f"{a} {b}" for a, b in gate.pairs_j)
-        return (
-            f"MPMS {gate.ion_i} {gate.ion_j} {len(gate.pairs_i)} {pi} "
-            f"{len(gate.pairs_j)} {pj} {gate.J:.17g}"
-        )
-    if isinstance(gate, GlobalMS):
-        parts = [f"GMS {gate.J:.17g}"]
-        for pl in gate.pairs:
-            parts.append(str(len(pl)))
-            parts.extend(f"{a} {b}" for a, b in pl)
-        return " ".join(parts)
     raise TypeError(f"unknown gate {gate!r}")
 
 
@@ -751,24 +610,6 @@ def parse_circuit(text: str, reg: Register) -> Circuit:
                     (int(tok[5]), int(tok[6])),
                     float(tok[7]),
                 )
-            elif kind == "MPMS":
-                pos = 3
-                ni = int(tok[pos]); pos += 1
-                pairs_i = tuple((int(tok[pos + 2 * k]), int(tok[pos + 2 * k + 1])) for k in range(ni))
-                pos += 2 * ni
-                nj = int(tok[pos]); pos += 1
-                pairs_j = tuple((int(tok[pos + 2 * k]), int(tok[pos + 2 * k + 1])) for k in range(nj))
-                pos += 2 * nj
-                gate = MultiPairMS(int(tok[1]), int(tok[2]), pairs_i, pairs_j, float(tok[pos]))
-            elif kind == "GMS":
-                J = float(tok[1])
-                pos = 2
-                pls = []
-                for _ in range(reg.num_ions):
-                    m = int(tok[pos]); pos += 1
-                    pls.append(tuple((int(tok[pos + 2 * k]), int(tok[pos + 2 * k + 1])) for k in range(m)))
-                    pos += 2 * m
-                gate = GlobalMS(J, tuple(pls))
             else:
                 raise ValueError(f"unknown gate kind {tok[0]!r}")
         except (IndexError, ValueError) as exc:

@@ -34,10 +34,6 @@ class ChannelModel:
     eps1: float
 
     @property
-    def eps2(self) -> float:
-        return 10.0 * self.eps1
-
-    @property
     def lam_paired(self) -> float:  # three-qubit site, either layer (n=2)
         return 11.0 * self.eps1
 

@@ -420,7 +420,7 @@ def _synthesize_alternative(row, max_len: int, targets):
         gates = gates_for(point, T)
         if len(gates) > max_len:
             return {"verified": False, "reason": f"length {len(gates)} exceeds row ({max_len})"}
-        d = distance(T, sequence_matrix(gates, reg, True))
+        d = distance(T, sequence_matrix(gates, reg))
         worst = max(worst, d)
         gates_repr = gates
     return {

@@ -4,7 +4,9 @@
 repetition code by minimum-weight matching, which ``qec._logical_failures``
 replaces by a majority vote; ``sphere_moment_oracle`` samples the hypersphere
 moments whose closed form ``manifold``'s memory term uses; ``argparse_parser``
-is the command-line parser that ``cli.parse_args`` replaced.  The tests import
+is the command-line parser that ``cli.parse_args`` replaced; ``zero_state``,
+``index_of_levels``, ``level_of_bits`` and ``register_config`` build states,
+indices and register files that no command needs.  The tests import
 them as ``from oracles import ...``: ``tests/`` has no ``__init__.py``, so
 pytest puts this directory on ``sys.path``.
 """
@@ -12,6 +14,37 @@ pytest puts this directory on ``sys.path``.
 from __future__ import annotations
 
 import numpy as np
+
+from ionvq.core import MSB_FIRST, StateVector
+
+
+# ---------------------------------------------------------------------------
+# registers and states
+
+
+def zero_state(reg) -> StateVector:
+    """|0...0> on ``reg``, its box holding level 0 of each ion."""
+    amps = np.zeros(reg.dim, dtype=np.complex128)
+    amps[0] = 1.0
+    return StateVector(reg, amps, [1] * reg.num_ions)
+
+
+def index_of_levels(reg, levels) -> int:
+    """Basis index of one level per ion."""
+    return sum(lv * st for lv, st in zip(levels, reg.strides))
+
+
+def level_of_bits(enc, bits: str, qubit_order: str = MSB_FIRST) -> int:
+    """The level ``enc`` labels with ``bits``, virtual qubit 1 first under msb_first."""
+    return enc.perm.index(int(bits if qubit_order == MSB_FIRST else bits[::-1], 2))
+
+
+def register_config(reg) -> dict:
+    """A register file's dict for ``reg``, as ``Register.from_config`` reads it."""
+    return {"qubit_order": reg.qubit_order,
+            "ions": [{"d": ion.d, "map": list(ion.encoding.perm),
+                      "allowed_r": None if ion.allowed_r is None else [list(p) for p in ion.pairs()]}
+                     for ion in reg.ions]}
 
 
 # ---------------------------------------------------------------------------

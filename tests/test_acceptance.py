@@ -25,7 +25,7 @@ from ionvq.core import (
     apply_native,
     build_register,
 )
-from oracles import brute_force_match, match_round, sphere_moment_oracle
+from oracles import brute_force_match, index_of_levels, match_round, sphere_moment_oracle
 
 
 def _report(num, ok, detail):
@@ -61,12 +61,12 @@ def test_criterion_1_gate_law_conformance():
                     lv2 = list(lv)
                     lv2[ion] = b
                     dense[g, g] = math.cos(th)
-                    dense[reg.index_of_levels(lv2), g] = -1j * np.exp(1j * ph) * math.sin(th)
+                    dense[index_of_levels(reg, lv2), g] = -1j * np.exp(1j * ph) * math.sin(th)
                 elif lv[ion] == b:
                     lv2 = list(lv)
                     lv2[ion] = a
                     dense[g, g] = math.cos(th)
-                    dense[reg.index_of_levels(lv2), g] = -1j * np.exp(-1j * ph) * math.sin(th)
+                    dense[index_of_levels(reg, lv2), g] = -1j * np.exp(-1j * ph) * math.sin(th)
         else:
             i, j = map(int, sorted(rng.choice(reg.num_ions, 2, replace=False)))
             pi_ = tuple(map(int, sorted(rng.choice(reg.ions[i].d, 2, replace=False))))
@@ -81,8 +81,8 @@ def test_criterion_1_gate_law_conformance():
                     lv2[i] = pi_[0] if lv[i] == pi_[1] else pi_[1]
                     lv2[j] = pj_[0] if lv[j] == pj_[1] else pj_[1]
                     dense[g, g] = math.cos(J)
-                    dense[reg.index_of_levels(lv2), g] = -1j * math.sin(J)
-        st = StateVector.from_amplitudes(reg, amps)
+                    dense[index_of_levels(reg, lv2), g] = -1j * math.sin(J)
+        st = StateVector(reg, amps.copy())
         apply_native(st, gate)
         worst = max(worst, float(np.max(np.abs(st.amps - dense @ amps))))
     dt = time.monotonic() - t0
@@ -225,10 +225,19 @@ def test_criterion_7_repetition_code():
         if prev_hi is not None and r.ci_high < prev_hi:
             mono_ok = False
         prev_hi = r.ci_low
+    # the law behind the clauses: exact p_L over 3 rounds at p = 1e-4 and 1e-5 gives each
+    # encoding's low-p slope in p and the ratio p_L(n2)/p_L(n1) it tends to
+    limit_lines = []
+    for L in (5, 7, 9, 11, 13):
+        exact = [[qec.exact_logical_error(d, n, p / 14.0, 3) for p in (1e-4, 1e-5)]
+                 for d, n in zip(qec.matched_distances(L), (1, 2))]
+        s1, s2 = (math.log10(hi / lo) for hi, lo in exact)
+        limit_lines.append(f"L={L} {s1:.1f}/{s2:.1f} {exact[1][1] / exact[0][1]:.3f}")
     dt = time.monotonic() - t0
     ok &= mono_ok and dt < 600
     assert _report(
-        7, ok, f"{'; '.join(ratio_lines)}; monotone over 5-point grid: {mono_ok}; {dt:.0f}s"
+        7, ok, f"{'; '.join(ratio_lines)}; monotone over 5-point grid: {mono_ok}; low-p slope "
+               f"n1/n2 and limiting ratio: {', '.join(limit_lines)}; {dt:.0f}s"
     )
 
 

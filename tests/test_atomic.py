@@ -172,7 +172,7 @@ def test_sensitivity_antisymmetry_and_hellmann_feynman():
     st = diagonalize_level(BA, B)
     dHdB = zeeman_derivative(BA)
     expect = {
-        k: float(st.states[:, k] @ dHdB @ st.states[:, k]) for k in range(BA.dim)
+        k: float(st.states[:, k] @ dHdB @ st.states[:, k]) for k in range(len(st.states))
     }
     checked = 0
     for i, j, _, _, _, sens in _transition_rows(BA, B):

@@ -194,11 +194,7 @@ def test_compile_tol_is_rejected(tmp_path, how):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tol": 1e-30}))
     extra = ["--tol", "1e-30"] if how == "flag" else ["--config", str(cfg)]
-    try:
-        code = main([*args, *extra, "--out", str(out)])
-    except SystemExit as exc:  # argparse rejects an unknown flag this way
-        code = exc.code
-    assert code == 2
+    assert main([*args, *extra, "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -589,10 +585,11 @@ def test_compile_round_trip(tmp_path):
     from ionvq.core import IonSpec, build_register, parse_circuit, sequence_matrix, load_register
     from ionvq.compiler import distance
     from scipy.stats import unitary_group
+    from oracles import register_config
 
     reg = build_register([IonSpec(4)])
     regfile = tmp_path / "reg.json"
-    regfile.write_text(json.dumps(reg.to_config()))
+    regfile.write_text(json.dumps(register_config(reg)))
     U = unitary_group.rvs(4, random_state=np.random.default_rng(3))
     tfile = tmp_path / "target.txt"
     tfile.write_text(

@@ -108,7 +108,7 @@ def test_map_relabeling_equivalence():
     seq1 = synthesize_exact(embed_standard(target, [0, 1], reg1)).gates
 
     def relabel(level):
-        return m2.level(m1.label(level))
+        return m2.perm.index(m1.label(level))
 
     seq2 = [R(0, *sorted((relabel(g.a), relabel(g.b))), g.theta, g.phi) for g in seq1]
     assert distance(embed_standard(target, [0, 1], reg2), sequence_matrix(seq2, reg2)) <= 1e-9

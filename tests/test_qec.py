@@ -23,7 +23,6 @@ from oracles import brute_force_match, match_round
 
 def test_channel_model_relations():
     m = ChannelModel(0.001)
-    assert m.eps2 == 0.01
     assert m.lam_paired == pytest.approx(0.011)
     assert m.lam_cnot == pytest.approx(0.014)
     assert m.p == pytest.approx(0.014)

@@ -29,6 +29,7 @@ from ionvq.sampling import (
     second_moment,
     xeb_exact,
 )
+from oracles import index_of_levels, level_of_bits, zero_state
 
 
 def _layers(policy, L, layers, seed):
@@ -44,8 +45,8 @@ def _fixed_depth_probs(policy, num_qubits, layers, circuits, seed):
 
 def _index_of_bits(reg, bits):
     """Basis index of a measurement label, read ion by ion."""
-    return reg.index_of_levels([ion.encoding.level_of_bits(bits[off:off + ion.n], reg.qubit_order)
-                                for ion, off in zip(reg.ions, reg.qubit_offsets)])
+    return index_of_levels(reg, [level_of_bits(ion.encoding, bits[off:off + ion.n], reg.qubit_order)
+                                 for ion, off in zip(reg.ions, reg.qubit_offsets)])
 
 
 def _sampled_xeb(state, shots, seed):
@@ -181,7 +182,7 @@ def _reference_gates_to_threshold(policy, num_qubits, threshold, statistic, circ
     counts = []
     for child in np.random.SeedSequence(seed).spawn(circuits):
         rng = np.random.default_rng(child)
-        state = StateVector(reg, StateVector.zero(reg).amps)
+        state = StateVector(reg, zero_state(reg).amps)
         gates = 0
         crossed = None
         for _ in range(cap):
@@ -214,7 +215,8 @@ def build_longrange(policy, num_qubits, bricks, seed):
                               "architecture": LONGRANGE, "seed": seed, "bricks": bricks})
     for _ in range(bricks):
         i, j = rng.choice(reg.num_ions, size=2, replace=False)
-        circ.extend(_reference_brick(policy, int(i), int(j), rng))
+        for gate in _reference_brick(policy, int(i), int(j), rng):
+            circ.append(gate)
     return circ
 
 
@@ -456,7 +458,7 @@ def _reference_fixed_depth(policy, num_qubits, layers, circuits, seed):
     states = []
     for k in range(circuits):
         rng = np.random.default_rng(seed + k)
-        states.append(StateVector(reg, StateVector.zero(reg).amps))
+        states.append(StateVector(reg, zero_state(reg).amps))
         for _ in range(layers):
             apply_circuit(states[-1], brickwork_layer(policy, reg.num_ions, rng))
     return states
@@ -662,7 +664,7 @@ def _reference_bv_prep(reg, s):
             label_amps = np.kron(label_amps, q)
         lvl = np.zeros(ion.d, dtype=np.complex128)
         for label in range(ion.d):
-            lvl[ion.encoding.level(label)] = label_amps[label]
+            lvl[ion.encoding.perm.index(label)] = label_amps[label]
         amps = np.kron(lvl, amps)
     return amps
 
