@@ -13,9 +13,10 @@ other so one can check the other:
 * ``synthesize_variational``: numeric minimization of
   ((1/2^N)|Tr(U^dag U_ansatz)| - 1)^2 over the free angles of a fixed layered
   gate template, with random restarts and layer growth.  Each angle enters
-  the overlap as a + b cos t + c sin t, so coordinate descent fits a slice
-  from three overlaps and jumps to its exact optimum (Rotosolve: Ostaszewski
-  et al., Quantum 5, 391 (2021); Nakanishi et al., PRR 2, 043158 (2020)).
+  the overlap as a + b cos t + c sin t, so coordinate descent reads each
+  slice in closed form from the gate's environment and jumps to its exact
+  optimum (Rotosolve: Ostaszewski et al., Quantum 5, 391 (2021); Nakanishi
+  et al., PRR 2, 043158 (2020)).
 
 Both return their gates as a plain list in applied order (``LEFT_FIRST``:
 the leftmost gate acts on the state first).  All reconstruction checks go
@@ -40,7 +41,6 @@ from .core import (
     R,
     Register,
     build_register,
-    gate_matrices,
     gate_matrix,
     is_unitary,
     sequence_matrix,
@@ -52,7 +52,6 @@ LEFT_LAST = "leftmost_applied_last"
 
 COST_FLOOR = 1e-8
 EXACT_TOL = 1e-9
-_TINY = np.finfo(float).tiny  # smallest normal double
 
 
 def distance(U: np.ndarray, V: np.ndarray) -> float:
@@ -335,6 +334,14 @@ def synthesize_exact(U: np.ndarray, ion: IonSpec | None = None) -> SynthesisRepo
 # variational synthesis
 
 
+def _level_rows(reg: Register, levels: dict[int, int]) -> np.ndarray:
+    """Basis indices, increasing, at which each ion of ``levels`` holds its level: for two
+    choices of levels the i-th index of each has the same levels on every other ion."""
+    g = np.arange(reg.dim)
+    return np.flatnonzero(np.all([g // reg.strides[ion] % reg.ions[ion].d == level
+                                  for ion, level in levels.items()], axis=0))
+
+
 @dataclass(frozen=True)
 class RSlot:
     ion: int
@@ -343,6 +350,25 @@ class RSlot:
 
     def gate(self, p) -> R:
         return R(self.ion, self.pair[0], self.pair[1], p[0], p[1])
+
+    def entries(self, reg: Register):
+        """Rows and columns of the environment entries that ``slices`` sums, one row of
+        indices per sum: (a, a), (b, b), (a, b) and (b, a) on the ion, each over every
+        level of the other ions."""
+        a, b = (_level_rows(reg, {self.ion: level}) for level in self.pair)
+        return np.array([a, b, a, b]), np.array([a, b, b, a])
+
+    def slices(self, sums, trace: complex, x: np.ndarray, k: int):
+        """Slices of theta = x[k], then of phi = x[k + 1] at the theta x then holds.
+
+        R is cos theta at (a, a) and (b, b), -i e^{-i phi} sin theta at (a, b) and
+        -i e^{i phi} sin theta at (b, a), and the identity on the other levels."""
+        aa, bb, ab, ba = sums
+        rest, diag = trace - aa - bb, aa + bb
+        turn = cmath.exp(1j * x[k + 1])
+        yield k, (rest, diag, -1j * (ab * turn + ba * turn.conjugate()))
+        c, s = math.cos(x[k]), math.sin(x[k])
+        yield k + 1, (rest + diag * c, -1j * s * (ab + ba), s * (ab - ba))
 
 
 @dataclass(frozen=True)
@@ -355,6 +381,22 @@ class MSSlot:
 
     def gate(self, p) -> MS:
         return MS(self.ion_i, self.ion_j, self.pair_i, self.pair_j, p[0])
+
+    def entries(self, reg: Register):
+        """Rows and columns of the two environment sums of ``slices``: the diagonal at the
+        four coupled level pairs (ai aj), (bi bj), (ai bj), (bi aj), then the entries between
+        the first two and between the last two, each over every level of the other ions."""
+        (ai, bi), (aj, bj) = self.pair_i, self.pair_j
+        s1, s2, s3, s4 = (_level_rows(reg, {self.ion_i: li, self.ion_j: lj})
+                          for li, lj in ((ai, aj), (bi, bj), (ai, bj), (bi, aj)))
+        diag = np.concatenate([s1, s2, s3, s4])
+        return np.array([diag, diag]), np.array([diag, np.concatenate([s2, s1, s4, s3])])
+
+    def slices(self, sums, trace: complex, x: np.ndarray, k: int):
+        """The slice of J = x[k]: MS is cos J on the coupled level pairs, -i sin J between
+        them, and the identity on the other levels."""
+        diag, off = sums
+        yield k, (trace - diag, diag, -1j * off)
 
 
 Slot = RSlot | MSSlot
@@ -393,46 +435,47 @@ class VariationalBudget:
 
 
 def _objective(U_target, template: Template, reg: Register, layers: int):
-    """(x, k) -> the overlaps Tr(U^dag V(x)) at x_k = 0, pi/2, pi.
+    """x -> the sweeps of a coordinate descent that moves x in place.
 
-    Each gate position keeps its matrix with the angles it was built at and is
-    rebuilt only when they change.  The product of the gates before the probed
-    one is kept with the bytes of their angles and extended from the kept
-    matrices; the probe's three matrices are built as one stack and carried
-    through the later gates together, in ``sequence_matrix``'s order: every
-    overlap is bit-identical to ``overlap(U_target, sequence_matrix(gates, reg))``.
+    A sweep yields (k, (alpha, beta, gamma)) for k = 0, 1, ...: the slice
+    alpha + beta cos t + gamma sin t of the overlap Tr(U^dag V) at x_k = t, read at the
+    angles x holds when it is yielded.  Between the slice of x_k and the next, only x_k may
+    move.
+
+    With B the product of the gates before slot p and A of those after, V = A G_p B, so the
+    overlap is Tr(E_p G_p) for the environment E_p = B U^dag A (Evenbly & Vidal, PRB 79,
+    144108 (2009)).  G_p is the identity off its slot's levels, so a slice reads only
+    Tr(E_p) and a few entries of E_p's partial trace onto the slot's ion or ion pair.  A
+    sweep first forms F_p = U^dag A for every slot from the gate matrices kept from the last
+    sweep, then grows B by one kept matrix per slot: one environment product B F_p per slot,
+    and one ``gate_matrix`` for each slot whose angles moved.
     """
     slots, start = template.slots * layers, template.starts(layers)
-    owner = [i for i, s in enumerate(slots) for _ in range(s.n_params)]
-    kept = [(None, None)] * len(slots)  # (angle bytes, matrix); bytes tell -0.0 from 0.0
-    identity = np.eye(reg.dim, dtype=np.complex128)
-    prefix = [0, b"", identity]  # slot p, bytes of the angles before it, their product
+    entries = [s.entries(reg) for s in template.slots] * layers
+    U_dag = U_target.conj().T
 
-    def matrix(i, x):
-        angles = x[start[i]:start[i + 1]]
-        if kept[i][0] != angles.tobytes():
-            kept[i] = angles.tobytes(), gate_matrix(slots[i].gate(angles), reg)
-        return kept[i][1]
+    def bind(x):
+        mats = [gate_matrix(s.gate(x[start[p]:start[p + 1]]), reg) for p, s in enumerate(slots)]
 
-    def before(x, p):
-        q, key, product = prefix
-        if q > p or x[:start[q]].tobytes() != key:
-            q, product = 0, identity
-        for i in range(q, p):
-            product = matrix(i, x) @ product
-        prefix[:] = p, x[:start[p]].tobytes(), product
-        return product
+        def sweep():
+            after = [U_dag]  # F_p for p = n - 1, n - 2, ..., 0
+            for G in mats[:0:-1]:
+                after.append(after[-1] @ G)
+            before = None  # the product of the gates before slot p, None while there is none
+            for p, slot in enumerate(slots):
+                env = after.pop() if before is None else before @ after.pop()
+                rows, cols = entries[p]
+                angles = x[start[p]:start[p + 1]].tolist()
+                yield from slot.slices(env[rows, cols].sum(axis=1).tolist(), env.trace().item(),
+                                       x, start[p])
+                if x[start[p]:start[p + 1]].tolist() != angles:
+                    mats[p] = gate_matrix(slot.gate(x[start[p]:start[p + 1]]), reg)
+                if p + 1 < len(slots):
+                    before = mats[p] if before is None else mats[p] @ before
 
-    def overlaps(x, k):
-        p = owner[k]
-        angles = np.repeat(x[start[p]:start[p + 1], None], 3, axis=1)  # (angle, probe)
-        angles[k - start[p]] = 0.0, math.pi / 2, math.pi
-        V = gate_matrices(slots[p].gate(angles), reg) @ before(x, p)
-        for i in range(p + 1, len(slots)):
-            V = matrix(i, x) @ V
-        return tuple(overlap(U_target, v) for v in V)
+        return sweep
 
-    return overlaps
+    return bind
 
 
 def synthesize_variational(
@@ -447,11 +490,11 @@ def synthesize_variational(
     """Fit the template's free angles to the target, growing layers on demand.
 
     Each restart runs cyclic coordinate descent in which every coordinate
-    jumps to the exact optimum of its trigonometric slice (three overlap
-    evaluations per coordinate); the restart's cost is the one the descent
-    reached.  Deterministic for a fixed seed: the generator is created at the
-    first random start, so a run seeded by ``init`` alone draws nothing, and
-    the stream of draws is the one ``default_rng(seed)`` gives.
+    jumps to the exact optimum of its trigonometric slice, read from the
+    gate's environment; the restart's cost is the one the descent reached.
+    Deterministic for a fixed seed: the generator is created at the first
+    random start, so a run seeded by ``init`` alone draws nothing, and the
+    stream of draws is the one ``default_rng(seed)`` gives.
     """
     U_target = np.asarray(U_target, dtype=np.complex128)
     if not is_unitary(U_target):
@@ -465,7 +508,7 @@ def synthesize_variational(
     best = None
     restarts_used = 0
     for layers in range(1, budget.layers_max + 1):
-        overlaps = _objective(U_target, template, reg, layers)
+        objective = _objective(U_target, template, reg, layers)
         npar = template.n_params * layers
         for restart in range(budget.restarts):
             if init is not None and restart == 0 and npar == len(init):
@@ -475,7 +518,7 @@ def synthesize_variational(
                     rng = np.random.default_rng(seed)
                 x = rng.uniform(0.0, 2 * math.pi, size=npar)
             if npar:
-                x, val = _coordinate_descent(overlaps, x, budget.iters, dim)
+                x, val = _coordinate_descent(objective, x, budget.iters, dim)
             else:  # no angle to fit: score the gate-free sequence
                 val = overlap_cost(U_target, sequence_matrix([], reg))
             restarts_used += 1
@@ -495,21 +538,21 @@ def synthesize_variational(
                            converged=val <= cost_floor, cost=val, restarts_used=restarts_used)
 
 
-def _coordinate_descent(overlaps, x0: np.ndarray, sweeps: int, dim: int) -> tuple[np.ndarray, float]:
+def _coordinate_descent(objective, x0: np.ndarray, sweeps: int, dim: int) -> tuple[np.ndarray, float]:
     """Cyclic single-coordinate minimization of the cost ``_cost(z(x), dim)``
     of the overlap z; returns the final angles and the cost there.
 
-    Each coordinate's slice of the overlap is alpha + beta cos t + gamma sin t;
-    it is fitted from ``overlaps(x, k)``, z at x_k = 0, pi/2, pi, and the
-    coordinate moves to the slice's exact optimum only when that lowers the
-    cost.  The cost at the final angles is the last slice's closed-form value,
-    so it costs no extra overlap.  ``x0`` must hold at least one angle.
+    ``objective`` is ``_objective``'s x -> sweep.  Each coordinate moves to the
+    exact optimum of its slice alpha + beta cos t + gamma sin t only when that
+    lowers the cost.  The cost at the final angles is the last slice's
+    closed-form value, so it costs no extra overlap.  ``x0`` must hold at least
+    one angle.
     """
     x = x0.copy()
+    sweep = objective(x)
     for _ in range(sweeps):
         improved = False
-        for k in range(len(x)):
-            coef = _slice_coefficients(*overlaps(x, k))
+        for k, coef in sweep():
             t = _slice_maximum(*coef, x[k])
             f_now, f_new = (_cost(_slice_value(*coef, s), dim) for s in (x[k], t))
             if f_new < f_now - 1e-16:
@@ -520,50 +563,87 @@ def _coordinate_descent(overlaps, x0: np.ndarray, sweeps: int, dim: int) -> tupl
     return x, f_now
 
 
-def _slice_coefficients(z0: complex, zh: complex, zp: complex) -> tuple[complex, complex, complex]:
-    """(alpha, beta, gamma) of the slice alpha + beta cos t + gamma sin t that
-    takes the values z0, zh, zp at t = 0, pi/2, pi."""
-    alpha = (z0 + zp) / 2
-    return alpha, (z0 - zp) / 2, zh - alpha
-
-
 def _slice_value(alpha, beta, gamma, t):
-    return alpha + beta * np.cos(t) + gamma * np.sin(t)
+    xp = np if isinstance(t, np.ndarray) else math
+    return alpha + beta * xp.cos(t) + gamma * xp.sin(t)
 
 
-def _stationary_quartic(alpha: complex, beta: complex, gamma: complex) -> np.ndarray:
-    """Coefficients of 2 c2 w^4 + c1 w^3 - conj(c1) w - 2 conj(c2) (see _slice_maximum)."""
-    p, m = (beta - 1j * gamma) / 2, (beta + 1j * gamma) / 2
-    c1 = alpha * m.conjugate() + p * alpha.conjugate()
-    c2 = p * m.conjugate()
-    return np.array([2 * c2, c1, 0.0, -c1.conjugate(), -2 * c2.conjugate()])
+def _largest_cubic_root(a: float, b: float, c: float) -> float:
+    """Largest real root of m^3 + a m^2 + b m + c, by Viete's trigonometric and
+    hyperbolic forms of the depressed cubic y^3 + p y + q, m = y - a/3."""
+    shift = a / 3
+    p, q = b - a * shift, c + shift * (2 * shift * shift - b)
+    if p == 0:
+        return -math.copysign(abs(q) ** (1 / 3), q) - shift
+    r = math.sqrt(abs(p) / 3)
+    h = -q / (2 * r ** 3)
+    if p > 0:
+        y = 2 * r * math.sinh(math.asinh(h) / 3)
+    elif h > 1:
+        y = 2 * r * math.cosh(math.acosh(h) / 3)
+    elif h >= -1:
+        y = 2 * r * math.cos(math.acos(h) / 3)
+    else:
+        y = -2 * r * math.cosh(math.acosh(-h) / 3)
+    return y - shift
+
+
+def _largest_secular_root(g1: float, g2: float, delta: float) -> float:
+    """Largest real root u of u^2 (u + delta)^2 = g1^2 (u + delta)^2 + g2^2 u^2, by
+    Ferrari's method.  In v = u + delta/2 the quartic is v^4 + P v^2 + Q v + R; at a
+    root m > 0 of its resolvent m^3 + P m^2 + (P^2/4 - R) m - Q^2/8, with w = sqrt(2m),
+    it factors into v^2 -+ w v + P/2 + m +- Q/(2w), whose larger roots are compared."""
+    G2, d2 = g1 * g1 + g2 * g2, delta * delta
+    P, Q = -(d2 / 2 + G2), (g2 * g2 - g1 * g1) * delta
+    m = max(_largest_cubic_root(P, G2 * (G2 + 2 * d2) / 4, -Q * Q / 8), 0.0)
+    w = math.sqrt(2 * m)
+    k = Q / w if w else 0.0
+    roots = [(sign * w + math.sqrt(disc)) / 2
+             for sign, disc in ((1, -2 * (P + m + k)), (-1, -2 * (P + m - k))) if disc >= 0]
+    return max(roots, default=w / 2) - delta / 2
 
 
 def _slice_maximum(alpha: complex, beta: complex, gamma: complex, t0: float) -> float:
-    """Angle maximizing |alpha + beta cos t + gamma sin t|^2; t0 if the slice
-    is flat (beta = gamma = 0).
+    """Angle maximizing |alpha + beta cos t + gamma sin t|; t0 if the slice is flat.
 
-    With w = e^{it} the squared modulus is c0 + 2 Re(c1 w + c2 w^2), so its
-    stationary points are the unit-circle roots of 2 c2 w^4 + c1 w^3 -
-    conj(c1) w - 2 conj(c2); the arguments of all four roots are scored and
-    the best kept.  Subnormal c1 and c2 keep too few bits to scale to a
-    solvable quartic, or none, so then the slice is first scaled to modulus 1,
-    which moves no stationary point.
+    The slice is first scaled to modulus 1, which moves no stationary point and keeps
+    subnormal and huge coefficients in range.  With w = e^{it} the squared modulus is
+    c0 + 2 Re(c1 w + c2 w^2); at t = s - arg(c2)/2 it is, up to a constant,
+    2 (g1 cos s + g2 sin s) + delta cos^2 s, with g1 + i g2 = conj(c1) e^{i arg(c2)/2} and
+    delta = 4 |c2|.  Its maximum is the one stationary point in the quadrant of
+    (g1, g2).  Reflected into the first quadrant it is (cos s, sin s) =
+    (|g1| / u, |g2| / (u + delta)) at the largest root u of the secular quartic, the
+    multiplier of the constrained maximum (More & Sorensen, SIAM J. Sci. Stat. Comput. 4,
+    553 (1983)), solved in closed form.  The quartic is monic, so |c2| far below |c1|
+    (near beta = +-i gamma) is no singular case: it tends to u^2 (u^2 - |g|^2).  Newton
+    steps on the stationarity condition, kept inside the quadrant by bisection, polish the
+    angle; after the closed form they take one or two steps, a few where roots nearly meet.
     """
-    coeffs = _stationary_quartic(alpha, beta, gamma)
-    scale = np.abs(coeffs).max()
-    if scale < _TINY and (beta or gamma):
-        top = max(abs(alpha), abs(beta), abs(gamma))
-        coeffs = _stationary_quartic(alpha / top, beta / top, gamma / top)
-        scale = np.abs(coeffs).max()
-    if scale == 0.0:
+    if not (beta or gamma):
         return t0
-    coeffs /= scale
-    if coeffs[0] and coeffs[-1]:  # np.roots' companion matrix: it would trim no zero
-        companion = np.eye(4, k=-1, dtype=np.complex128)
-        companion[0] = -coeffs[1:] / coeffs[0]
-        roots = np.linalg.eigvals(companion)
-    else:
-        roots = np.roots(coeffs)
-    cands = np.angle(roots)
-    return float(cands[np.argmax(np.abs(_slice_value(alpha, beta, gamma, cands)))])
+    top = max(abs(alpha), abs(beta), abs(gamma))
+    alpha, beta, gamma = alpha / top, beta / top, gamma / top
+    p, m = (beta - 1j * gamma) / 2, (beta + 1j * gamma) / 2
+    c1, c2 = alpha * m.conjugate() + p * alpha.conjugate(), p * m.conjugate()
+    turn = cmath.phase(c2) / 2
+    g = c1.conjugate() * cmath.exp(1j * turn)
+    g1, g2, delta = abs(g.real), abs(g.imag), 4 * abs(c2)
+    scale = max(g1, g2, delta)
+    if scale == 0.0:  # |slice| is the same at every angle
+        return t0
+    g1, g2, delta = g1 / scale, g2 / scale, delta / scale
+    y = g2 / (max(_largest_secular_root(g1, g2, delta), 0.0) + delta)
+    s = math.atan2(y, math.sqrt(max(0.0, (1 - y) * (1 + y))))
+    lo, hi = 0.0, math.pi / 2
+    for _ in range(60):
+        cos, sin = math.cos(s), math.sin(s)
+        slope = g2 * cos - g1 * sin - delta * cos * sin  # half the derivative in s
+        curve = -g1 * cos - g2 * sin - delta * (cos * cos - sin * sin)
+        step = -slope / curve if curve < 0 else math.copysign(math.inf, slope)
+        if abs(step) <= 1e-15:
+            s += step
+            break
+        lo, hi = (s, hi) if slope > 0 else (lo, s)
+        s = s + step if lo < s + step < hi else (lo + hi) / 2
+    s = math.atan2(math.copysign(math.sin(s), g.imag), math.copysign(math.cos(s), g.real))
+    return math.remainder(s - turn, 2 * math.pi)

@@ -403,24 +403,23 @@ def _apply_ms_nd(view, axis_i, axis_j, pair_i, pair_j, J, box=None):
                   box)
 
 
-def _apply_two_level(view: np.ndarray, reg: Register, gate: R | MS, lead: int, box=None):
-    """R or MS on ``view``, whose ion axes follow ``lead`` leading axes: none for one circuit
-    (float angles), or the circuit axis for a batch (angles are (C,) arrays)."""
+def _apply_two_level(view: np.ndarray, reg: Register, gate: R | MS, box=None):
+    """R or MS on ``view``, whose leading axes are the register's ion axes."""
     if isinstance(gate, R):
         a, b = _norm_pair((gate.a, gate.b))
         # normalized pair keeps the Eq-pattern phases attached to a < b
         phi = gate.phi if (gate.a, gate.b) == (a, b) else -gate.phi
-        _apply_r_nd(view, lead + reg.axis(gate.ion), a, b, gate.theta, phi, box)
+        _apply_r_nd(view, reg.axis(gate.ion), a, b, gate.theta, phi, box)
     else:
-        _apply_ms_nd(view, lead + reg.axis(gate.ion_i), lead + reg.axis(gate.ion_j),
-                     _norm_pair(gate.pair_i), _norm_pair(gate.pair_j), gate.J, box)
+        _apply_ms_nd(view, reg.axis(gate.ion_i), reg.axis(gate.ion_j), _norm_pair(gate.pair_i),
+                     _norm_pair(gate.pair_j), gate.J, box)
 
 
 def apply_native(state: StateVector, gate: NativeGate) -> StateVector:
     """Apply one native gate in place; returns the state for chaining."""
     reg = state.register
     validate_gate(gate, reg)
-    _apply_two_level(state.amps.reshape(reg.shape_view()), reg, gate, 0, state.box)
+    _apply_two_level(state.amps.reshape(reg.shape_view()), reg, gate, state.box)
     return state
 
 
@@ -435,19 +434,8 @@ def gate_matrix(gate: NativeGate, reg: Register) -> np.ndarray:
     intended for dim <= a few thousand."""
     validate_gate(gate, reg)
     mat = np.eye(reg.dim, dtype=np.complex128)
-    _apply_two_level(mat.reshape(reg.shape_view() + (reg.dim,)), reg, gate, 0)
+    _apply_two_level(mat.reshape(reg.shape_view() + (reg.dim,)), reg, gate)
     return mat
-
-
-def gate_matrices(gate: R | MS, reg: Register) -> np.ndarray:
-    """Dense matrices of an R or MS gate whose angles are (C,) arrays, stacked (C, dim, dim) and
-    built by one batched kernel call: entry j is bit for bit ``gate_matrix`` at the j-th angles."""
-    validate_gate(gate, reg)
-    count = len(gate.theta if isinstance(gate, R) else gate.J)
-    mats = np.empty((count, reg.dim, reg.dim), dtype=np.complex128)
-    mats[:] = np.eye(reg.dim)
-    _apply_two_level(mats.reshape((count, *reg.shape_view(), reg.dim)), reg, gate, 1)
-    return mats
 
 
 def sequence_matrix(

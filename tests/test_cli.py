@@ -517,7 +517,8 @@ TWO_ION = {"ions": [{"d": 4}, {"d": 2}]}
 FIG1_ION = {"ions": [{"d": 4, "allowed_r": [[0, 1], [0, 2], [2, 3]]}]}
 
 # sha256 of the compiled circuit, recorded with OpenBLAS 0.3.31 running its SkylakeX kernels
-# before the variational probes were stacked: (target, generator seed, argv, sha256). A
+# with each variational slice read from its gate's environment and maximized in closed form:
+# (target, generator seed, argv, sha256). A
 # "layersN" target is N layers of the CLI's d=4 + d=2 template at default_rng(seed) angles; the
 # 1-layer runs take the benchmark's budget, the 2-layer one exhausts it at one layer first.
 # "haar" is a Haar unitary of one d=4 ion on a tree graph, synthesized exactly.  Targets are
@@ -525,11 +526,11 @@ FIG1_ION = {"ions": [{"d": 4, "allowed_r": [[0, 1], [0, 2], [2, 3]]}]}
 # so a pin that moves under another setting shows the compiler's own dependence.
 COMPILE_GOLDEN = [
     ("layers1", 5, ["--layers-max", "1", "--restarts", "8", "--seed", "1005"],
-     "0350cf527d4b384cdb0568553e9ba04ac2aae68741a9a000375c37c0a3e226ea"),
+     "309c57c4563ea07eb73ffccbbddb4df31d753b2e366aebdc53478d3bb0787050"),
     ("layers1", 7, ["--layers-max", "1", "--restarts", "8", "--seed", "1007"],
-     "c4bdb519d455dc82dad3f0ac78e1f988ef2c57124186dfabb17eb695a97dbe23"),
+     "4413a8c43fcebad8c442f8e763c13e0610ca932c9ca9a4d0d90637187a8f3202"),
     ("layers2", 16, ["--seed", "16"],
-     "9e22ccf1168c6f3f72ce8f4ac7af2bd872da90800311e20b1c2e88f23a077b04"),
+     "30045684f3283028eabaffe720489ef134aeb66950fc21c8f141de75502f5b04"),
     ("haar", 10, ["--seed", "0"],
      "e7a2e3a0c1df561bd27a4596efbb561d93fc69f0468ff6208fbff9d212bfe3a4"),
 ]
@@ -600,6 +601,28 @@ def test_compile_round_trip(tmp_path):
                  "--out", str(out)]) == 0
     circ = parse_circuit(out.read_text(), load_register(regfile))
     assert distance(U, sequence_matrix(circ.gates, reg)) <= 1e-9
+
+
+def test_compile_round_trip_with_a_spectator_ion(tmp_path):
+    # d=2 + d=4 + d=2: each gate's environment is traced over at least one ion it does not
+    # touch.  The target is one layer of the default template at seeded angles
+    from ionvq.cli import _default_template
+    from ionvq.core import Register, parse_circuit, sequence_matrix
+    from ionvq.compiler import distance
+
+    cfg = {"ions": [{"d": 2}, {"d": 4}, {"d": 2}]}
+    reg = Register.from_config(cfg)
+    tmpl = _default_template(reg)
+    x = np.random.default_rng(3).uniform(0.0, 2 * math.pi, tmpl.n_params)
+    U = sequence_matrix(tmpl.gates(x, 1), reg)
+    regfile, tfile, out = tmp_path / "reg.json", tmp_path / "t.txt", tmp_path / "circ.txt"
+    regfile.write_text(json.dumps(cfg))
+    tfile.write_text("".join(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) + "\n"
+                             for row in U))
+    assert main(["compile", "--target", str(tfile), "--register", str(regfile),
+                 "--layers-max", "1", "--seed", "3", "--out", str(out)]) == 0
+    circ = parse_circuit(out.read_text(), reg)
+    assert distance(U, sequence_matrix(circ.gates, reg)) <= 1e-8
 
 
 @pytest.mark.parametrize("register", [

@@ -18,7 +18,6 @@ from ionvq.core import (
     build_register,
     embed_standard,
     format_circuit,
-    gate_matrices,
     gate_matrix,
     identity_map,
     is_unitary,
@@ -558,38 +557,6 @@ def test_vectorised_embedding_equals_basis_loop_bit_for_bit(maps, order, seed, d
     assert reg.bit_table().dtype == np.uint8
     assert reg.bit_table().tobytes() == bits.tobytes()
     assert embed_standard(U, targets, reg).tobytes() == V.tobytes()
-
-
-REG_STACK = build_register([IonSpec(4, m2_map()), IonSpec(2), IonSpec(4)])
-ANGLES = st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0, math.pi / 2, math.pi])
-
-
-@settings(max_examples=40)
-@given(data=st.data())
-def test_gate_matrices_equal_gate_matrix_bit_for_bit(data):
-    # either pair order and signed zeros: every stacked entry is the single gate's matrix
-    count = data.draw(st.integers(1, 4))
-    angles = [np.array(data.draw(st.lists(ANGLES, min_size=count, max_size=count)))
-              for _ in range(2)]
-
-    def pair(ion):
-        return tuple(data.draw(st.lists(st.integers(0, REG_STACK.ions[ion].d - 1), min_size=2,
-                                        max_size=2, unique=True)))
-
-    if data.draw(st.booleans()):
-        ion = data.draw(st.integers(0, 2))
-        a, b = pair(ion)
-        stacked = R(ion, a, b, *angles)
-        gates = [R(ion, a, b, t, p) for t, p in zip(*angles)]
-    else:
-        ion_i, ion_j = data.draw(st.permutations(range(3)))[:2]
-        pair_i, pair_j = pair(ion_i), pair(ion_j)
-        stacked = MS(ion_i, ion_j, pair_i, pair_j, angles[0])
-        gates = [MS(ion_i, ion_j, pair_i, pair_j, J) for J in angles[0]]
-    mats = gate_matrices(stacked, REG_STACK)
-    assert mats.shape == (count, REG_STACK.dim, REG_STACK.dim)
-    for mat, gate in zip(mats, gates):
-        assert mat.tobytes() == gate_matrix(gate, REG_STACK).tobytes()
 
 
 @settings(max_examples=80)

@@ -171,6 +171,8 @@ NOT_RUN_BY_A_COMMAND = {
     "core.StateVector.probabilities": "BENCHMARK.json names the span perfbench/spans.py puts on it",
     "compiler.overlap_cost": "BENCHMARK.json names its span; compile reaches it only with a "
                              "template of no angles, which the CLI never builds",
+    "compiler.overlap": "overlap_cost's overlap, and the dense reference the tests hold each "
+                        "variational slice to",
     "sampling.brickwork_layer": "perfbench's xeb check builds its layers",
     "sampling._bricks": "brickwork_layer's bricks",
     "manifold.manifold_cost": "perfbench's manifold check scores the top manifold again",
